@@ -19,6 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import (
+    ASSIGNMENT_ENUM_BUDGET,
     BudgetExceededError,
     Multigraph,
     PairSequence,
@@ -26,11 +27,11 @@ from .graphs import (
     class_count,
     weight,
 )
-from .kwise import eval_bucket_batch, eval_sign_batch, new_generator
+# Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
+from .kwise import eval_bucket_batch, eval_sign_batch, new_generator  # noqa: F401
 from .stats import partitioned_count, wilson_interval
-from .transform import DenseVector, duplicate_rescale
+from .transform import DenseVector, duplicate_rescale, signed_bucket_sums, trial_counter
 
-EXACT_ENUM_BUDGET = 10 ** 8
 SEQUENCE_ENUM_BUDGET = 10 ** 8
 
 _GRAPH_CACHE_LIMIT = 200_000
@@ -98,14 +99,6 @@ def chaos_value(inst: ChaosInstance, assignment: RandomnessAssignment) -> float:
     return _pair_sum(inst.x.values, assignment.buckets, assignment.signs)
 
 
-def bucket_sum_value(x: np.ndarray, buckets: np.ndarray, signs: np.ndarray, k: int) -> float:
-    """Fast chaos value via per-bucket signed sums, sum_t s_t^2 - |x|^2;
-    matches chaos_value up to float reassociation."""
-    weighted = signs * x
-    per_bucket = np.bincount(buckets, weights=weighted, minlength=k)
-    return float(per_bucket @ per_bucket) - float(x @ x)
-
-
 def exact_moment(inst: ChaosInstance, m: int) -> float:
     """Average of the chaos value to the 2m-th power over every assignment.
 
@@ -119,9 +112,9 @@ def exact_moment(inst: ChaosInstance, m: int) -> float:
 
 def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
     total = (inst.k ** inst.d) * (2 ** inst.d)
-    if total > EXACT_ENUM_BUDGET:
+    if total > ASSIGNMENT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{total} assignments exceed the exact enumeration budget {EXACT_ENUM_BUDGET}")
+            f"{total} assignments exceed the exact enumeration budget {ASSIGNMENT_ENUM_BUDGET}")
     x = inst.x.values
 
     def terms():
@@ -195,10 +188,10 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
         n = min(4096, trials - position)
         buckets = rng.integers(0, inst.k, size=(n, inst.d))
         signs = rng.integers(0, 2, size=(n, inst.d)) * 2 - 1
-        weighted = signs * x
+        sums = signed_bucket_sums(buckets, signs, x, inst.k)
         values = np.full(n, -norm_sq)
         for t in range(inst.k):
-            values += np.sum(np.where(buckets == t, weighted, 0.0), axis=1) ** 2
+            values += sums[:, t] ** 2
         powers[position:position + n] = values ** (2 * m)
         position += n
     mean = float(powers.mean())
@@ -230,24 +223,17 @@ def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
         raise ValueError("k, c and degree must be positive")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if bucket_seed == sign_seed:
+        raise ValueError("bucket_seed and sign_seed must differ")
     replicated = duplicate_rescale(x.to_numpy(), c)
     points = np.arange(replicated.size, dtype=np.uint64)
     norm_sq = float(replicated @ replicated)
 
-    def count_hits(start: int, stop: int) -> int:
-        hits = 0
-        for trial in range(start, stop):
-            bucket_gen = new_generator(bucket_seed + trial, degree, k)
-            sign_gen = new_generator(sign_seed + trial, degree, 2)
-            buckets = eval_bucket_batch(bucket_gen, points)
-            signs = eval_sign_batch(sign_gen, points)
-            per_bucket = np.bincount(buckets, weights=signs * replicated, minlength=k)
-            value = float(per_bucket @ per_bucket) - norm_sq
-            if abs(value) >= epsilon:
-                hits += 1
-        return hits
+    def hit(per_bucket: np.ndarray) -> bool:
+        return abs(float(per_bucket @ per_bucket) - norm_sq) >= epsilon
 
-    hits = partitioned_count(count_hits, trials, workers)
+    count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit)
+    hits = partitioned_count(count, trials, workers)
     low, high = wilson_interval(hits, trials)
     return TailReport(epsilon=float(epsilon), trials=trials, hits=hits,
                       failure_rate=hits / trials, wilson_low=low, wilson_high=high)

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .chaos import ChaosInstance, moment_report, tail_estimate
+from .chaos import ChaosInstance, MomentReport, moment_report, tail_estimate
 from .graphs import CLASS_ENUM_BUDGET, BudgetExceededError, class_histogram
 from .transform import (
     DEFAULT_KAPPA,
@@ -28,8 +28,7 @@ from .transform import (
 )
 
 _SCHEMAS = {
-    "moment-report": ("d", "k", "m", "exact", "graph_expansion", "mc_mean", "mc_se",
-                      "rhs_bound"),
+    "moment-report": MomentReport.CSV_COLUMNS,
     "graph-count": ("m", "i", "t", "count", "elapsed_ms"),
     "distortion-bench": ("d", "k", "c", "m", "epsilon", "delta", "trials", "failures",
                          "failure_rate", "wilson_low", "wilson_high"),
@@ -117,9 +116,8 @@ def cmd_moment_report(args) -> int:
     report = moment_report(instance, args.m, cap, args.trials, args.seed)
     config = {"d": args.d, "k": args.k, "m": args.m, "x": args.x, "C": cap,
               "trials": args.trials, "seed": args.seed}
-    row = (report.d, report.k, report.m, report.exact, report.graph_expansion,
-           report.mc_mean, report.mc_se, report.rhs_bound)
-    _write_report(args.out, "moment-report", config, _SCHEMAS["moment-report"], [row])
+    row = tuple(getattr(report, column) for column in MomentReport.CSV_COLUMNS)
+    _write_report(args.out, "moment-report", config, MomentReport.CSV_COLUMNS, [row])
     return 0
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -172,6 +173,9 @@ class TransformSpec:
             raise ValueError("d, m, k, c and independence_degree must be positive")
         if self.k < self.m:
             raise ValueError("k must be at least m")
+        if self.bucket_seed == self.sign_seed:
+            # equal seeds give the bucket and sign hashes the same polynomial
+            raise ValueError("bucket_seed and sign_seed must differ")
 
 
 def sparsity_gain(m: int) -> float:
@@ -223,9 +227,13 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
                          epsilon_assumption_ok=assumption_ok)
 
 
-def bucket_generator(spec: TransformSpec) -> KWiseGenerator:
-    if spec.k / DEFAULT_FIELD.modulus > _MAX_BUCKET_BIAS:
+def _check_bucket_bias(k: int) -> None:
+    if k / DEFAULT_FIELD.modulus > _MAX_BUCKET_BIAS:
         raise ValueError("target dimension too large: bucket reduction bias exceeds 2^-20")
+
+
+def bucket_generator(spec: TransformSpec) -> KWiseGenerator:
+    _check_bucket_bias(spec.k)
     return new_generator(spec.bucket_seed, spec.independence_degree, spec.k)
 
 
@@ -240,24 +248,63 @@ def duplicate_rescale(values: np.ndarray, c: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=np.float64), c) / math.sqrt(c)
 
 
-def _entry_arrays(x: SparseVector) -> tuple[np.ndarray, np.ndarray]:
-    return x._arrays
+def signed_bucket_sums(buckets: np.ndarray, signs: np.ndarray, weights: np.ndarray,
+                       k: int) -> np.ndarray:
+    """Per-bucket sums of sign * weight over points, added in point order.
+
+    A 2-D call sums each row into its own k buckets by offsetting row r's
+    buckets by r * k, so row r of the result equals the 1-D call on row r bit
+    for bit. The fixed order pins every projection's floating-point result.
+    """
+    if buckets.ndim == 2:
+        rows = len(buckets)
+        offset = buckets + np.arange(0, rows * k, k)[:, None]
+        values = (signs * weights).reshape(-1)
+        return signed_bucket_sums(offset.reshape(-1), 1, values, rows * k).reshape(rows, k)
+    return np.bincount(buckets, weights=signs * weights, minlength=k)
+
+
+def project_points(bucket_gen: KWiseGenerator, sign_gen: KWiseGenerator,
+                   points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """k signed bucket sums of `weights` hashed at flat uint64 `points`."""
+    return signed_bucket_sums(eval_bucket_batch(bucket_gen, points),
+                              eval_sign_batch(sign_gen, points), weights, k)
+
+
+def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
+                  bucket_seed: int, sign_seed: int,
+                  hit: Callable[[np.ndarray], bool]) -> Callable[[int, int], int]:
+    """Count function over trial ranges, for `partitioned_count`.
+
+    Trial t projects `weights` at `points` through fresh generators seeded
+    (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so
+    the total does not depend on how trials are split among workers.
+    """
+    def count(start: int, stop: int) -> int:
+        hits = 0
+        for trial in range(start, stop):
+            sums = project_points(new_generator(bucket_seed + trial, degree, k),
+                                  new_generator(sign_seed + trial, degree, 2),
+                                  points, weights, k)
+            hits += hit(sums)
+        return hits
+
+    return count
+
+
+def _replicas(x: SparseVector, c: int) -> tuple[np.ndarray, np.ndarray]:
+    # replica r of coordinate i sits at flat point i*c + r, carrying x_i unscaled
+    indices, values = x._arrays
+    points = indices.astype(np.uint64)[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)
+    return points.reshape(-1), np.repeat(values, c)
 
 
 def apply_with_generators(x: SparseVector, c: int, k: int,
                           bucket_gen: KWiseGenerator,
                           sign_gen: KWiseGenerator) -> np.ndarray:
     """Project a sparse vector through explicit generators; returns k bucket sums."""
-    indices, values = _entry_arrays(x)
-    if indices.size == 0:
-        return np.zeros(k, dtype=np.float64)
-    flat = (indices[:, None] * c + np.arange(c, dtype=np.int64)[None, :]).reshape(-1)
-    replicated = np.repeat(values, c)
-    buckets = eval_bucket_batch(bucket_gen, flat.astype(np.uint64))
-    signs = eval_sign_batch(sign_gen, flat.astype(np.uint64))
-    # bincount adds in flat-index order, pinning the accumulation order bit-for-bit
-    sums = np.bincount(buckets, weights=signs * replicated, minlength=k)
-    return sums / math.sqrt(c)
+    points, weights = _replicas(x, c)
+    return project_points(bucket_gen, sign_gen, points, weights, k) / math.sqrt(c)
 
 
 def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
@@ -304,19 +351,24 @@ def apply_dense_baseline(kind: str, seed: int, k: int, x: SparseVector) -> Dense
     else:
         raise ValueError(f"unknown baseline kind {kind!r}")
     dense = np.zeros(x.dim)
-    indices, values = _entry_arrays(x)
+    indices, values = x._arrays
     dense[indices] = values
     y = matrix @ dense / math.sqrt(k)
     return DenseVector(tuple(float(v) for v in y))
 
 
-def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
-    """Norm ratio |Mx| / |x| for the sampled transform."""
+def _distortion_norm(spec: TransformSpec, x: SparseVector) -> float:
     norm = x.norm()
     if norm == 0.0:
         raise ValueError("zero vector has no distortion ratio")
     if x.dim != spec.d:
         raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
+    return norm
+
+
+def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
+    """Norm ratio |Mx| / |x| for the sampled transform."""
+    norm = _distortion_norm(spec, x)
     y = apply_with_generators(x, spec.c, spec.k, bucket_generator(spec), sign_generator(spec))
     return float(np.sqrt(y @ y)) / norm
 
@@ -350,18 +402,21 @@ def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
     base = derive_spec(d, epsilon, delta, bucket_seed, sign_seed, constants)
     if x is None:
         x = SparseVector.from_dense(DenseVector.uniform(d))
+    norm = _distortion_norm(base, x)
+    _check_bucket_bias(base.k)
+    points, weights = _replicas(x, base.c)
+    scale = math.sqrt(base.c)
     low_bound, high_bound = 1.0 - epsilon, 1.0 + epsilon
 
-    def count_failures(start: int, stop: int) -> int:
-        failures = 0
-        for trial in range(start, stop):
-            spec = replace(base, bucket_seed=bucket_seed + trial, sign_seed=sign_seed + trial)
-            ratio = distortion_trial(spec, x)
-            if ratio < low_bound or ratio > high_bound:
-                failures += 1
-        return failures
+    def fails(sums: np.ndarray) -> bool:
+        # the same arithmetic as distortion_trial, so counts match it trial by trial
+        y = sums / scale
+        ratio = float(np.sqrt(y @ y)) / norm
+        return ratio < low_bound or ratio > high_bound
 
-    failures = partitioned_count(count_failures, trials, workers)
+    count = trial_counter(points, weights, base.k, base.independence_degree,
+                          bucket_seed, sign_seed, fails)
+    failures = partitioned_count(count, trials, workers)
     low, high = wilson_interval(failures, trials)
     return DistortionReport(d=d, epsilon=float(epsilon), delta=float(delta), m=base.m,
                             k=base.k, c=base.c, trials=trials, failures=failures,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from sjlt.chaos import (
     ChaosInstance,
     RandomnessAssignment,
-    bucket_sum_value,
     chaos_value,
     exact_moment,
     graph_expansion_moment,
@@ -23,7 +22,16 @@ from sjlt.chaos import (
 )
 from sjlt.graphs import BudgetExceededError
 from sjlt.kwise import eval_bucket_batch, eval_sign_batch, new_generator
-from sjlt.transform import DenseVector, SparseVector, TransformSpec, distortion_trial, duplicate_rescale
+from sjlt.transform import (
+    DenseVector,
+    SparseVector,
+    TransformSpec,
+    derive_spec,
+    distortion_bench,
+    distortion_trial,
+    duplicate_rescale,
+    signed_bucket_sums,
+)
 
 
 def unit_vector(rng: np.random.Generator, d: int) -> DenseVector:
@@ -82,7 +90,9 @@ def test_bucket_sum_identity(seed, d, k):
     buckets = rng.integers(0, k, size=d)
     signs = rng.integers(0, 2, size=d) * 2 - 1
     direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(signs)))
-    fast = bucket_sum_value(inst.x.to_numpy(), buckets, signs, k)
+    x = inst.x.to_numpy()
+    per_bucket = signed_bucket_sums(buckets, signs, x, k)
+    fast = float(per_bucket @ per_bucket) - float(x @ x)
     assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -251,6 +261,13 @@ def test_tail_requires_enough_trials():
                       bucket_seed=0, sign_seed=1, degree=2)
 
 
+def test_tail_rejects_equal_seeds():
+    # equal seeds expand to one polynomial for both the bucket and the sign hash
+    with pytest.raises(ValueError):
+        tail_estimate(DenseVector.uniform(2), k=2, c=1, epsilon=0.5, trials=1000,
+                      bucket_seed=7, sign_seed=7, degree=2)
+
+
 def test_tail_matches_distortion_ratio():
     # same seeds: the chaos value for the replicated vector equals ratio^2 - 1
     d = 64
@@ -268,6 +285,53 @@ def test_tail_matches_distortion_ratio():
                              minlength=spec.k)
     value = float(per_bucket @ per_bucket) - float(replicated @ replicated)
     assert value == pytest.approx(ratio ** 2 - 1.0, rel=0, abs=1e-12)
+
+
+def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
+    # one trial written out with explicit generators and a plain bincount
+    buckets = eval_bucket_batch(new_generator(bucket_seed, degree, k), flat)
+    signs = eval_sign_batch(new_generator(sign_seed, degree, 2), flat)
+    return np.bincount(buckets, weights=signs * replicated, minlength=k)
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_trial_loops_match_per_trial_reference():
+    # non-dyadic entries and c > 1, where bucket sums are rounded, unlike the
+    # dyadic c = 1 settings the benchmark's reference checks
+    rng = np.random.default_rng(2024)
+    d, epsilon, trials = 24, 0.25, 200
+    x = unit_vector(rng, d)
+    sparse = SparseVector.from_dense(x.values)
+    bucket_seed, sign_seed = 1234, 98765
+    constants = (1.0, 0.1, 0.2)
+    report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed, constants,
+                              x=sparse)
+    spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
+    c, k = spec.c, spec.k
+    assert c > 1
+    flat = (np.arange(d)[:, None] * c + np.arange(c)[None, :]).reshape(-1).astype(np.uint64)
+    replicated = np.repeat(x.to_numpy(), c)
+    failures = 0
+    for t in range(trials):
+        y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
+                                   k, flat, replicated) / math.sqrt(c)
+        ratio = float(np.sqrt(y @ y)) / sparse.norm()
+        failures += ratio < 1.0 - epsilon or ratio > 1.0 + epsilon
+    assert 0 < failures < trials
+    assert report.failures == failures
+
+    k, c, degree, threshold, trials = 6, 3, 4, 0.3, 1000
+    report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
+    replicated = duplicate_rescale(x.to_numpy(), c)
+    points = np.arange(replicated.size, dtype=np.uint64)
+    norm_sq = float(replicated @ replicated)
+    hits = 0
+    for t in range(trials):
+        per_bucket = _reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
+                                            points, replicated)
+        hits += abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
+    assert 0 < hits < trials
+    assert report.hits == hits
 
 
 def test_tail_markov_consistency():

@@ -1,8 +1,14 @@
 """CLI behavior: determinism, report schemas, verify mode, machine-readable errors."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from sjlt.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def run(argv, capsys):
@@ -206,3 +212,42 @@ def test_bad_thread_env_var(capsys, monkeypatch):
                         "--out", "-"], capsys)
     assert code == 1
     assert err.startswith("error: invalid-parameter:")
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("command", ["transform", "distortion-bench", "tail-estimate"])
+def test_equal_seeds_rejected(tmp_path, capsys, command):
+    argv = [command, "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
+            "--bucket-seed", "7", "--sign-seed", "7"]
+    if command == "transform":
+        infile = tmp_path / "v.txt"
+        infile.write_text("16;0:1.0\n")
+        argv += ["--in", str(infile), "--out", str(tmp_path / "y.txt")]
+    else:
+        argv += ["--trials", "1000", "--out", "-"]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: invalid-parameter:")
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch):
+    # The benchmark's tracer patches sjlt functions by module attribute name;
+    # install() raises if a refactor unbinds one of them.
+    monkeypatch.delenv("SJLT_THREADS", raising=False)
+    spec = importlib.util.spec_from_file_location("sjlt_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for command, d in (("distortion-bench", 16), ("tail-estimate", 8)):
+            code = tracer.cli_call(main, [command, "--d", str(d), "--epsilon", "0.5",
+                                          "--delta", "0.2", "--trials", "1000",
+                                          "--bucket-seed", "1", "--sign-seed", "2",
+                                          "--out", "-"])
+            assert code == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["kwise.hash_evals"] > 0

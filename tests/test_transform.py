@@ -28,6 +28,7 @@ from sjlt.transform import (
     materialize,
     parse_sparse_vector,
     sign_generator,
+    signed_bucket_sums,
     sparsity_gain,
 )
 
@@ -325,6 +326,24 @@ def test_distortion_rejects_zero_vector():
     spec = small_spec(d=3, k=2, c=1, bucket_seed=1, sign_seed=2)
     with pytest.raises(ValueError):
         distortion_trial(spec, SparseVector(dim=3, entries=()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32), rows=st.integers(1, 6), points=st.integers(0, 12),
+       k=st.integers(1, 5))
+def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
+    rng = np.random.default_rng(seed)
+    buckets = rng.integers(0, k, size=(rows, points))
+    signs = rng.integers(0, 2, size=(rows, points)) * 2 - 1
+    for weights in (rng.standard_normal((rows, points)), rng.standard_normal(points)):
+        batched = signed_bucket_sums(buckets, signs, weights, k)
+        assert batched.shape == (rows, k)
+        for r in range(rows):
+            row_weights = weights[r] if weights.ndim == 2 else weights
+            single = np.bincount(buckets[r], weights=signs[r] * row_weights, minlength=k)
+            assert batched[r].tobytes() == single.tobytes()
+            assert signed_bucket_sums(buckets[r], signs[r], row_weights, k).tobytes() \
+                == single.tobytes()
 
 
 def test_duplicate_rescale_layout():
