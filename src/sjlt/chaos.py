@@ -210,8 +210,7 @@ class TailReport:
 
 
 def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
-                  bucket_seed: int, sign_seed: int, degree: int,
-                  workers: int = 1) -> TailReport:
+                  bucket_seed: int, sign_seed: int, degree: int) -> TailReport:
     """Empirical P(|chaos value| >= epsilon) for the duplicated-rescaled vector.
 
     Trial t draws fresh k-wise generators from seeds (bucket_seed + t,
@@ -233,7 +232,7 @@ def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
         return abs(float(per_bucket @ per_bucket) - norm_sq) >= epsilon
 
     count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit)
-    hits = partitioned_count(count, trials, workers)
+    hits = partitioned_count(count, trials)
     low, high = wilson_interval(hits, trials)
     return TailReport(epsilon=float(epsilon), trials=trials, hits=hits,
                       failure_rate=hits / trials, wilson_low=low, wilson_high=high)

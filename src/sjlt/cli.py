@@ -10,7 +10,6 @@ machine-readable line `error: <code>: <message>` to stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -20,6 +19,7 @@ from .graphs import CLASS_ENUM_BUDGET, BudgetExceededError, class_histogram
 from .transform import (
     DEFAULT_KAPPA,
     DenseVector,
+    DistortionReport,
     apply,
     derive_spec,
     distortion_bench,
@@ -30,8 +30,7 @@ from .transform import (
 _SCHEMAS = {
     "moment-report": MomentReport.CSV_COLUMNS,
     "graph-count": ("m", "i", "t", "count", "elapsed_ms"),
-    "distortion-bench": ("d", "k", "c", "m", "epsilon", "delta", "trials", "failures",
-                         "failure_rate", "wilson_low", "wilson_high"),
+    "distortion-bench": DistortionReport.CSV_COLUMNS,
     "tail-estimate": ("d", "k", "c", "m", "epsilon", "delta", "trials", "hits",
                       "failure_rate", "wilson_low", "wilson_high"),
 }
@@ -44,15 +43,6 @@ class _VerifyError(ValueError):
 def _fail(code: str, message: str) -> int:
     print(f"error: {code}: {message}", file=sys.stderr)
     return 1
-
-
-def _workers() -> int:
-    raw = os.environ.get("SJLT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SJLT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 def _format_value(value) -> str:
@@ -79,6 +69,12 @@ def _kappas(args) -> tuple[float, float, float]:
     return (args.kappa_m, args.kappa_k, args.kappa_c)
 
 
+def _trials_config(args) -> dict:
+    keys = ("d", "epsilon", "delta", "trials", "bucket_seed", "sign_seed",
+            "kappa_m", "kappa_k", "kappa_c")
+    return {key: getattr(args, key) for key in keys}
+
+
 def cmd_transform(args) -> int:
     vectors = read_sparse_vectors(args.infile)
     spec = derive_spec(args.d, args.epsilon, args.delta, args.bucket_seed,
@@ -94,17 +90,10 @@ def cmd_transform(args) -> int:
 
 def cmd_distortion_bench(args) -> int:
     report = distortion_bench(args.d, args.epsilon, args.delta, args.trials,
-                              args.bucket_seed, args.sign_seed, _kappas(args),
-                              workers=_workers())
-    config = {"d": args.d, "epsilon": args.epsilon, "delta": args.delta,
-              "trials": args.trials, "bucket_seed": args.bucket_seed,
-              "sign_seed": args.sign_seed, "kappa_m": args.kappa_m,
-              "kappa_k": args.kappa_k, "kappa_c": args.kappa_c}
-    row = (report.d, report.k, report.c, report.m, report.epsilon, report.delta,
-           report.trials, report.failures, report.failure_rate,
-           report.wilson_low, report.wilson_high)
-    _write_report(args.out, "distortion-bench", config,
-                  _SCHEMAS["distortion-bench"], [row])
+                              args.bucket_seed, args.sign_seed, _kappas(args))
+    row = tuple(getattr(report, column) for column in DistortionReport.CSV_COLUMNS)
+    _write_report(args.out, "distortion-bench", _trials_config(args),
+                  DistortionReport.CSV_COLUMNS, [row])
     return 0
 
 
@@ -143,14 +132,11 @@ def cmd_tail_estimate(args) -> int:
                        args.sign_seed, _kappas(args))
     report = tail_estimate(DenseVector.uniform(args.d), spec.k, spec.c, args.epsilon,
                            args.trials, args.bucket_seed, args.sign_seed,
-                           spec.independence_degree, workers=_workers())
-    config = {"d": args.d, "epsilon": args.epsilon, "delta": args.delta,
-              "trials": args.trials, "bucket_seed": args.bucket_seed,
-              "sign_seed": args.sign_seed, "kappa_m": args.kappa_m,
-              "kappa_k": args.kappa_k, "kappa_c": args.kappa_c}
+                           spec.independence_degree)
     row = (args.d, spec.k, spec.c, spec.m, args.epsilon, args.delta, report.trials,
            report.hits, report.failure_rate, report.wilson_low, report.wilson_high)
-    _write_report(args.out, "tail-estimate", config, _SCHEMAS["tail-estimate"], [row])
+    _write_report(args.out, "tail-estimate", _trials_config(args),
+                  _SCHEMAS["tail-estimate"], [row])
     return 0
 
 

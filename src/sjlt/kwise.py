@@ -58,8 +58,8 @@ class PrimeField:
             raise ValueError(f"modulus {self.modulus} is not prime")
 
 
-# Mersenne prime large enough that flat replica indices stay valid evaluation
-# points for dimensions up to 2^40, with fast branch-free reduction.
+# Mersenne prime with fast branch-free reduction; the transform refuses d * c
+# above 2^61 - 1, so every flat replica index is a distinct field element.
 DEFAULT_FIELD = PrimeField(MERSENNE61)
 
 
@@ -158,30 +158,11 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
 
 
-def _fold61(x: np.ndarray) -> np.ndarray:
-    # valid for x < 2^63
-    r = (x & _P61) + (x >> _U61)
-    return np.where(r >= _P61, r - _P61, r)
-
-
-def _mulmod61(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # operands < 2^61 - 1; the 122-bit product is reduced via 2^61 = 1 (mod p),
-    # every partial sum stays below 2^63
-    a1 = a >> _U32
-    a0 = a & _LOW32
-    b1 = b >> _U32
-    b0 = b & _LOW32
-    mid = a1 * b0 + b1 * a0
-    lo = a0 * b0
-    s = a1 * b1 * _U8
-    s = s + (mid >> _U29) + ((mid & _LOW29) << _U32)
-    s = s + (lo & _P61) + (lo >> _U61)
-    return _fold61(s)
-
-
 def _horner61(coefficients: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
-    # Same arithmetic as _mulmod61/_fold61 per Horner step, but written through
-    # preallocated scratch buffers so large batches do not churn the allocator.
+    # Each Horner step multiplies acc < 2^61 - 1 by idx < 2^61 - 1 and reduces the
+    # 122-bit product via 2^61 = 1 (mod p); every partial sum stays below 2^63.
+    # Steps write through preallocated scratch buffers so large batches do not
+    # churn the allocator.
     acc = np.full(idx.shape, coefficients[-1], dtype=np.uint64)
     if len(coefficients) == 1:
         return acc

@@ -1,9 +1,8 @@
-"""Shared Monte Carlo machinery: confidence intervals and partitioned trial loops."""
+"""Shared Monte Carlo machinery: confidence intervals and the trial-count loop."""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -23,17 +22,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float,
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def partitioned_count(count_fn: Callable[[int, int], int], total: int, workers: int = 1) -> int:
-    """Sum count_fn over [0, total) split into per-worker ranges.
-
-    Results combine by integer addition, so the outcome is independent of
-    worker scheduling.
-    """
-    workers = max(1, int(workers))
-    if workers == 1 or total < 2:
-        return count_fn(0, total)
-    bounds = [total * w // workers for w in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(count_fn, lo, hi)
-                   for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        return sum(f.result() for f in futures)
+# A seam, not a partition: bench/tracing.py patches it to time each caller's trial loop.
+def partitioned_count(count_fn: Callable[[int, int], int], total: int) -> int:
+    """Number of hits count_fn reports over trials [0, total), in one serial loop."""
+    return count_fn(0, total)

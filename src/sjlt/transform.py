@@ -12,16 +12,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .kwise import (
     DEFAULT_FIELD,
     KWiseGenerator,
-    eval_bucket,
     eval_bucket_batch,
-    eval_sign,
     eval_sign_batch,
     new_generator,
 )
@@ -176,6 +174,9 @@ class TransformSpec:
         if self.bucket_seed == self.sign_seed:
             # equal seeds give the bucket and sign hashes the same polynomial
             raise ValueError("bucket_seed and sign_seed must differ")
+        if self.d * self.c > DEFAULT_FIELD.modulus:
+            # flat replica points 0 .. d*c - 1 must be distinct field elements
+            raise ValueError(f"d * c = {self.d * self.c} exceeds the field size 2^61 - 1")
 
 
 def sparsity_gain(m: int) -> float:
@@ -203,12 +204,16 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     kappa_m, kappa_k, kappa_c = constants
-    if min(kappa_m, kappa_k, kappa_c) <= 0:
-        raise ValueError("kappa constants must be positive")
-    m = max(1, math.ceil(kappa_m * math.log(1.0 / delta)))
-    gain = sparsity_gain(m)
-    k = math.ceil(kappa_k * m / (epsilon * epsilon))
-    c = math.ceil(kappa_c * (m / gain) ** 2 / epsilon)
+    if not all(math.isfinite(kappa) and kappa > 0 for kappa in constants):
+        raise ValueError("kappa constants must be finite and positive")
+    try:
+        m = max(1, math.ceil(kappa_m * math.log(1.0 / delta)))
+        gain = sparsity_gain(m)
+        k = math.ceil(kappa_k * m / (epsilon * epsilon))
+        c = math.ceil(kappa_c * (m / gain) ** 2 / epsilon)
+    except OverflowError:
+        # an infinite product reaches ceil, or the square overflows
+        raise ValueError("kappa constants too large: m, k or c is not finite") from None
     if independence_degree is None:
         independence_degree = 2 * m
     elif independence_degree < 1:
@@ -278,7 +283,7 @@ def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
 
     Trial t projects `weights` at `points` through fresh generators seeded
     (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so
-    the total does not depend on how trials are split among workers.
+    its outcome is fixed by its seeds alone.
     """
     def count(start: int, stop: int) -> int:
         hits = 0
@@ -317,14 +322,12 @@ def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
 
 def materialize(spec: TransformSpec) -> np.ndarray:
     """Dense k x d matrix equal to the transform; for small instances only."""
-    bucket_gen = bucket_generator(spec)
-    sign_gen = sign_generator(spec)
-    scale = 1.0 / math.sqrt(spec.c)
+    points = np.arange(spec.d * spec.c, dtype=np.uint64)
+    buckets = eval_bucket_batch(bucket_generator(spec), points)
+    signs = eval_sign_batch(sign_generator(spec), points)
     out = np.zeros((spec.k, spec.d))
-    for column in range(spec.d):
-        for r in range(spec.c):
-            flat = column * spec.c + r
-            out[eval_bucket(bucket_gen, flat), column] += scale * eval_sign(sign_gen, flat)
+    # unbuffered, in point order: replicas of a column add in replica order
+    np.add.at(out, (buckets, np.repeat(np.arange(spec.d), spec.c)), signs / math.sqrt(spec.c))
     return out
 
 
@@ -332,11 +335,9 @@ def column_structure(spec: TransformSpec, column: int) -> list[tuple[int, int]]:
     """(bucket, sign) contribution of each replica of one input coordinate."""
     if not 0 <= column < spec.d:
         raise ValueError(f"column {column} out of range")
-    bucket_gen = bucket_generator(spec)
-    sign_gen = sign_generator(spec)
-    return [(eval_bucket(bucket_gen, column * spec.c + r),
-             eval_sign(sign_gen, column * spec.c + r))
-            for r in range(spec.c)]
+    points = np.arange(column * spec.c, (column + 1) * spec.c, dtype=np.uint64)
+    return list(zip(eval_bucket_batch(bucket_generator(spec), points).tolist(),
+                    eval_sign_batch(sign_generator(spec), points).tolist()))
 
 
 def apply_dense_baseline(kind: str, seed: int, k: int, x: SparseVector) -> DenseVector:
@@ -387,15 +388,19 @@ class DistortionReport:
     wilson_low: float
     wilson_high: float
 
+    CSV_COLUMNS: ClassVar[tuple[str, ...]] = (
+        "d", "k", "c", "m", "epsilon", "delta", "trials", "failures",
+        "failure_rate", "wilson_low", "wilson_high")
+
 
 def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
                      bucket_seed: int, sign_seed: int,
                      constants: tuple[float, float, float] = DEFAULT_KAPPA,
-                     x: SparseVector | None = None, workers: int = 1) -> DistortionReport:
+                     x: SparseVector | None = None) -> DistortionReport:
     """Failure fraction of the distortion guarantee over independently seeded trials.
 
     Trial t reseeds both generators with (bucket_seed + t, sign_seed + t), so
-    results do not depend on execution order or worker count.
+    each trial's outcome is fixed by its seeds.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -416,7 +421,7 @@ def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
 
     count = trial_counter(points, weights, base.k, base.independence_degree,
                           bucket_seed, sign_seed, fails)
-    failures = partitioned_count(count, trials, workers)
+    failures = partitioned_count(count, trials)
     low, high = wilson_interval(failures, trials)
     return DistortionReport(d=d, epsilon=float(epsilon), delta=float(delta), m=base.m,
                             k=base.k, c=base.c, trials=trials, failures=failures,

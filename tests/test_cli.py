@@ -169,6 +169,32 @@ def test_invalid_parameter_error_line(tmp_path, capsys):
     assert err.startswith("error: invalid-parameter:")
 
 
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("kappa", [("--kappa-k", "inf"), ("--kappa-m", "inf"),
+                                   ("--kappa-m", "nan"), ("--kappa-c", "1e308")])
+def test_non_finite_kappa_error_line(capsys, kappa):
+    code, _, err = run(["distortion-bench", "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
+                        "--trials", "10", "--bucket-seed", "1", "--sign-seed", "2",
+                        *kappa, "--out", "-"], capsys)
+    assert code == 1
+    assert err.startswith("error: invalid-parameter:")
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
+    # d = 2^55 gives c = 531, so d * c exceeds 2^61 - 1 (and wraps uint64)
+    d = 2 ** 55
+    infile = tmp_path / "v.txt"
+    infile.write_text(f"{d};0:1.0\n")
+    out = tmp_path / "y.txt"
+    code, _, err = run(["transform", "--d", str(d), "--epsilon", "0.1", "--delta", "1e-6",
+                        "--bucket-seed", "1", "--sign-seed", "2",
+                        "--in", str(infile), "--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: invalid-parameter:")
+    assert not out.exists()
+
+
 def test_budget_exceeded_reported_not_crashed(capsys):
     code, _, err = run(["graph-count", "--m", "10", "--i-max", "3", "--out", "-"], capsys)
     assert code == 1
@@ -193,28 +219,6 @@ def test_usage_error(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-def test_thread_env_var_does_not_change_results(tmp_path, capsys, monkeypatch):
-    argv = ["distortion-bench", "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
-            "--trials", "64", "--bucket-seed", "5", "--sign-seed", "6", "--out", "-"]
-    code, single, _ = run(argv, capsys)
-    assert code == 0
-    monkeypatch.setenv("SJLT_THREADS", "4")
-    code, threaded, _ = run(argv, capsys)
-    assert code == 0
-    assert single == threaded
-
-
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-def test_bad_thread_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("SJLT_THREADS", "many")
-    code, _, err = run(["tail-estimate", "--d", "8", "--epsilon", "0.5", "--delta", "0.2",
-                        "--trials", "1000", "--bucket-seed", "1", "--sign-seed", "2",
-                        "--out", "-"], capsys)
-    assert code == 1
-    assert err.startswith("error: invalid-parameter:")
-
-
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 @pytest.mark.parametrize("command", ["transform", "distortion-bench", "tail-estimate"])
 def test_equal_seeds_rejected(tmp_path, capsys, command):
     argv = [command, "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
@@ -233,8 +237,8 @@ def test_equal_seeds_rejected(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch):
     # The benchmark's tracer patches sjlt functions by module attribute name;
-    # install() raises if a refactor unbinds one of them.
-    monkeypatch.delenv("SJLT_THREADS", raising=False)
+    # install() raises if a refactor unbinds one of them, and the per-layer
+    # trial-loop spans stay empty if the loops bypass partitioned_count.
     spec = importlib.util.spec_from_file_location("sjlt_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -251,3 +255,5 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.counters["kwise.hash_evals"] > 0
+    assert tracer.aggregates["transform.trial_loop"].calls == 1
+    assert tracer.aggregates["chaos.tail_loop"].calls == 1

@@ -88,8 +88,17 @@ def test_derive_spec_rejects_bad_ranges():
             derive_spec(4, epsilon, delta, 1, 2)
     with pytest.raises(ValueError):
         derive_spec(0, 0.5, 0.5, 1, 2)
+    for kappas in [(0.0, 1.0, 1.0), (1.0, math.inf, 1.0), (math.inf, 1.0, 1.0),
+                   (math.nan, 1.0, 1.0), (1.0, 1.0, 1e308)]:
+        with pytest.raises(ValueError):
+            derive_spec(4, 0.5, 0.5, 1, 2, kappas)
+
+
+def test_spec_rejects_replica_points_beyond_the_field():
+    p = 2 ** 61 - 1
+    small_spec(d=p, k=4, c=1, bucket_seed=1, sign_seed=2)      # d * c = p still fits
     with pytest.raises(ValueError):
-        derive_spec(4, 0.5, 0.5, 1, 2, (0.0, 1.0, 1.0))
+        small_spec(d=(p + 1) // 2, k=4, c=2, bucket_seed=1, sign_seed=2)
 
 
 def test_assumption_satisfied_records_no_warning(recwarn):
@@ -172,7 +181,7 @@ def test_apply_matches_dense_oracle_fixed_instance():
     assert np.allclose(got.to_numpy(), expected, rtol=1e-12, atol=1e-15)
 
 
-def test_apply_matches_dense_oracle_random_instances():
+def random_oracle_instances():
     rng = np.random.default_rng(2024)
     for _ in range(100):
         d = int(rng.integers(1, 11))
@@ -183,10 +192,23 @@ def test_apply_matches_dense_oracle_random_instances():
                           sign_seed=int(rng.integers(2**62)), degree=degree)
         dense = np.round(rng.standard_normal(d), 6)
         dense[rng.random(d) < 0.3] = 0.0
-        x = SparseVector.from_dense(dense)
-        got = apply_with_generators(x, c, k, bucket_generator(spec), sign_generator(spec))
+        yield spec, SparseVector.from_dense(dense)
+
+
+def test_apply_matches_dense_oracle_random_instances():
+    for spec, x in random_oracle_instances():
+        got = apply_with_generators(x, spec.c, spec.k,
+                                    bucket_generator(spec), sign_generator(spec))
         expected = dense_oracle(spec, x)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+
+def test_materialize_matches_dense_oracle_columns():
+    for spec, _ in random_oracle_instances():
+        M = materialize(spec)
+        for j in range(spec.d):
+            e_j = SparseVector(dim=spec.d, entries=((j, 1.0),))
+            assert np.allclose(M[:, j], dense_oracle(spec, e_j), rtol=0, atol=1e-15)
 
 
 def test_apply_rejects_dimension_mismatch():
