@@ -231,7 +231,7 @@ def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
     def hit(per_bucket: np.ndarray) -> bool:
         return abs(float(per_bucket @ per_bucket) - norm_sq) >= epsilon
 
-    count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit)
+    count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit, run=c)
     hits = partitioned_count(count, trials)
     low, high = wilson_interval(hits, trials)
     return TailReport(epsilon=float(epsilon), trials=trials, hits=hits,

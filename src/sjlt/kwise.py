@@ -5,6 +5,18 @@ r - 1; its evaluations at any r distinct points are jointly uniform over the
 field, which is the only randomness property the projection analysis needs.
 Field values are folded onto the output range by plain modulo, so every
 consumer inherits a per-value reduction bias below range/modulus.
+
+On the Mersenne field 2^61 - 1 the batch evaluators are exact and give the
+scalar path's values bit for bit, by two routes:
+
+- Horner in blocks of HORNER_BLOCK points with lazy reduction: between steps
+  the accumulator is congruent to the partial value and below 2^61 + 8, and
+  one min(acc, acc - p) at the end makes it canonical.
+- Forward differences for runs of `run` consecutive points, such as the c
+  replicas i*c .. i*c + c - 1 of a coordinate, when run exceeds the number of
+  coefficients r: the Horner values at a run's first r points seed a
+  difference table, which then steps along the run at r - 1 modular
+  additions per point.
 """
 
 from __future__ import annotations
@@ -152,70 +164,141 @@ def reduction_bias_bound(field: PrimeField, range_size: int) -> float:
 _U61 = np.uint64(61)
 _U32 = np.uint64(32)
 _U29 = np.uint64(29)
-_U8 = np.uint64(8)
+_U3 = np.uint64(3)
 _P61 = np.uint64(MERSENNE61)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
 
+# Points per cache block: a block's points, results and seven scratch
+# buffers (nine 16K-lane uint64 arrays, 1.1 MB) stay in cache across all of
+# its Horner steps.
+HORNER_BLOCK = 1 << 14
+
 
 def _horner61(coefficients: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
-    # Each Horner step multiplies acc < 2^61 - 1 by idx < 2^61 - 1 and reduces the
-    # 122-bit product via 2^61 = 1 (mod p); every partial sum stays below 2^63.
-    # Steps write through preallocated scratch buffers so large batches do not
-    # churn the allocator.
-    acc = np.full(idx.shape, coefficients[-1], dtype=np.uint64)
-    if len(coefficients) == 1:
-        return acc
-    b1 = idx >> _U32
-    b0 = idx & _LOW32
-    a1 = np.empty_like(acc)
-    a0 = np.empty_like(acc)
-    mid = np.empty_like(acc)
-    lo = np.empty_like(acc)
-    s = np.empty_like(acc)
-    for coefficient in reversed(coefficients[:-1]):
-        np.right_shift(acc, _U32, out=a1)
-        np.bitwise_and(acc, _LOW32, out=a0)
-        np.multiply(a1, b0, out=mid)
-        np.multiply(b1, a0, out=s)
-        np.add(mid, s, out=mid)
-        np.multiply(a0, b0, out=lo)
-        np.multiply(a1, b1, out=s)
-        np.multiply(s, _U8, out=s)
-        np.right_shift(mid, _U29, out=a1)
-        np.add(s, a1, out=s)
-        np.bitwise_and(mid, _LOW29, out=a1)
-        np.left_shift(a1, _U32, out=a1)
-        np.add(s, a1, out=s)
-        np.bitwise_and(lo, _P61, out=a1)
-        np.add(s, a1, out=s)
-        np.right_shift(lo, _U61, out=a1)
-        np.add(s, a1, out=s)
-        np.bitwise_and(s, _P61, out=a1)
-        np.right_shift(s, _U61, out=a0)
-        np.add(a1, a0, out=acc)
-        acc[acc >= _P61] -= _P61
-        np.add(acc, np.uint64(coefficient), out=acc)
-        np.bitwise_and(acc, _P61, out=a1)
-        np.right_shift(acc, _U61, out=a0)
-        np.add(a1, a0, out=acc)
-        acc[acc >= _P61] -= _P61
-    return acc
+    # Lazy Mersenne-61 Horner, block by block. Between steps acc may exceed p
+    # but stays below 2^61 + 8, so acc >> 32 <= 2^29. One step splits acc and
+    # idx < p into 32-bit halves, folds the 122-bit product via 2^61 = 1
+    # (mod p) and adds the coefficient before a single fold:
+    # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
+    #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
+    # so (s & p) + (s >> 61) <= 2^61 + 3. acc < 2p at the end, and
+    # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
+    flat = idx.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.uint64)
+    scratch = [np.empty(min(flat.size, HORNER_BLOCK), dtype=np.uint64) for _ in range(7)]
+    steps = [np.uint64(c) for c in reversed(coefficients[:-1])]
+    for start in range(0, flat.size, HORNER_BLOCK):
+        x = flat[start:start + HORNER_BLOCK]
+        acc = out[start:start + HORNER_BLOCK]
+        b1, b0, a1, a0, mid, lo, s = (buffer[:x.size] for buffer in scratch)
+        acc.fill(coefficients[-1])
+        np.right_shift(x, _U32, out=b1)
+        np.bitwise_and(x, _LOW32, out=b0)
+        for coefficient in steps:
+            np.right_shift(acc, _U32, out=a1)
+            np.bitwise_and(acc, _LOW32, out=a0)
+            np.multiply(a1, b0, out=mid)
+            np.multiply(a0, b1, out=s)
+            np.add(mid, s, out=mid)
+            np.multiply(a0, b0, out=lo)
+            np.multiply(a1, b1, out=s)
+            np.left_shift(s, _U3, out=s)
+            np.right_shift(mid, _U29, out=a1)
+            np.add(s, a1, out=s)
+            np.bitwise_and(mid, _LOW29, out=a1)
+            np.left_shift(a1, _U32, out=a1)
+            np.add(s, a1, out=s)
+            np.bitwise_and(lo, _P61, out=a1)
+            np.add(s, a1, out=s)
+            np.right_shift(lo, _U61, out=a1)
+            np.add(s, a1, out=s)
+            np.add(s, coefficient, out=s)
+            np.bitwise_and(s, _P61, out=a1)
+            np.right_shift(s, _U61, out=s)
+            np.add(a1, s, out=acc)
+        np.subtract(acc, _P61, out=a1)
+        np.minimum(acc, a1, out=acc)
+    return out.reshape(idx.shape)
 
 
-def eval_bucket_batch(gen: KWiseGenerator, indices: np.ndarray) -> np.ndarray:
-    """Vectorized eval_bucket; bit-identical to the scalar path."""
-    idx = np.ascontiguousarray(indices, dtype=np.uint64)
+def _runs61(coefficients: tuple[int, ...], idx: np.ndarray, run: int) -> np.ndarray:
+    # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4). With r
+    # coefficients, Horner gives f(x0) .. f(x0 + r - 1) of each run; their
+    # difference table D[j] = Delta^j f(x0) has a constant last row, and
+    # Delta^j f(x + 1) = Delta^j f(x) + Delta^(j+1) f(x), so D[:-1] += D[1:]
+    # (r - 1 additions mod p, all runs of a chunk at once) steps every run by
+    # one point. Entries stay canonical: a sum t < 2p, and min(t, t - p)
+    # reduces it. A chunk's table holds at most HORNER_BLOCK entries.
+    r = len(coefficients)
+    starts = idx[::run]
+    out = np.empty((starts.size, run), dtype=np.uint64)
+    per_chunk = max(1, HORNER_BLOCK // r)
+    for first in range(0, starts.size, per_chunk):
+        x0 = starts[first:first + per_chunk]
+        table = _horner61(coefficients, x0[:, None] + np.arange(r, dtype=np.uint64)).T.copy()
+        t = np.empty((r - 1, x0.size), dtype=np.uint64)
+        u = np.empty_like(t)
+        for j in range(1, r):
+            # rows j.. become differences of rows j-1..: a + p - b lies in (0, 2p)
+            np.add(table[j:], _P61, out=t[j - 1:])
+            np.subtract(t[j - 1:], table[j - 1:-1], out=t[j - 1:])
+            np.subtract(t[j - 1:], _P61, out=u[j - 1:])
+            np.minimum(t[j - 1:], u[j - 1:], out=table[j:])
+        steps = np.empty((run, x0.size), dtype=np.uint64)
+        steps[0] = table[0]
+        for step in steps[1:]:
+            np.add(table[:-1], table[1:], out=t)
+            np.subtract(t, _P61, out=u)
+            np.minimum(t, u, out=table[:-1])
+            step[...] = table[0]
+        out[first:first + x0.size] = steps.T
+    return out.reshape(-1)
+
+
+def _field_points(gen: KWiseGenerator, points, run: int) -> np.ndarray:
+    idx = np.asarray(points)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"points must have an integer dtype, not {idx.dtype}")
+    idx = np.ascontiguousarray(idx, dtype=np.uint64)
     if idx.size and int(idx.max()) >= gen.field.modulus:
         raise ValueError("index outside the field")
+    if isinstance(run, bool) or not isinstance(run, (int, np.integer)) or run < 1:
+        raise ValueError(f"run must be a positive integer, not {run!r}")
+    if run > 1:
+        if idx.ndim != 1 or idx.size % run:
+            raise ValueError(f"points do not split into runs of {run}")
+        rows = idx.reshape(-1, run)
+        if np.any(rows[:, 1:] - rows[:, :-1] != 1):
+            raise ValueError(f"points are not runs of {run} consecutive indices")
+    return idx
+
+
+def eval_bucket_batch(gen: KWiseGenerator, points, *, run: int = 1) -> np.ndarray:
+    """Vectorized eval_bucket; bit-identical to the scalar path.
+
+    `points` is an integer array. With `run` > 1 it must consist of runs of
+    `run` consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1, ...), as the
+    replicas of a coordinate are; runs longer than the degree are evaluated
+    by forward differences. A `points` array that is not such runs raises.
+    """
+    idx = _field_points(gen, points, run)
     if gen.field.modulus != MERSENNE61:
         return np.array([eval_bucket(gen, int(i)) for i in idx], dtype=np.int64)
-    acc = _horner61(gen.coefficients, idx)
-    return (acc % np.uint64(gen.range_size)).astype(np.int64)
+    if run > gen.degree:
+        values = _runs61(gen.coefficients, idx, run)
+    else:
+        values = _horner61(gen.coefficients, idx)
+    # v - (v // range) * range: numpy divides by a scalar without a hardware
+    # division per element, unlike v % range; the result is below range < 2^61
+    quotient = values // np.uint64(gen.range_size)
+    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
+    np.subtract(values, quotient, out=values)
+    return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator, indices: np.ndarray) -> np.ndarray:
-    """Vectorized eval_sign."""
+def eval_sign_batch(gen: KWiseGenerator, points, *, run: int = 1) -> np.ndarray:
+    """Vectorized eval_sign; `run` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
-    return np.where(eval_bucket_batch(gen, indices) == 0, 1, -1).astype(np.int64)
+    return 1 - 2 * eval_bucket_batch(gen, points, run=run)

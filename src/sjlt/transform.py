@@ -95,10 +95,10 @@ class SparseVector:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.entries:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-        raw = np.asarray(self.entries, dtype=np.float64)
-        return raw[:, 0].astype(np.int64), np.ascontiguousarray(raw[:, 1])
+        # separate arrays: a float64 detour would round indices above 2^53
+        indices = np.array([i for i, _ in self.entries], dtype=np.int64)
+        values = np.array([v for _, v in self.entries], dtype=np.float64)
+        return indices, values
 
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for _, v in self.entries))
@@ -270,27 +270,32 @@ def signed_bucket_sums(buckets: np.ndarray, signs: np.ndarray, weights: np.ndarr
 
 
 def project_points(bucket_gen: KWiseGenerator, sign_gen: KWiseGenerator,
-                   points: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """k signed bucket sums of `weights` hashed at flat uint64 `points`."""
-    return signed_bucket_sums(eval_bucket_batch(bucket_gen, points),
-                              eval_sign_batch(sign_gen, points), weights, k)
+                   points: np.ndarray, weights: np.ndarray, k: int, *, run: int) -> np.ndarray:
+    """k signed bucket sums of `weights` hashed at flat uint64 `points`.
+
+    `points` are runs of `run` consecutive indices, the replicas of one
+    coordinate each (see `eval_bucket_batch`).
+    """
+    return signed_bucket_sums(eval_bucket_batch(bucket_gen, points, run=run),
+                              eval_sign_batch(sign_gen, points, run=run), weights, k)
 
 
 def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
                   bucket_seed: int, sign_seed: int,
-                  hit: Callable[[np.ndarray], bool]) -> Callable[[int, int], int]:
+                  hit: Callable[[np.ndarray], bool], *, run: int) -> Callable[[int, int], int]:
     """Count function over trial ranges, for `partitioned_count`.
 
-    Trial t projects `weights` at `points` through fresh generators seeded
-    (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so
-    its outcome is fixed by its seeds alone.
+    Trial t projects `weights` at `points` (runs of `run` replicas, as for
+    `project_points`) through fresh generators seeded (bucket_seed + t,
+    sign_seed + t) and counts when `hit(sums)` holds, so its outcome is fixed
+    by its seeds alone.
     """
     def count(start: int, stop: int) -> int:
         hits = 0
         for trial in range(start, stop):
             sums = project_points(new_generator(bucket_seed + trial, degree, k),
                                   new_generator(sign_seed + trial, degree, 2),
-                                  points, weights, k)
+                                  points, weights, k, run=run)
             hits += hit(sums)
         return hits
 
@@ -309,7 +314,7 @@ def apply_with_generators(x: SparseVector, c: int, k: int,
                           sign_gen: KWiseGenerator) -> np.ndarray:
     """Project a sparse vector through explicit generators; returns k bucket sums."""
     points, weights = _replicas(x, c)
-    return project_points(bucket_gen, sign_gen, points, weights, k) / math.sqrt(c)
+    return project_points(bucket_gen, sign_gen, points, weights, k, run=c) / math.sqrt(c)
 
 
 def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
@@ -323,8 +328,8 @@ def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
 def materialize(spec: TransformSpec) -> np.ndarray:
     """Dense k x d matrix equal to the transform; for small instances only."""
     points = np.arange(spec.d * spec.c, dtype=np.uint64)
-    buckets = eval_bucket_batch(bucket_generator(spec), points)
-    signs = eval_sign_batch(sign_generator(spec), points)
+    buckets = eval_bucket_batch(bucket_generator(spec), points, run=spec.c)
+    signs = eval_sign_batch(sign_generator(spec), points, run=spec.c)
     out = np.zeros((spec.k, spec.d))
     # unbuffered, in point order: replicas of a column add in replica order
     np.add.at(out, (buckets, np.repeat(np.arange(spec.d), spec.c)), signs / math.sqrt(spec.c))
@@ -336,8 +341,8 @@ def column_structure(spec: TransformSpec, column: int) -> list[tuple[int, int]]:
     if not 0 <= column < spec.d:
         raise ValueError(f"column {column} out of range")
     points = np.arange(column * spec.c, (column + 1) * spec.c, dtype=np.uint64)
-    return list(zip(eval_bucket_batch(bucket_generator(spec), points).tolist(),
-                    eval_sign_batch(sign_generator(spec), points).tolist()))
+    return list(zip(eval_bucket_batch(bucket_generator(spec), points, run=spec.c).tolist(),
+                    eval_sign_batch(sign_generator(spec), points, run=spec.c).tolist()))
 
 
 def apply_dense_baseline(kind: str, seed: int, k: int, x: SparseVector) -> DenseVector:
@@ -420,7 +425,7 @@ def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
         return ratio < low_bound or ratio > high_bound
 
     count = trial_counter(points, weights, base.k, base.independence_degree,
-                          bucket_seed, sign_seed, fails)
+                          bucket_seed, sign_seed, fails, run=base.c)
     failures = partitioned_count(count, trials)
     low, high = wilson_interval(failures, trials)
     return DistortionReport(d=d, epsilon=float(epsilon), delta=float(delta), m=base.m,

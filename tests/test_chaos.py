@@ -297,41 +297,45 @@ def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_trial_loops_match_per_trial_reference():
     # non-dyadic entries and c > 1, where bucket sums are rounded, unlike the
-    # dyadic c = 1 settings the benchmark's reference checks
+    # dyadic c = 1 settings the benchmark's reference checks. The reference
+    # hashes point by point (run=1); the loops hash runs of c, by differences
+    # once c > degree.
     rng = np.random.default_rng(2024)
     d, epsilon, trials = 24, 0.25, 200
     x = unit_vector(rng, d)
     sparse = SparseVector.from_dense(x.values)
     bucket_seed, sign_seed = 1234, 98765
-    constants = (1.0, 0.1, 0.2)
-    report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed, constants,
-                              x=sparse)
-    spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
-    c, k = spec.c, spec.k
-    assert c > 1
-    flat = (np.arange(d)[:, None] * c + np.arange(c)[None, :]).reshape(-1).astype(np.uint64)
-    replicated = np.repeat(x.to_numpy(), c)
-    failures = 0
-    for t in range(trials):
-        y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
-                                   k, flat, replicated) / math.sqrt(c)
-        ratio = float(np.sqrt(y @ y)) / sparse.norm()
-        failures += ratio < 1.0 - epsilon or ratio > 1.0 + epsilon
-    assert 0 < failures < trials
-    assert report.failures == failures
+    # kappa_c = 0.2 gives c = 2 < degree 10; 2.0 gives c = 18 > degree 10
+    for constants, expected_c in (((1.0, 0.1, 0.2), 2), ((1.0, 0.1, 2.0), 18)):
+        report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed,
+                                  constants, x=sparse)
+        spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
+        c, k = spec.c, spec.k
+        assert (c, spec.independence_degree) == (expected_c, 10)
+        flat = (np.arange(d)[:, None] * c + np.arange(c)[None, :]).reshape(-1).astype(np.uint64)
+        replicated = np.repeat(x.to_numpy(), c)
+        failures = 0
+        for t in range(trials):
+            y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
+                                       k, flat, replicated) / math.sqrt(c)
+            ratio = float(np.sqrt(y @ y)) / sparse.norm()
+            failures += ratio < 1.0 - epsilon or ratio > 1.0 + epsilon
+        assert 0 < failures < trials
+        assert report.failures == failures
 
-    k, c, degree, threshold, trials = 6, 3, 4, 0.3, 1000
-    report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
-    replicated = duplicate_rescale(x.to_numpy(), c)
-    points = np.arange(replicated.size, dtype=np.uint64)
-    norm_sq = float(replicated @ replicated)
-    hits = 0
-    for t in range(trials):
-        per_bucket = _reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
-                                            points, replicated)
-        hits += abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
-    assert 0 < hits < trials
-    assert report.hits == hits
+    for k, c, degree in ((6, 3, 4), (6, 18, 4)):
+        threshold, trials = 0.3, 1000
+        report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
+        replicated = duplicate_rescale(x.to_numpy(), c)
+        points = np.arange(replicated.size, dtype=np.uint64)
+        norm_sq = float(replicated @ replicated)
+        hits = 0
+        for t in range(trials):
+            per_bucket = _reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
+                                                points, replicated)
+            hits += abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
+        assert 0 < hits < trials
+        assert report.hits == hits
 
 
 def test_tail_markov_consistency():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sjlt.cli import main
+from sjlt.transform import derive_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -235,10 +236,11 @@ def test_equal_seeds_rejected(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch):
+def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     # The benchmark's tracer patches sjlt functions by module attribute name;
     # install() raises if a refactor unbinds one of them, and the per-layer
     # trial-loop spans stay empty if the loops bypass partitioned_count.
+    # Its hash counter reads len(points), so points stay flat on the run path.
     spec = importlib.util.spec_from_file_location("sjlt_bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -257,3 +259,21 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch):
     assert tracer.counters["kwise.hash_evals"] > 0
     assert tracer.aggregates["transform.trial_loop"].calls == 1
     assert tracer.aggregates["chaos.tail_loop"].calls == 1
+
+    d, nnz = 2**20, (1, 0, 37, 5)
+    vectors = tmp_path / "in.txt"
+    vectors.write_text("".join(f"{d};" + ",".join(f"{i * 7919}:1.5" for i in range(n)) + "\n"
+                               for n in nnz))
+    c = derive_spec(d, 0.1, 1e-3, 1, 2).c
+    assert c == 115
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.cli_call(main, ["transform", "--d", str(d), "--epsilon", "0.1",
+                                      "--delta", "1e-3", "--bucket-seed", "1", "--sign-seed",
+                                      "2", "--in", str(vectors), "--out",
+                                      str(tmp_path / "out.txt")])
+        assert code == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["kwise.hash_evals"] == 2 * sum(nnz) * c

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sjlt import kwise
@@ -182,3 +182,110 @@ def test_sign_batch_matches_scalar():
     batch = eval_sign_batch(g, points)
     assert batch.tolist() == [eval_sign(g, int(i)) for i in points]
     assert set(batch.tolist()) <= {-1, 1}
+
+
+@st.composite
+def replica_runs(draw):
+    # (generator, points, run): runs of `run` consecutive indices, some of them
+    # ending at the top of the field, in counts that are rarely block multiples
+    degree = draw(st.integers(min_value=1, max_value=16))
+    run = draw(st.sampled_from([1, degree, degree + 1, 3 * degree,
+                                kwise.HORNER_BLOCK + degree + 1]))
+    cap = 2 if run > kwise.HORNER_BLOCK else 12
+    top = MERSENNE61 - 1 - run
+    start = st.one_of(st.integers(min_value=0, max_value=top),
+                      st.integers(min_value=top - 64, max_value=top))
+    starts = draw(st.lists(start, max_size=cap))
+    points = np.array([x + r for x in starts for r in range(run)], dtype=np.uint64)
+    gen = new_generator(draw(st.integers(min_value=0, max_value=2**64 - 1)), degree,
+                        draw(st.integers(min_value=1, max_value=5000)))
+    return gen, points, run
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=replica_runs())
+def test_run_paths_match_scalar(case):
+    gen, points, run = case
+    scalar = [eval_bucket(gen, int(i)) for i in points]
+    assert eval_bucket_batch(gen, points, run=1).tolist() == scalar
+    assert eval_bucket_batch(gen, points, run=run).tolist() == scalar
+
+
+@pytest.mark.parametrize("degree", [1, 2, 16])
+def test_runs_span_several_table_chunks(degree):
+    # more runs than one difference table holds (HORNER_BLOCK // degree)
+    g = new_generator(degree, degree, 1000)
+    run = degree + 1
+    count = kwise.HORNER_BLOCK // degree + 3
+    starts = np.arange(count, dtype=np.uint64) * np.uint64(5 * run) + np.uint64(2**60)
+    points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
+    got = eval_bucket_batch(g, points, run=run).tolist()
+    assert got == [eval_bucket(g, int(i)) for i in points]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=replica_runs(), data=st.data())
+def test_broken_runs_rejected(case, data):
+    gen, points, run = case
+    assume(run > 1 and points.size)
+    broken = points.copy()
+    position = data.draw(st.integers(min_value=0, max_value=points.size - 1))
+    broken[position] ^= np.uint64(1 << data.draw(st.integers(min_value=0, max_value=40)))
+    assume(int(broken[position]) < MERSENNE61)
+    with pytest.raises(ValueError):
+        eval_bucket_batch(gen, broken, run=run)
+    with pytest.raises(ValueError):
+        eval_bucket_batch(gen, points[1:], run=run)
+
+
+@pytest.mark.parametrize("run", [0, -3, 1.5, True])
+def test_run_must_be_positive_integer(run):
+    with pytest.raises(ValueError):
+        eval_bucket_batch(new_generator(3, 2, 7), np.arange(4, dtype=np.uint64), run=run)
+
+
+def test_non_integer_points_rejected():
+    g = new_generator(5, 3, 2)
+    for points in (np.array([1.7, 2.2]), [1.7, 2.2], np.array([True, False])):
+        with pytest.raises(ValueError):
+            eval_bucket_batch(g, points)
+        with pytest.raises(ValueError):
+            eval_sign_batch(g, points)
+    # integer lists and signed arrays stay accepted
+    assert eval_bucket_batch(g, [1, 2]).tolist() == [eval_bucket(g, 1), eval_bucket(g, 2)]
+    assert eval_sign_batch(g, np.array([1, 2])).tolist() == [eval_sign(g, 1), eval_sign(g, 2)]
+
+
+ADVERSARIAL = [MERSENNE61 - 1, MERSENNE61 - 2, 2**32 - 1, 2**32, 2**60]
+
+
+def _lazy_accumulators(coefficients, x):
+    # the kernel's arithmetic in Python integers: the accumulator after each step
+    acc, seen = coefficients[-1], []
+    b1, b0 = x >> 32, x & 0xFFFFFFFF
+    for c in reversed(coefficients[:-1]):
+        a1, a0 = acc >> 32, acc & 0xFFFFFFFF
+        mid, lo = a1 * b0 + a0 * b1, a0 * b0
+        s = (8 * a1 * b1 + (mid >> 29) + ((mid & (2**29 - 1)) << 32)
+             + (lo & MERSENNE61) + (lo >> 61) + c)
+        assert s < 2**64
+        acc = (s & MERSENNE61) + (s >> 61)
+        seen.append(acc)
+    return seen
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_horner_adversarial_values(degree):
+    # edge coefficients and points; some drive the unreduced accumulator past p
+    p = MERSENNE61
+    peak = 0
+    points = np.array(ADVERSARIAL, dtype=np.uint64)
+    for coefficients in product(ADVERSARIAL, repeat=degree):
+        got = kwise._horner61(coefficients, points).tolist()
+        for x, value in zip(ADVERSARIAL, got):
+            expected = 0
+            for c in reversed(coefficients):
+                expected = (expected * x + c) % p
+            assert value == expected
+            peak = max(peak, *_lazy_accumulators(coefficients, x))
+    assert p <= peak < 2**61 + 8

@@ -211,6 +211,50 @@ def test_materialize_matches_dense_oracle_columns():
             assert np.allclose(M[:, j], dense_oracle(spec, e_j), rtol=0, atol=1e-15)
 
 
+def long_run_oracle_instances():
+    # c well above the degree, so apply, materialize and column_structure hash
+    # every column by forward differences
+    rng = np.random.default_rng(4051)
+    for _ in range(40):
+        d = int(rng.integers(1, 11))
+        k = int(rng.integers(1, 9))
+        c = int(rng.integers(8, 41))
+        degree = int(rng.integers(1, 7))
+        spec = small_spec(d=d, k=k, c=c, bucket_seed=int(rng.integers(2**62)),
+                          sign_seed=int(rng.integers(2**62)), degree=degree)
+        dense = np.round(rng.standard_normal(d), 6)
+        dense[rng.random(d) < 0.3] = 0.0
+        yield spec, SparseVector.from_dense(dense)
+
+
+def test_long_runs_match_dense_oracle():
+    for spec, x in long_run_oracle_instances():
+        got = apply_with_generators(x, spec.c, spec.k,
+                                    bucket_generator(spec), sign_generator(spec))
+        assert np.allclose(got, dense_oracle(spec, x), rtol=1e-12, atol=1e-15)
+        M = materialize(spec)
+        for j in range(spec.d):
+            # up to c terms share a bucket, so sums round in the last bits;
+            # a wrong bucket or sign moves an entry by 1/sqrt(c) or more
+            column = dense_oracle(spec, SparseVector(dim=spec.d, entries=((j, 1.0),)))
+            assert np.allclose(M[:, j], column, rtol=1e-12, atol=1e-15)
+            rebuilt = np.zeros(spec.k)
+            for b, s in column_structure(spec, j):
+                rebuilt[b] += s / math.sqrt(spec.c)
+            assert np.allclose(rebuilt, column, rtol=1e-12, atol=1e-15)
+
+
+def test_indices_above_2_53_stay_exact():
+    # d * c < 2^61, but a float64 detour would merge 2^53 and 2^53 + 1
+    spec = derive_spec(2**55, 0.5, 0.5, 11, 22)
+    assert (spec.k, spec.c) == (16, 4)
+    a = SparseVector(dim=spec.d, entries=((2**53, 1.0), (2**55 - 1, 2.0)))
+    b = SparseVector(dim=spec.d, entries=((2**53 + 1, 1.0), (2**55 - 1, 2.0)))
+    assert a._arrays[0].tolist() == [2**53, 2**55 - 1]
+    assert b._arrays[0].tolist() == [2**53 + 1, 2**55 - 1]
+    assert apply(spec, a) != apply(spec, b)
+
+
 def test_apply_rejects_dimension_mismatch():
     spec = small_spec(d=3, k=4, c=2, bucket_seed=1, sign_seed=2)
     with pytest.raises(ValueError):
