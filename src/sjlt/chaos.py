@@ -30,7 +30,13 @@ from .graphs import (
 # Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
 from .kwise import eval_bucket_batch, eval_sign_batch, new_generator  # noqa: F401
 from .stats import partitioned_count, wilson_interval
-from .transform import DenseVector, duplicate_rescale, signed_bucket_sums, trial_counter
+from .transform import (
+    DenseVector,
+    _check_bucket_bias,
+    duplicate_rescale,
+    signed_bucket_sums,
+    trial_counter,
+)
 
 SEQUENCE_ENUM_BUDGET = 10 ** 8
 
@@ -224,6 +230,7 @@ def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
         raise ValueError("epsilon must be positive")
     if bucket_seed == sign_seed:
         raise ValueError("bucket_seed and sign_seed must differ")
+    _check_bucket_bias(k)
     replicated = duplicate_rescale(x.to_numpy(), c)
     points = np.arange(replicated.size, dtype=np.uint64)
     norm_sq = float(replicated @ replicated)

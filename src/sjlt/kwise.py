@@ -6,17 +6,23 @@ field, which is the only randomness property the projection analysis needs.
 Field values are folded onto the output range by plain modulo, so every
 consumer inherits a per-value reduction bias below range/modulus.
 
-On the Mersenne field 2^61 - 1 the batch evaluators are exact and give the
-scalar path's values bit for bit, by two routes:
+The batch evaluators take one generator or a tuple of generators with the
+same degree and range. Each generator is one row of a coefficient matrix and
+evaluates its own equal segment of the flat points, so a block of
+independently seeded trials costs the numpy calls of one. On the Mersenne
+field 2^61 - 1 they are exact and give the scalar path's values bit for bit,
+by two routes:
 
-- Horner in blocks of HORNER_BLOCK points with lazy reduction: between steps
-  the accumulator is congruent to the partial value and below 2^61 + 8, and
-  one min(acc, acc - p) at the end makes it canonical.
+- Horner in blocks of HORNER_BLOCK points with lazy reduction: each step
+  adds a coefficient column; between steps the accumulator is congruent to
+  the partial value and below 2^61 + 8, and one min(acc, acc - p) at the end
+  makes it canonical.
 - Forward differences for runs of `run` consecutive points, such as the c
-  replicas i*c .. i*c + c - 1 of a coordinate, when run exceeds the number of
-  coefficients r: the Horner values at a run's first r points seed a
-  difference table, which then steps along the run at r - 1 modular
-  additions per point.
+  replicas i*c .. i*c + c - 1 of a coordinate, when the runs are long against
+  the number of coefficients r and the call holds enough of them: the Horner
+  values at a run's first r points seed a difference table, which then steps
+  along the run at r - 1 modular additions per point. The stepping needs no
+  coefficients, so the runs of every row share one table.
 """
 
 from __future__ import annotations
@@ -175,24 +181,32 @@ _LOW29 = np.uint64((1 << 29) - 1)
 HORNER_BLOCK = 1 << 14
 
 
-def _horner61(coefficients: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
-    # Lazy Mersenne-61 Horner, block by block. Between steps acc may exceed p
+def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    # Lazy Mersenne-61 Horner, block by block, one generator per row of the
+    # (rows, r) uint64 `coefficients`; row j evaluates the j-th of `rows`
+    # equal consecutive segments of `idx`. Between steps acc may exceed p
     # but stays below 2^61 + 8, so acc >> 32 <= 2^29. One step splits acc and
     # idx < p into 32-bit halves, folds the 122-bit product via 2^61 = 1
-    # (mod p) and adds the coefficient before a single fold:
+    # (mod p) and adds the coefficient column before a single fold:
     # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
     #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
     # so (s & p) + (s >> 61) <= 2^61 + 3. acc < 2p at the end, and
     # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
-    flat = idx.reshape(-1)
-    out = np.empty(flat.shape, dtype=np.uint64)
-    scratch = [np.empty(min(flat.size, HORNER_BLOCK), dtype=np.uint64) for _ in range(7)]
-    steps = [np.uint64(c) for c in reversed(coefficients[:-1])]
-    for start in range(0, flat.size, HORNER_BLOCK):
-        x = flat[start:start + HORNER_BLOCK]
-        acc = out[start:start + HORNER_BLOCK]
-        b1, b0, a1, a0, mid, lo, s = (buffer[:x.size] for buffer in scratch)
-        acc.fill(coefficients[-1])
+    coefficients = np.asarray(coefficients, dtype=np.uint64)
+    rows = len(coefficients)
+    points = idx.reshape(rows, -1)
+    out = np.empty(points.shape, dtype=np.uint64)
+    width = max(1, HORNER_BLOCK // rows)
+    scratch = [np.empty((rows, min(points.shape[1], width)), dtype=np.uint64)
+               for _ in range(7)]
+    # coefficients r - 2 .. 0 as (rows, 1) columns; one row takes numpy
+    # scalars, which numpy adds faster than a broadcast (1, 1) column
+    steps = coefficients.T[-2::-1, :, None] if rows > 1 else coefficients[0, -2::-1]
+    for start in range(0, points.shape[1], width):
+        x = points[:, start:start + width]
+        acc = out[:, start:start + width]
+        b1, b0, a1, a0, mid, lo, s = (buffer[:, :x.shape[1]] for buffer in scratch)
+        acc[...] = coefficients[:, -1:]
         np.right_shift(x, _U32, out=b1)
         np.bitwise_and(x, _LOW32, out=b0)
         for coefficient in steps:
@@ -222,22 +236,26 @@ def _horner61(coefficients: tuple[int, ...], idx: np.ndarray) -> np.ndarray:
     return out.reshape(idx.shape)
 
 
-def _runs61(coefficients: tuple[int, ...], idx: np.ndarray, run: int) -> np.ndarray:
-    # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4). With r
-    # coefficients, Horner gives f(x0) .. f(x0 + r - 1) of each run; their
-    # difference table D[j] = Delta^j f(x0) has a constant last row, and
+def _runs61(coefficients: np.ndarray, idx: np.ndarray, run: int) -> np.ndarray:
+    # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4), for the
+    # (rows, r) `coefficients` and segments of `_horner61`. Horner gives
+    # f(x0) .. f(x0 + r - 1) of each run; their difference table
+    # D[j] = Delta^j f(x0) has a constant last row, and
     # Delta^j f(x + 1) = Delta^j f(x) + Delta^(j+1) f(x), so D[:-1] += D[1:]
-    # (r - 1 additions mod p, all runs of a chunk at once) steps every run by
-    # one point. Entries stay canonical: a sum t < 2p, and min(t, t - p)
-    # reduces it. A chunk's table holds at most HORNER_BLOCK entries.
-    r = len(coefficients)
-    starts = idx[::run]
-    out = np.empty((starts.size, run), dtype=np.uint64)
-    per_chunk = max(1, HORNER_BLOCK // r)
-    for first in range(0, starts.size, per_chunk):
-        x0 = starts[first:first + per_chunk]
-        table = _horner61(coefficients, x0[:, None] + np.arange(r, dtype=np.uint64)).T.copy()
-        t = np.empty((r - 1, x0.size), dtype=np.uint64)
+    # (r - 1 additions mod p) steps every run by one point. The stepping uses
+    # no coefficients, so the runs of all rows share one table, whose columns
+    # are row-major (row, run). Entries stay canonical: a sum t < 2p, and
+    # min(t, t - p) reduces it. A chunk's table holds at most HORNER_BLOCK
+    # entries, or one run per row.
+    rows, r = coefficients.shape
+    starts = idx.reshape(rows, -1)[:, ::run]
+    out = np.empty((rows, starts.shape[1], run), dtype=np.uint64)
+    per_chunk = max(1, HORNER_BLOCK // (r * rows))
+    for first in range(0, starts.shape[1], per_chunk):
+        x0 = starts[:, first:first + per_chunk]
+        seeds = _horner61(coefficients, x0[:, :, None] + np.arange(r, dtype=np.uint64))
+        table = seeds.reshape(-1, r).T.copy()
+        t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
         u = np.empty_like(t)
         for j in range(1, r):
             # rows j.. become differences of rows j-1..: a + p - b lies in (0, 2p)
@@ -245,60 +263,93 @@ def _runs61(coefficients: tuple[int, ...], idx: np.ndarray, run: int) -> np.ndar
             np.subtract(t[j - 1:], table[j - 1:-1], out=t[j - 1:])
             np.subtract(t[j - 1:], _P61, out=u[j - 1:])
             np.minimum(t[j - 1:], u[j - 1:], out=table[j:])
-        steps = np.empty((run, x0.size), dtype=np.uint64)
+        steps = np.empty((run, table.shape[1]), dtype=np.uint64)
         steps[0] = table[0]
         for step in steps[1:]:
             np.add(table[:-1], table[1:], out=t)
             np.subtract(t, _P61, out=u)
             np.minimum(t, u, out=table[:-1])
             step[...] = table[0]
-        out[first:first + x0.size] = steps.T
+        out[:, first:first + x0.shape[1]] = steps.T.reshape(rows, x0.shape[1], run)
     return out.reshape(-1)
 
 
-def _field_points(gen: KWiseGenerator, points, run: int) -> np.ndarray:
+def _differences_pay(runs: int, run: int, degree: int) -> bool:
+    # Differences skip Horner's degree - 1 products at all but the first
+    # degree points of each run, but step at four numpy calls per point
+    # however few runs a call holds. Timed against Horner, they pay once the
+    # products skipped reach about 2^9 per step: the rule switches at 45 runs
+    # for run 115 and degree 14 (measured break-even 50-100 runs) and at 20
+    # for run 531 and degree 28 (measured 16-32).
+    return runs * (degree - 1) * (run - degree) > (run - 1) << 9
+
+
+def _generator_rows(gen) -> tuple[KWiseGenerator, ...]:
+    gens = gen if isinstance(gen, tuple) else (gen,)
+    if not gens:
+        raise ValueError("need at least one generator")
+    first = gens[0]
+    for g in gens[1:]:
+        if (g.field, g.degree, g.range_size) != (first.field, first.degree, first.range_size):
+            raise ValueError("generators must share field, degree and range")
+    return gens
+
+
+def _field_points(gens: tuple[KWiseGenerator, ...], points, run: int) -> np.ndarray:
     idx = np.asarray(points)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"points must have an integer dtype, not {idx.dtype}")
     idx = np.ascontiguousarray(idx, dtype=np.uint64)
-    if idx.size and int(idx.max()) >= gen.field.modulus:
+    if idx.size and int(idx.max()) >= gens[0].field.modulus:
         raise ValueError("index outside the field")
     if isinstance(run, bool) or not isinstance(run, (int, np.integer)) or run < 1:
         raise ValueError(f"run must be a positive integer, not {run!r}")
+    if (run > 1 or len(gens) > 1) and (idx.ndim != 1 or idx.size % (len(gens) * run)):
+        # segments of a multiple of run points each: runs never cross a segment
+        raise ValueError(f"points do not split into {len(gens)} segments of runs of {run}")
     if run > 1:
-        if idx.ndim != 1 or idx.size % run:
-            raise ValueError(f"points do not split into runs of {run}")
         rows = idx.reshape(-1, run)
         if np.any(rows[:, 1:] - rows[:, :-1] != 1):
             raise ValueError(f"points are not runs of {run} consecutive indices")
     return idx
 
 
-def eval_bucket_batch(gen: KWiseGenerator, points, *, run: int = 1) -> np.ndarray:
+def eval_bucket_batch(gen: KWiseGenerator | tuple[KWiseGenerator, ...], points, *,
+                      run: int = 1) -> np.ndarray:
     """Vectorized eval_bucket; bit-identical to the scalar path.
 
-    `points` is an integer array. With `run` > 1 it must consist of runs of
-    `run` consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1, ...), as the
-    replicas of a coordinate are; runs longer than the degree are evaluated
-    by forward differences. A `points` array that is not such runs raises.
+    `gen` is one generator or a tuple of generators with the same field,
+    degree and range. `points` is an integer array; given a tuple of n
+    generators, the flat `points` split into n equal consecutive segments and
+    generator j evaluates segment j. With `run` > 1 every segment must consist
+    of runs of `run` consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1,
+    ...), as the replicas of a coordinate are; enough runs longer than the
+    degree are evaluated by forward differences. Points that are not such
+    segments of runs raise.
     """
-    idx = _field_points(gen, points, run)
-    if gen.field.modulus != MERSENNE61:
-        return np.array([eval_bucket(gen, int(i)) for i in idx], dtype=np.int64)
-    if run > gen.degree:
-        values = _runs61(gen.coefficients, idx, run)
+    gens = _generator_rows(gen)
+    idx = _field_points(gens, points, run)
+    first = gens[0]
+    if first.field.modulus != MERSENNE61:
+        return np.array([eval_bucket(g, int(i))
+                         for g, segment in zip(gens, idx.reshape(len(gens), -1))
+                         for i in segment], dtype=np.int64).reshape(idx.shape)
+    coefficients = np.array([g.coefficients for g in gens], dtype=np.uint64)
+    if _differences_pay(idx.size // run, run, first.degree):
+        values = _runs61(coefficients, idx, run)
     else:
-        values = _horner61(gen.coefficients, idx)
+        values = _horner61(coefficients, idx)
     # v - (v // range) * range: numpy divides by a scalar without a hardware
     # division per element, unlike v % range; the result is below range < 2^61
-    quotient = values // np.uint64(gen.range_size)
-    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
+    quotient = values // np.uint64(first.range_size)
+    np.multiply(quotient, np.uint64(first.range_size), out=quotient)
     np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator, points, *, run: int = 1) -> np.ndarray:
-    """Vectorized eval_sign; `run` as for eval_bucket_batch."""
-    if gen.range_size != 2:
+def eval_sign_batch(gen: KWiseGenerator | tuple[KWiseGenerator, ...], points, *,
+                    run: int = 1) -> np.ndarray:
+    """Vectorized eval_sign; `gen`, `points` and `run` as for eval_bucket_batch."""
+    if any(g.range_size != 2 for g in _generator_rows(gen)):
         raise ValueError("sign evaluation needs range 2")
     return 1 - 2 * eval_bucket_batch(gen, points, run=run)

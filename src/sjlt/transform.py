@@ -18,6 +18,7 @@ import numpy as np
 
 from .kwise import (
     DEFAULT_FIELD,
+    HORNER_BLOCK,
     KWiseGenerator,
     eval_bucket_batch,
     eval_sign_batch,
@@ -269,34 +270,34 @@ def signed_bucket_sums(buckets: np.ndarray, signs: np.ndarray, weights: np.ndarr
     return np.bincount(buckets, weights=signs * weights, minlength=k)
 
 
-def project_points(bucket_gen: KWiseGenerator, sign_gen: KWiseGenerator,
-                   points: np.ndarray, weights: np.ndarray, k: int, *, run: int) -> np.ndarray:
-    """k signed bucket sums of `weights` hashed at flat uint64 `points`.
-
-    `points` are runs of `run` consecutive indices, the replicas of one
-    coordinate each (see `eval_bucket_batch`).
-    """
-    return signed_bucket_sums(eval_bucket_batch(bucket_gen, points, run=run),
-                              eval_sign_batch(sign_gen, points, run=run), weights, k)
-
-
 def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
                   bucket_seed: int, sign_seed: int,
                   hit: Callable[[np.ndarray], bool], *, run: int) -> Callable[[int, int], int]:
     """Count function over trial ranges, for `partitioned_count`.
 
-    Trial t projects `weights` at `points` (runs of `run` replicas, as for
-    `project_points`) through fresh generators seeded (bucket_seed + t,
-    sign_seed + t) and counts when `hit(sums)` holds, so its outcome is fixed
-    by its seeds alone.
+    Trial t projects `weights` at the n flat uint64 `points` (runs of `run`
+    replicas, see `eval_bucket_batch`) through fresh generators seeded
+    (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so its
+    outcome is fixed by its seeds alone. Trials go through the kernel in
+    blocks of max(1, HORNER_BLOCK // max(n, k)) rows, one trial per row: a
+    block hashes one segment of `points` per trial with one call per hash,
+    sums all its rows in one 2-D `signed_bucket_sums`, and calls `hit` on
+    the rows in trial order.
     """
+    rows = max(1, HORNER_BLOCK // max(points.size, k))
+    tiled = np.tile(points, rows)
+
     def count(start: int, stop: int) -> int:
         hits = 0
-        for trial in range(start, stop):
-            sums = project_points(new_generator(bucket_seed + trial, degree, k),
-                                  new_generator(sign_seed + trial, degree, 2),
-                                  points, weights, k, run=run)
-            hits += hit(sums)
+        for first in range(start, stop, rows):
+            trials = range(first, min(first + rows, stop))
+            buckets = tuple(new_generator(bucket_seed + t, degree, k) for t in trials)
+            signs = tuple(new_generator(sign_seed + t, degree, 2) for t in trials)
+            block = tiled[:len(trials) * points.size]
+            sums = signed_bucket_sums(
+                eval_bucket_batch(buckets, block, run=run).reshape(len(trials), -1),
+                eval_sign_batch(signs, block, run=run).reshape(len(trials), -1), weights, k)
+            hits += sum(hit(row) for row in sums)
         return hits
 
     return count
@@ -314,7 +315,9 @@ def apply_with_generators(x: SparseVector, c: int, k: int,
                           sign_gen: KWiseGenerator) -> np.ndarray:
     """Project a sparse vector through explicit generators; returns k bucket sums."""
     points, weights = _replicas(x, c)
-    return project_points(bucket_gen, sign_gen, points, weights, k, run=c) / math.sqrt(c)
+    sums = signed_bucket_sums(eval_bucket_batch(bucket_gen, points, run=c),
+                              eval_sign_batch(sign_gen, points, run=c), weights, k)
+    return sums / math.sqrt(c)
 
 
 def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:

@@ -21,7 +21,7 @@ from sjlt.chaos import (
     _exact_power_moment,
 )
 from sjlt.graphs import BudgetExceededError
-from sjlt.kwise import eval_bucket_batch, eval_sign_batch, new_generator
+from sjlt.kwise import HORNER_BLOCK, eval_bucket_batch, eval_sign_batch, new_generator
 from sjlt.transform import (
     DenseVector,
     SparseVector,
@@ -31,6 +31,7 @@ from sjlt.transform import (
     distortion_trial,
     duplicate_rescale,
     signed_bucket_sums,
+    trial_counter,
 )
 
 
@@ -268,6 +269,13 @@ def test_tail_rejects_equal_seeds():
                       bucket_seed=7, sign_seed=7, degree=2)
 
 
+def test_tail_rejects_bucket_bias():
+    # k / (2^61 - 1) above 2^-20 is refused before any k-length sum is allocated
+    with pytest.raises(ValueError, match="bucket reduction bias"):
+        tail_estimate(DenseVector.uniform(4), k=2**42, c=1, epsilon=0.5, trials=1000,
+                      bucket_seed=7, sign_seed=8, degree=2)
+
+
 def test_tail_matches_distortion_ratio():
     # same seeds: the chaos value for the replicated vector equals ratio^2 - 1
     d = 64
@@ -298,44 +306,66 @@ def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
 def test_trial_loops_match_per_trial_reference():
     # non-dyadic entries and c > 1, where bucket sums are rounded, unlike the
     # dyadic c = 1 settings the benchmark's reference checks. The reference
-    # hashes point by point (run=1); the loops hash runs of c, by differences
-    # once c > degree.
+    # hashes one trial at a time, point by point (run=1); the loops hash
+    # blocks of trials, runs of c, by differences once c > degree. Trial
+    # counts straddle the block boundaries, x has gaps so its replica points
+    # are not one run, and odd k puts the rows of 2-D bucket sums at
+    # unaligned addresses.
     rng = np.random.default_rng(2024)
-    d, epsilon, trials = 24, 0.25, 200
-    x = unit_vector(rng, d)
+    d, epsilon = 24, 0.25
+    dense = rng.standard_normal(d)
+    dense[[1, 2, 7, 15, 16, 17, 23]] = 0.0
+    dense /= np.linalg.norm(dense)
+    x = DenseVector(tuple(dense.tolist()))
     sparse = SparseVector.from_dense(x.values)
+    indices = np.array([i for i, _ in sparse.entries], dtype=np.uint64)
     bucket_seed, sign_seed = 1234, 98765
+
+    def block_rows(n, k):
+        return max(1, HORNER_BLOCK // max(n, k))
+
     # kappa_c = 0.2 gives c = 2 < degree 10; 2.0 gives c = 18 > degree 10
-    for constants, expected_c in (((1.0, 0.1, 0.2), 2), ((1.0, 0.1, 2.0), 18)):
-        report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed,
-                                  constants, x=sparse)
+    for constants, expected_c in (((1.0, 0.11, 0.2), 2), ((1.0, 0.11, 2.0), 18)):
         spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
         c, k = spec.c, spec.k
-        assert (c, spec.independence_degree) == (expected_c, 10)
-        flat = (np.arange(d)[:, None] * c + np.arange(c)[None, :]).reshape(-1).astype(np.uint64)
-        replicated = np.repeat(x.to_numpy(), c)
-        failures = 0
-        for t in range(trials):
+        assert (c, spec.independence_degree, k % 2) == (expected_c, 10, 1)
+        flat = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
+        replicated = np.repeat([v for _, v in sparse.entries], c)
+        rows = block_rows(flat.size, k)
+        fails = []
+        for t in range(2 * rows + 3):
             y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
                                        k, flat, replicated) / math.sqrt(c)
             ratio = float(np.sqrt(y @ y)) / sparse.norm()
-            failures += ratio < 1.0 - epsilon or ratio > 1.0 + epsilon
-        assert 0 < failures < trials
-        assert report.failures == failures
+            fails.append(ratio < 1.0 - epsilon or ratio > 1.0 + epsilon)
+        assert 0 < sum(fails) < len(fails)
+        for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
+            report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed,
+                                      constants, x=sparse)
+            assert report.failures == sum(fails[:trials])
 
-    for k, c, degree in ((6, 3, 4), (6, 18, 4)):
-        threshold, trials = 0.3, 1000
-        report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
+    for k, c, degree in ((7, 3, 4), (7, 18, 4)):
+        threshold = 0.3
         replicated = duplicate_rescale(x.to_numpy(), c)
         points = np.arange(replicated.size, dtype=np.uint64)
         norm_sq = float(replicated @ replicated)
-        hits = 0
-        for t in range(trials):
-            per_bucket = _reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
-                                                points, replicated)
-            hits += abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
-        assert 0 < hits < trials
-        assert report.hits == hits
+
+        def hit(per_bucket):
+            return abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
+
+        rows = block_rows(points.size, k)
+        hits = [hit(_reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
+                                           points, replicated))
+                for t in range(max(1000, 2 * rows + 3) + 1)]
+        assert 0 < sum(hits) < len(hits)
+        for trials in (1000, len(hits)):
+            report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
+            assert report.hits == sum(hits[:trials])
+        # below the estimator's 1000-trial floor, through its trial loop directly
+        count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit, run=c)
+        for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
+            assert count(0, trials) == sum(hits[:trials])
+            assert count(1, trials + 1) == sum(hits[1:trials + 1])
 
 
 def test_tail_markov_consistency():

@@ -196,6 +196,19 @@ def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bucket_bias_refused_by_both_trial_commands(capsys):
+    # epsilon = 1e-6 gives k = 1.2e13, whose reduction bias exceeds 2^-20
+    errors = []
+    for command in ("distortion-bench", "tail-estimate"):
+        code, out, err = run([command, "--d", "4", "--epsilon", "1e-6", "--delta", "0.05",
+                              "--trials", "1000", "--bucket-seed", "1", "--sign-seed", "2",
+                              "--out", "-"], capsys)
+        assert code == 1 and out == ""
+        errors.append(err)
+    assert errors[0].startswith("error: invalid-parameter:")
+    assert errors[0] == errors[1]
+
+
 def test_budget_exceeded_reported_not_crashed(capsys):
     code, _, err = run(["graph-count", "--m", "10", "--i-max", "3", "--out", "-"], capsys)
     assert code == 1
@@ -245,20 +258,24 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        for command, d in (("distortion-bench", 16), ("tail-estimate", 8)):
+    # Trials run in blocks, and still count every evaluation and generator.
+    trials = 1000
+    for command, d, loop in (("distortion-bench", 16, "transform.trial_loop"),
+                             ("tail-estimate", 8, "chaos.tail_loop")):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
             code = tracer.cli_call(main, [command, "--d", str(d), "--epsilon", "0.5",
-                                          "--delta", "0.2", "--trials", "1000",
+                                          "--delta", "0.2", "--trials", str(trials),
                                           "--bucket-seed", "1", "--sign-seed", "2",
                                           "--out", "-"])
             assert code == 0, capsys.readouterr().err
-    finally:
-        tracer.uninstall()
-    assert tracer.counters["kwise.hash_evals"] > 0
-    assert tracer.aggregates["transform.trial_loop"].calls == 1
-    assert tracer.aggregates["chaos.tail_loop"].calls == 1
+        finally:
+            tracer.uninstall()
+        c = derive_spec(d, 0.5, 0.2, 1, 2).c
+        assert tracer.counters["kwise.hash_evals"] == 2 * trials * d * c
+        assert tracer.layer_metrics(1)["kwise.generators"] == 2 * trials
+        assert tracer.aggregates[loop].calls == 1
 
     d, nnz = 2**20, (1, 0, 37, 5)
     vectors = tmp_path / "in.txt"

@@ -163,7 +163,7 @@ def test_batch_matches_scalar(seed, degree, range_size, indices):
        b=st.integers(min_value=0, max_value=MERSENNE61 - 1))
 def test_mersenne_mulmod_kernel(a, b):
     # the polynomial 0 + a*x evaluated at b is one Horner multiply
-    got = kwise._horner61((0, a), np.array([b], dtype=np.uint64))
+    got = kwise._horner61([(0, a)], np.array([b], dtype=np.uint64))
     assert int(got[0]) == (a * b) % MERSENNE61
 
 
@@ -172,7 +172,7 @@ def test_mersenne_mulmod_edge_values():
     edge = [0, 1, 2, p - 1, p - 2, 2**32 - 1, 2**32, 2**60, 2**60 + 12345]
     for a in edge:
         for b in edge:
-            got = kwise._horner61((0, a), np.array([b], dtype=np.uint64))
+            got = kwise._horner61([(0, a)], np.array([b], dtype=np.uint64))
             assert int(got[0]) == (a * b) % p
 
 
@@ -281,7 +281,7 @@ def test_horner_adversarial_values(degree):
     peak = 0
     points = np.array(ADVERSARIAL, dtype=np.uint64)
     for coefficients in product(ADVERSARIAL, repeat=degree):
-        got = kwise._horner61(coefficients, points).tolist()
+        got = kwise._horner61([coefficients], points).tolist()
         for x, value in zip(ADVERSARIAL, got):
             expected = 0
             for c in reversed(coefficients):
@@ -289,3 +289,79 @@ def test_horner_adversarial_values(degree):
             assert value == expected
             peak = max(peak, *_lazy_accumulators(coefficients, x))
     assert p <= peak < 2**61 + 8
+
+
+@st.composite
+def segmented_generators(draw):
+    # (generators, points, run): one segment of runs per generator, some of
+    # them ending at the top of the field; a long segment exceeds HORNER_BLOCK
+    degree = draw(st.integers(min_value=1, max_value=16))
+    run = draw(st.sampled_from([1, degree, degree + 1, 3 * degree]))
+    long = draw(st.booleans())
+    count = draw(st.integers(min_value=1, max_value=2 if long else 70))
+    runs = kwise.HORNER_BLOCK // run + 1 if long else draw(st.integers(min_value=0, max_value=5))
+    range_size = draw(st.integers(min_value=1, max_value=5000))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                          min_size=count, max_size=count))
+    gens = tuple(new_generator(seed, degree, range_size) for seed in seeds)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    top = MERSENNE61 - 1 - run
+    starts = rng.integers(0, top, size=count * runs, endpoint=True, dtype=np.uint64)
+    if draw(st.booleans()):
+        starts[::2] = np.uint64(top) - rng.integers(0, 64, size=starts[::2].size, dtype=np.uint64)
+    points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
+    return gens, points, run
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=segmented_generators())
+def test_generator_tuples_match_one_generator_calls(case):
+    gens, points, run = case
+    segments = points.reshape(len(gens), -1)
+    expected = np.concatenate([eval_bucket_batch(g, segment, run=run)
+                               for g, segment in zip(gens, segments)])
+    assert eval_bucket_batch(gens, points, run=run).tolist() == expected.tolist()
+    # both kernel paths, whichever one the call picks
+    coefficients = np.array([g.coefficients for g in gens], dtype=np.uint64)
+    range_size = np.uint64(gens[0].range_size)
+    for values in (kwise._horner61(coefficients, points), kwise._runs61(coefficients, points, run)):
+        assert (values % range_size).tolist() == expected.tolist()
+    # the scalar reference, on every point of short segments and a sample of long ones
+    step = 1 if segments.shape[1] <= 200 else 97
+    for j, (g, segment) in enumerate(zip(gens, segments)):
+        for position in list(range(0, segment.size, step)) + list(range(segment.size))[-3:]:
+            assert expected[j * segment.size + position] == eval_bucket(g, int(segment[position]))
+    if gens[0].range_size == 2:
+        signs = [eval_sign_batch(g, segment, run=run).tolist() for g, segment in zip(gens, segments)]
+        assert eval_sign_batch(gens, points, run=run).tolist() == sum(signs, [])
+
+
+def test_generator_tuples_reject_mismatched_input():
+    g = new_generator(1, 3, 7)
+    points = np.arange(12, dtype=np.uint64)
+    bad = [
+        ((g, new_generator(2, 4, 7)), points, 1),   # mixed degrees
+        ((g, new_generator(2, 3, 8)), points, 1),   # mixed ranges
+        ((), points, 1),                             # no generator
+        ((g, g), points[:5], 1),                     # 5 points over 2 generators
+        ((g, g, g), points[:8], 1),
+        ((g, g), points[:6], 2),                     # segments of 3 split runs of 2
+        ((g, g), np.r_[points[:6], [6, 7, 9, 10, 11, 12]], 3),  # second segment breaks a run
+        ((g, g), points.reshape(2, 6), 1),           # points must be flat
+    ]
+    for gens, pts, run in bad:
+        with pytest.raises(ValueError):
+            eval_bucket_batch(gens, pts, run=run)
+    with pytest.raises(ValueError):
+        eval_sign_batch((new_generator(1, 3, 2), g), points)
+    assert eval_bucket_batch((g, g, g), points[:0], run=3).tolist() == []
+
+
+def test_path_rule_follows_the_measured_break_even():
+    # c = 115 replicas at 14 coefficients: Horner below 45 runs (one run is
+    # what a 1-nnz apply and column_structure hash), differences from there;
+    # runs no longer than the degree and empty calls always take Horner
+    assert not any(kwise._differences_pay(runs, 115, 14) for runs in (0, 1, 25))
+    assert all(kwise._differences_pay(runs, 115, 14) for runs in (100, 10**4))
+    assert not kwise._differences_pay(10**6, 14, 14)
+    assert not kwise._differences_pay(10**6, 1, 1)

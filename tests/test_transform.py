@@ -395,9 +395,11 @@ def test_distortion_rejects_zero_vector():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32), rows=st.integers(1, 6), points=st.integers(0, 12),
-       k=st.integers(1, 5))
+@given(seed=st.integers(0, 2**32), rows=st.integers(1, 6), points=st.integers(0, 300),
+       k=st.one_of(st.integers(1, 5), st.integers(6, 99)))
 def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
+    # row r of a 2-D call starts r * k floats in, unaligned for odd k; the
+    # trial loops take its squared norm as a view
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, k, size=(rows, points))
     signs = rng.integers(0, 2, size=(rows, points)) * 2 - 1
@@ -408,6 +410,7 @@ def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
             row_weights = weights[r] if weights.ndim == 2 else weights
             single = np.bincount(buckets[r], weights=signs[r] * row_weights, minlength=k)
             assert batched[r].tobytes() == single.tobytes()
+            assert (batched[r] @ batched[r]).tobytes() == (single @ single).tobytes()
             assert signed_bucket_sums(buckets[r], signs[r], row_weights, k).tobytes() \
                 == single.tobytes()
 
