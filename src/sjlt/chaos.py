@@ -11,9 +11,10 @@ generators the transform actually uses.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import ClassVar
 
 import numpy as np
@@ -24,7 +25,7 @@ from .graphs import (
     Multigraph,
     PairSequence,
     build_multigraph,
-    class_count,
+    class_histogram,
     weight,
 )
 # Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
@@ -136,11 +137,20 @@ def _sequence_space(d: int, two_m: int):
     return pairs, len(pairs) ** two_m
 
 
+def _multisets(pairs, two_m: int):
+    # Every ordering of a multiset of pairs has the same multigraph, so each
+    # multiset comes once, with its number of orderings.
+    for chosen in combinations_with_replacement(pairs, two_m):
+        orderings = math.factorial(two_m)
+        for repeats in Counter(chosen).values():
+            orderings //= math.factorial(repeats)
+        yield orderings, build_multigraph(PairSequence(chosen))
+
+
 @lru_cache(maxsize=8)
-def _cached_graphs(d: int, two_m: int) -> tuple[Multigraph, ...]:
+def _cached_graphs(d: int, two_m: int) -> tuple[tuple[int, Multigraph], ...]:
     pairs, _ = _sequence_space(d, two_m)
-    return tuple(build_multigraph(PairSequence(seq))
-                 for seq in product(pairs, repeat=two_m))
+    return tuple(_multisets(pairs, two_m))
 
 
 def _iter_graphs(d: int, two_m: int):
@@ -148,18 +158,33 @@ def _iter_graphs(d: int, two_m: int):
     if total > SEQUENCE_ENUM_BUDGET:
         raise BudgetExceededError(
             f"{total} sequences exceed the enumeration budget {SEQUENCE_ENUM_BUDGET}")
-    if total <= _GRAPH_CACHE_LIMIT:
+    if math.comb(len(pairs) + two_m - 1, two_m) <= _GRAPH_CACHE_LIMIT:
         return _cached_graphs(d, two_m)
-    return (build_multigraph(PairSequence(seq)) for seq in product(pairs, repeat=two_m))
+    return _multisets(pairs, two_m)
 
 
 def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:
     """The 2m-th moment as 2^2m times the sum of multigraph weights over all
-    sequences of 2m increasing pairs; must equal exact_moment."""
+    sequences of 2m increasing pairs; must equal exact_moment.
+
+    The sum runs over multisets of pairs, each weight times its number of
+    orderings. It is exact (every float is an integer over a power of two) and
+    rounded once, so it equals the correctly rounded sum over sequences.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    total = math.fsum(weight(graph, inst.x, inst.k) for graph in _iter_graphs(inst.d, 2 * m))
-    return float(4 ** m) * total
+    numerator, denominator = 0, 1
+    for orderings, graph in _iter_graphs(inst.d, 2 * m):
+        p, q = weight(graph, inst.x, inst.k).as_integer_ratio()
+        if q > denominator:
+            numerator, denominator = numerator * (q // denominator), q
+        numerator += orderings * p * (denominator // q)
+    return float(4 ** m) * (numerator / denominator)
+
+
+def _check_cap(C: float) -> None:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError("C must be finite and positive")
 
 
 def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
@@ -169,15 +194,12 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    _check_cap(C)
     terms = []
     for i in range(1, 2 * m + 1):
-        for t in range(1, i // 2 + 1):
-            count = class_count(i, t, m).count
-            if count:
-                terms.append(count / math.factorial(i)
-                             / float(inst.k) ** (i - t) / float(C) ** (2 * m - i))
+        for t, count in class_histogram(i, m).items():
+            terms.append(count / math.factorial(i)
+                         / float(inst.k) ** (i - t) / float(C) ** (2 * m - i))
     return float(4 ** m) * math.fsum(terms)
 
 
@@ -263,6 +285,7 @@ class MomentReport:
 def moment_report(inst: ChaosInstance, m: int, C: float,
                   trials: int, seed: int) -> MomentReport:
     """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound."""
+    _check_cap(C)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

@@ -2,9 +2,11 @@
 
 A sequence of 2m pairs over {1..d} induces a multigraph whose expected signed
 collision product is nonzero only when every vertex degree is even. The
-functions here construct those graphs, compute their component-wise weights,
-and exactly enumerate the sequence classes grouped by vertex count and number
-of connected components.
+functions here construct those graphs and compute their component-wise
+weights. They count the sequence classes, grouped by vertex count and number
+of connected components, in closed form by exact integer recurrences; class
+members are enumerated only to check their structure, and as the counts'
+test oracle.
 """
 
 from __future__ import annotations
@@ -151,17 +153,22 @@ def sequence_expectation(seq: PairSequence, x: Sequence[float], k: int, d: int) 
     return math.fsum(terms()) / total
 
 
+def _check_class_budget(n: int, two_m: int) -> None:
+    total = math.comb(n, 2) ** two_m
+    if total > CLASS_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"{total} sequences exceed the class enumeration budget {CLASS_ENUM_BUDGET}")
+
+
 def _eligible_sequences(vertices: tuple[int, ...], two_m: int):
     # Yields pair lists whose multigraph covers every vertex with even degree.
     # Parity is tracked by XOR of per-pair bitmasks: a vertex bit ends at zero
     # exactly when its degree is even.
     vs = tuple(sorted(vertices))
+    _check_class_budget(len(vs), two_m)
     pairs = [(a, b) for ia, a in enumerate(vs) for b in vs[ia + 1:]]
     pair_count = len(pairs)
     total = pair_count ** two_m
-    if total > CLASS_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} sequences exceed the class enumeration budget {CLASS_ENUM_BUDGET}")
     if pair_count == 0:
         return
     position = {v: i for i, v in enumerate(vs)}
@@ -199,7 +206,7 @@ def _components_of(pair_list) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=32)
 def _census(vertices: tuple[int, ...], two_m: int):
-    """Counts by component number plus each member's component tuple."""
+    """Counts by component number plus each member's component tuple, by enumeration."""
     counts: Counter[int] = Counter()
     members: list[tuple[tuple[int, ...], ...]] = []
     for pair_list in _eligible_sequences(vertices, two_m):
@@ -221,12 +228,53 @@ class ClassCount:
             raise ValueError("classes with more than i/2 components cannot exist")
 
 
+def _split_first_component(conn, rest, n: int, length: int) -> int:
+    # Sequences of `length` pairs on {1..n}: the component of vertex 1, with a
+    # vertices and b pairs, counted by conn[a][b], the rest by rest[n - a][length - b].
+    return sum(math.comb(n - 1, a - 1) * math.comb(length, b)
+               * conn[a][b] * rest[n - a][length - b]
+               for a in range(1, n + 1) for b in range(length + 1))
+
+
+def _class_counts(n: int, two_m: int) -> dict[int, int]:
+    """Sequences of two_m pairs covering {1..n} with even degrees, by component number.
+
+    Exact integer recurrences (the exponential formula over vertex and position
+    labels): even[v][l] = 2^-v sum_s C(v,s) lambda_s^l counts even-degree
+    sequences on v vertices, where lambda_s = C(v-s,2) + C(s,2) - s(v-s) is the
+    pair sum of the sign character of an s-set; inclusion-exclusion keeps the
+    covering ones; splitting off the component of vertex 1 gives the connected
+    counts and then, one component at a time, the t-component counts.
+    """
+    sizes, lengths = range(n + 1), range(two_m + 1)
+    even = [[sum(math.comb(v, s) * (math.comb(v - s, 2) + math.comb(s, 2) - s * (v - s)) ** l
+                 for s in range(v + 1)) >> v for l in lengths] for v in sizes]
+    cover = [[sum((-1) ** j * math.comb(v, j) * even[v - j][l] for j in range(v + 1))
+              for l in lengths] for v in sizes]
+    conn = [[0] * len(lengths) for _ in sizes]
+    for v in range(1, n + 1):
+        for l in lengths:
+            # conn[v][l] is still 0 here, so the split counts exactly the
+            # sequences whose component of vertex 1 is not the whole graph
+            conn[v][l] = cover[v][l] - _split_first_component(conn, cover, v, l)
+    layer = [[int(v == 0 and l == 0) for l in lengths] for v in sizes]
+    histogram = {}
+    for t in range(1, n // 2 + 1):
+        layer = [[_split_first_component(conn, layer, v, l) for l in lengths] for v in sizes]
+        if layer[n][two_m]:
+            histogram[t] = layer[n][two_m]
+    return histogram
+
+
 def class_histogram(i: int, m: int) -> dict[int, int]:
-    """Eligible sequence counts on vertex set {1..i}, grouped by component number."""
+    """Eligible sequence counts on vertex set {1..i}, grouped by component number.
+
+    Counted in closed form, within the census's budget on C(i,2)^2m sequences.
+    """
     if i < 1 or m < 1:
         raise ValueError("i and m must be positive")
-    counts, _ = _census(tuple(range(1, i + 1)), 2 * m)
-    return dict(counts)
+    _check_class_budget(i, 2 * m)
+    return _class_counts(i, 2 * m)
 
 
 def class_count(i: int, t: int, m: int) -> ClassCount:
@@ -238,8 +286,8 @@ def class_count(i: int, t: int, m: int) -> ClassCount:
 
 def class_count_over(vertices, t: int, m: int) -> int:
     """Same count over an arbitrary vertex set; equals class_count by relabeling."""
-    counts, _ = _census(tuple(sorted(set(vertices))), 2 * m)
-    return counts.get(t, 0)
+    n = len(set(vertices))
+    return class_histogram(n, m).get(t, 0) if n else 0
 
 
 def _pairings(elems: tuple[int, ...]):

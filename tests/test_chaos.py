@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjlt.chaos
 from sjlt.chaos import (
     ChaosInstance,
     RandomnessAssignment,
@@ -20,7 +21,7 @@ from sjlt.chaos import (
     tail_estimate,
     _exact_power_moment,
 )
-from sjlt.graphs import BudgetExceededError
+from sjlt.graphs import BudgetExceededError, PairSequence, build_multigraph, weight
 from sjlt.kwise import HORNER_BLOCK, eval_bucket_batch, eval_sign_batch, new_generator
 from sjlt.transform import (
     DenseVector,
@@ -186,6 +187,42 @@ def test_monte_carlo_moment_consistent_with_exact():
     assert abs(mean - 2.0 / 3.0) <= 4.0 * se
 
 
+def ordered_expansion(inst: ChaosInstance, m: int) -> float:
+    """The graph expansion summed with fsum over every ordered pair sequence."""
+    pairs = [(a, b) for a in range(1, inst.d + 1) for b in range(a + 1, inst.d + 1)]
+    return float(4 ** m) * math.fsum(weight(build_multigraph(PairSequence(seq)), inst.x, inst.k)
+                                     for seq in product(pairs, repeat=2 * m))
+
+
+def test_grouped_expansion_equals_ordered_sum_bit_for_bit():
+    uniform_cells = [(d, k, m) for d in (2, 3, 4) for k in (2, 3) for m in (1, 2)]
+    uniform_cells += [(4, 3, 3), (6, 2, 2)]
+    instances = [(ChaosInstance.uniform(d, k), m) for d, k, m in uniform_cells]
+    rng = np.random.default_rng(41)
+    for d, k, m in [(3, 2, 3), (4, 3, 2), (5, 2, 2), (6, 3, 1)]:
+        instances.append((ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0), m))
+    for inst, m in instances:
+        assert graph_expansion_moment(inst, m) == ordered_expansion(inst, m)
+
+
+def test_streamed_expansion_equals_cached(monkeypatch):
+    rng = np.random.default_rng(43)
+    instances = [(ChaosInstance.uniform(4, 2), 2), (ChaosInstance.uniform(3, 3), 3),
+                 (ChaosInstance(d=5, k=2, x=unit_vector(rng, 5), infinity_bound=1.0), 2)]
+    cached = [graph_expansion_moment(inst, m) for inst, m in instances]
+    monkeypatch.setattr(sjlt.chaos, "_GRAPH_CACHE_LIMIT", 0)
+    sjlt.chaos._cached_graphs.cache_clear()
+    assert [graph_expansion_moment(inst, m) for inst, m in instances] == cached
+    assert sjlt.chaos._cached_graphs.cache_info().currsize == 0
+
+
+def test_expansion_budget_message():
+    # the budget counts ordered sequences: 28^6 at d = 8, m = 3
+    with pytest.raises(BudgetExceededError) as excinfo:
+        graph_expansion_moment(ChaosInstance.uniform(8, 1), 3)
+    assert str(excinfo.value) == "481890304 sequences exceed the enumeration budget 100000000"
+
+
 # ------------------------------------------------------------------ the bound
 
 def test_moment_bound_single_term():
@@ -224,6 +261,21 @@ def test_moment_bound_decreases_in_cap():
     bounds = [moment_upper_bound(inst, 2, C) for C in (1.0, 2.0, 4.0, 8.0)]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     assert bounds[0] > bounds[-1]
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+def test_non_finite_cap_rejected_before_any_phase(monkeypatch, cap):
+    inst = ChaosInstance.uniform(3, 2)
+    with pytest.raises(ValueError, match="C must be finite"):
+        moment_upper_bound(inst, 2, cap)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a moment phase ran before C was checked")
+
+    for phase in ("monte_carlo_moment", "exact_moment", "graph_expansion_moment"):
+        monkeypatch.setattr(sjlt.chaos, phase, unreachable)
+    with pytest.raises(ValueError, match="C must be finite"):
+        moment_report(inst, 2, cap, trials=100, seed=0)
 
 
 def test_moment_report_bundle():

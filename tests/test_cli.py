@@ -181,6 +181,16 @@ def test_non_finite_kappa_error_line(capsys, kappa):
     assert err.startswith("error: invalid-parameter:")
 
 
+@pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
+def test_non_finite_cap_error_line(capsys, cap):
+    # d = 2 too: there nan ** 0 == 1 would have printed a plausible bound
+    for d in ("2", "3"):
+        code, out, err = run(["moment-report", "--d", d, "--k", "2", "--m", "2",
+                              f"--C={cap}", "--out", "-"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid-parameter:")
+
+
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
     # d = 2^55 gives c = 531, so d * c exceeds 2^61 - 1 (and wraps uint64)

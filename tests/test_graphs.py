@@ -1,7 +1,7 @@
 """Multigraph engine tests: exact expectations, class counts, structure facts."""
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -23,6 +23,8 @@ from sjlt.graphs import (
     sequence_expectation,
     squares,
     weight,
+    _census,
+    _class_counts,
 )
 
 
@@ -226,6 +228,72 @@ def test_symmetry_over_relabeled_vertex_sets():
         q = tuple(sorted(rng.choice(np.arange(1, 30), size=3, replace=False).tolist()))
         assert class_count_over(q, 1, 2) == class_count(3, 1, 2).count
     assert class_count_over((2, 5, 9, 11), 2, 2) == class_count(4, 2, 2).count
+    for m in (1, 2, 3):
+        for n in range(2, 7):
+            vertices = rng.choice(np.arange(1, 100), size=n, replace=False).tolist()
+            histogram = class_histogram(n, m)
+            for t in range(1, n // 2 + 1):
+                assert class_count_over(vertices, t, m) == histogram.get(t, 0)
+                assert class_count_over(vertices + vertices[:1], t, m) == histogram.get(t, 0)
+    assert class_count_over((), 1, 2) == 0
+    assert class_count_over((7,), 1, 2) == 0
+
+
+def test_closed_form_counts_equal_the_census():
+    for m in (1, 2, 3):
+        for i in range(1, 7):
+            counts, _ = _census(tuple(range(1, i + 1)), 2 * m)
+            assert class_histogram(i, m) == counts
+
+
+def even_sequences_by_parity_walk(n: int, length: int) -> int:
+    """Independent oracle: walk the 2^n degree-parity vectors, one pair per step."""
+    masks = [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+    states = np.arange(1 << n)
+    ways = np.zeros(1 << n, dtype=object)
+    ways[0] = 1
+    for _ in range(length):
+        nxt = np.zeros(1 << n, dtype=object)
+        for mask in masks:
+            nxt[states ^ mask] += ways
+        ways = nxt
+    return int(ways[0])
+
+
+def test_closed_form_counts_sum_to_the_covering_count():
+    # beyond the census: the classes of every i <= 2m partition the covering
+    # sequences, counted by inclusion-exclusion over unused vertices
+    for m in (4, 5, 6):
+        for i in range(1, 2 * m + 1):
+            covering = sum((-1) ** j * math.comb(i, j)
+                           * even_sequences_by_parity_walk(i - j, 2 * m)
+                           for j in range(i + 1))
+            assert sum(_class_counts(i, 2 * m).values()) == covering
+
+
+def even_compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(2, total - 2 * (parts - 1) + 1, 2):
+        for rest in even_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_closed_form_counts_of_perfect_matchings():
+    # t = i/2 components on i vertices are the pairs of a perfect matching,
+    # each pair repeated an even, positive number of times
+    for m in range(1, 7):
+        for t in range(1, m + 1):
+            matchings = math.factorial(2 * t) // (2 ** t * math.factorial(t))
+            orderings = 0
+            for parts in even_compositions(2 * m, t):
+                term = math.factorial(2 * m)
+                for part in parts:
+                    term //= math.factorial(part)
+                orderings += term
+            assert _class_counts(2 * t, 2 * m).get(t, 0) == matchings * orderings
 
 
 def test_crude_cap():
