@@ -11,10 +11,9 @@ generators the transform actually uses.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import ClassVar
 
 import numpy as np
@@ -23,9 +22,9 @@ from .graphs import (
     ASSIGNMENT_ENUM_BUDGET,
     BudgetExceededError,
     Multigraph,
-    PairSequence,
     build_multigraph,
     class_histogram,
+    pair_multisets,
     weight,
 )
 # Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
@@ -132,35 +131,25 @@ def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
     return math.fsum(terms()) / total
 
 
-def _sequence_space(d: int, two_m: int):
-    pairs = [(a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)]
-    return pairs, len(pairs) ** two_m
-
-
-def _multisets(pairs, two_m: int):
-    # Every ordering of a multiset of pairs has the same multigraph, so each
-    # multiset comes once, with its number of orderings.
-    for chosen in combinations_with_replacement(pairs, two_m):
-        orderings = math.factorial(two_m)
-        for repeats in Counter(chosen).values():
-            orderings //= math.factorial(repeats)
-        yield orderings, build_multigraph(PairSequence(chosen))
+def _graphs(d: int, two_m: int):
+    return ((orderings, build_multigraph(seq))
+            for orderings, seq in pair_multisets(range(1, d + 1), two_m))
 
 
 @lru_cache(maxsize=8)
 def _cached_graphs(d: int, two_m: int) -> tuple[tuple[int, Multigraph], ...]:
-    pairs, _ = _sequence_space(d, two_m)
-    return tuple(_multisets(pairs, two_m))
+    return tuple(_graphs(d, two_m))
 
 
 def _iter_graphs(d: int, two_m: int):
-    pairs, total = _sequence_space(d, two_m)
+    pair_count = math.comb(d, 2)
+    total = pair_count ** two_m
     if total > SEQUENCE_ENUM_BUDGET:
         raise BudgetExceededError(
             f"{total} sequences exceed the enumeration budget {SEQUENCE_ENUM_BUDGET}")
-    if math.comb(len(pairs) + two_m - 1, two_m) <= _GRAPH_CACHE_LIMIT:
+    if math.comb(pair_count + two_m - 1, two_m) <= _GRAPH_CACHE_LIMIT:
         return _cached_graphs(d, two_m)
-    return _multisets(pairs, two_m)
+    return _graphs(d, two_m)
 
 
 def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:

@@ -111,6 +111,8 @@ def cmd_moment_report(args) -> int:
 
 
 def cmd_graph_count(args) -> int:
+    if args.m < 1:
+        raise ValueError(f"m must be positive, got {args.m}")
     rows = []
     for i in range(1, args.i_max + 1):
         sequences = (i * (i - 1) // 2) ** (2 * args.m)

@@ -4,9 +4,9 @@ A sequence of 2m pairs over {1..d} induces a multigraph whose expected signed
 collision product is nonzero only when every vertex degree is even. The
 functions here construct those graphs and compute their component-wise
 weights. They count the sequence classes, grouped by vertex count and number
-of connected components, in closed form by exact integer recurrences; class
-members are enumerated only to check their structure, and as the counts'
-test oracle.
+of connected components, in closed form by exact integer recurrences. Class
+members are enumerated, as pair multisets weighted by their orderings, only to
+check their structure and as the counts' test oracle.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
-
-import numpy as np
 
 CLASS_ENUM_BUDGET = 10 ** 9
 ASSIGNMENT_ENUM_BUDGET = 10 ** 8
-
-_CHUNK = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
@@ -160,59 +156,30 @@ def _check_class_budget(n: int, two_m: int) -> None:
             f"{total} sequences exceed the class enumeration budget {CLASS_ENUM_BUDGET}")
 
 
-def _eligible_sequences(vertices: tuple[int, ...], two_m: int):
-    # Yields pair lists whose multigraph covers every vertex with even degree.
-    # Parity is tracked by XOR of per-pair bitmasks: a vertex bit ends at zero
-    # exactly when its degree is even.
-    vs = tuple(sorted(vertices))
-    _check_class_budget(len(vs), two_m)
-    pairs = [(a, b) for ia, a in enumerate(vs) for b in vs[ia + 1:]]
-    pair_count = len(pairs)
-    total = pair_count ** two_m
-    if pair_count == 0:
-        return
-    position = {v: i for i, v in enumerate(vs)}
-    full = (1 << len(vs)) - 1
-    masks = np.array([(1 << position[a]) | (1 << position[b]) for a, b in pairs],
-                     dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        block = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        quotient = block.copy()
-        parity = np.zeros(block.shape, dtype=np.int64)
-        cover = np.zeros(block.shape, dtype=np.int64)
-        for _ in range(two_m):
-            chosen = masks[quotient % pair_count]
-            quotient //= pair_count
-            parity ^= chosen
-            cover |= chosen
-        for code in block[(parity == 0) & (cover == full)].tolist():
-            digits = []
-            rest = code
-            for _ in range(two_m):
-                digits.append(rest % pair_count)
-                rest //= pair_count
-            yield [pairs[digit] for digit in reversed(digits)]
-
-
-def _components_of(pair_list) -> tuple[tuple[int, ...], ...]:
-    uf = UnionFind({v for ab in pair_list for v in ab})
-    for a, b in pair_list:
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(uf.parent):
-        groups.setdefault(uf.find(v), []).append(v)
-    return tuple(sorted((tuple(g) for g in groups.values()), key=lambda g: g[0]))
+def pair_multisets(vertices, two_m: int):
+    """Each multiset of two_m increasing pairs over the vertices once, as a
+    sequence, with its number of orderings; every ordering has the same multigraph."""
+    pairs = combinations(sorted(vertices), 2)
+    for chosen in combinations_with_replacement(pairs, two_m):
+        orderings = math.factorial(two_m)
+        for repeats in Counter(chosen).values():
+            orderings //= math.factorial(repeats)
+        yield orderings, PairSequence(chosen)
 
 
 @lru_cache(maxsize=32)
 def _census(vertices: tuple[int, ...], two_m: int):
-    """Counts by component number plus each member's component tuple, by enumeration."""
+    """Counts by component number plus each member multiset's orderings and
+    components, over the multisets covering every vertex with even degrees."""
+    _check_class_budget(len(vertices), two_m)
     counts: Counter[int] = Counter()
-    members: list[tuple[tuple[int, ...], ...]] = []
-    for pair_list in _eligible_sequences(vertices, two_m):
-        components = _components_of(pair_list)
-        counts[len(components)] += 1
-        members.append(components)
+    members: list[tuple[int, tuple[frozenset[int], ...]]] = []
+    for orderings, seq in pair_multisets(vertices, two_m):
+        graph = build_multigraph(seq)
+        if len(graph.vertices) < len(vertices) or any(d % 2 for d in graph.degree.values()):
+            continue
+        counts[len(graph.components)] += orderings
+        members.append((orderings, graph.components))
     return dict(counts), tuple(members)
 
 
@@ -346,25 +313,26 @@ def check_structure(i: int, t: int, m: int) -> StructReport:
     if min(i, t, m) < 1:
         raise ValueError("i, t and m must be positive")
     _, members = _census(tuple(range(1, i + 1)), 2 * m)
-    selected = [comps for comps in members if len(comps) == t]
+    selected = [(orderings, comps) for orderings, comps in members if len(comps) == t]
+    member_count = sum(orderings for orderings, _ in selected)
     u = 3 * t - i
     if u <= 0:
-        return StructReport(i, t, m, False, len(selected), None, 0, 0, None, None)
+        return StructReport(i, t, m, False, member_count, None, 0, 0, None, None)
     families = set(disjoint_pair_families(i, u))
     bound = pair_family_bound(i, u)
     deficits = 0
     uncovered = 0
     min_pairs: int | None = None
-    for components in selected:
+    for orderings, components in selected:
         pair_components = [c for c in components if len(c) == 2]
         count = len(pair_components)
         min_pairs = count if min_pairs is None else min(min_pairs, count)
         if count < u:
-            deficits += 1
-            uncovered += 1
+            deficits += orderings
+            uncovered += orderings
             continue
-        family = frozenset(frozenset(c) for c in pair_components[:u])
+        family = frozenset(pair_components[:u])
         if family not in families:
-            uncovered += 1
-    return StructReport(i, t, m, True, len(selected), min_pairs, deficits, uncovered,
+            uncovered += orderings
+    return StructReport(i, t, m, True, member_count, min_pairs, deficits, uncovered,
                         len(families), bound)

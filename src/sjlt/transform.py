@@ -63,6 +63,8 @@ class DenseVector:
     @classmethod
     def uniform(cls, d: int) -> "DenseVector":
         """Unit vector with all entries equal to d^-0.5."""
+        if d < 1:
+            raise ValueError(f"d must be positive, got {d}")
         return cls((1.0 / math.sqrt(d),) * d)
 
 

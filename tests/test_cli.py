@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import sjlt.chaos
+import sjlt.graphs
 from sjlt.cli import main
 from sjlt.transform import derive_spec
 
@@ -219,6 +221,21 @@ def test_bucket_bias_refused_by_both_trial_commands(capsys):
     assert errors[0] == errors[1]
 
 
+def test_non_positive_graph_count_m_error_line(capsys):
+    # m < 1 is refused before the budget check computes 0 ** (2m) for i = 1
+    code, out, err = run(["graph-count", "--m", "-1", "--i-max", "2", "--out", "-"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid-parameter:") and "m must be positive" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_non_positive_moment_report_d_error_line(capsys, d):
+    code, out, err = run(["moment-report", "--d", d, "--k", "2", "--m", "1", "--out", "-"],
+                         capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid-parameter:") and "d must be positive" in err
+
+
 def test_budget_exceeded_reported_not_crashed(capsys):
     code, _, err = run(["graph-count", "--m", "10", "--i-max", "3", "--out", "-"], capsys)
     assert code == 1
@@ -304,3 +321,17 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.counters["kwise.hash_evals"] == 2 * sum(nnz) * c
+
+    # The expansion builds its graphs through sjlt.chaos.build_multigraph, and
+    # the oracles workload clears the census cache by name.
+    sjlt.chaos._cached_graphs.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = tracer.cli_call(main, ["moment-report", "--d", "4", "--k", "3", "--m", "2",
+                                      "--out", "-"])
+        assert code == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    assert tracer.aggregates["graphs.build_multigraph"].calls > 0
+    assert callable(sjlt.graphs._census.cache_clear)

@@ -22,6 +22,7 @@ from sjlt.graphs import (
     pair_family_bound,
     sequence_expectation,
     squares,
+    pair_multisets,
     weight,
     _census,
     _class_counts,
@@ -260,15 +261,38 @@ def even_sequences_by_parity_walk(n: int, length: int) -> int:
     return int(ways[0])
 
 
+def covering_sequences_by_parity_walk(i: int, length: int) -> int:
+    """Even-degree sequences covering all i vertices: inclusion-exclusion over unused ones."""
+    return sum((-1) ** j * math.comb(i, j) * even_sequences_by_parity_walk(i - j, length)
+               for j in range(i + 1))
+
+
 def test_closed_form_counts_sum_to_the_covering_count():
     # beyond the census: the classes of every i <= 2m partition the covering
     # sequences, counted by inclusion-exclusion over unused vertices
     for m in (4, 5, 6):
         for i in range(1, 2 * m + 1):
-            covering = sum((-1) ** j * math.comb(i, j)
-                           * even_sequences_by_parity_walk(i - j, 2 * m)
-                           for j in range(i + 1))
-            assert sum(_class_counts(i, 2 * m).values()) == covering
+            assert sum(_class_counts(i, 2 * m).values()) == \
+                covering_sequences_by_parity_walk(i, 2 * m)
+    # within it: the census's orderings-weighted total, checked without the
+    # orderings formula
+    for m in (1, 2, 3):
+        for i in range(1, 7):
+            counts, _ = _census(tuple(range(1, i + 1)), 2 * m)
+            assert sum(counts.values()) == covering_sequences_by_parity_walk(i, 2 * m)
+
+
+def test_pair_multisets_partition_the_sequences():
+    for n in range(1, 6):
+        for two_m in (2, 4, 6):
+            seen = set()
+            total = 0
+            for orderings, seq in pair_multisets(range(1, n + 1), two_m):
+                key = tuple(sorted(seq.pairs))
+                assert key not in seen
+                seen.add(key)
+                total += orderings
+            assert total == math.comb(n, 2) ** two_m
 
 
 def even_compositions(total: int, parts: int):
