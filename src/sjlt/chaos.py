@@ -19,10 +19,10 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import (
-    ASSIGNMENT_ENUM_BUDGET,
     BudgetExceededError,
     Multigraph,
     build_multigraph,
+    check_assignment_budget,
     class_histogram,
     pair_multisets,
     weight,
@@ -32,7 +32,7 @@ from .kwise import eval_bucket_batch, eval_sign_batch, new_generator  # noqa: F4
 from .stats import partitioned_count, wilson_interval
 from .transform import (
     DenseVector,
-    _check_bucket_bias,
+    TransformSpec,
     duplicate_rescale,
     signed_bucket_sums,
     trial_counter,
@@ -117,10 +117,7 @@ def exact_moment(inst: ChaosInstance, m: int) -> float:
 
 
 def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
-    total = (inst.k ** inst.d) * (2 ** inst.d)
-    if total > ASSIGNMENT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the exact enumeration budget {ASSIGNMENT_ENUM_BUDGET}")
+    total = check_assignment_budget(inst.d, inst.k)
     x = inst.x.values
 
     def terms():
@@ -218,41 +215,47 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
 
 @dataclass(frozen=True)
 class TailReport:
+    d: int
     epsilon: float
+    delta: float
+    m: int
+    k: int
+    c: int
     trials: int
     hits: int
     failure_rate: float
     wilson_low: float
     wilson_high: float
 
+    CSV_COLUMNS: ClassVar[tuple[str, ...]] = (
+        "d", "k", "c", "m", "epsilon", "delta", "trials", "hits",
+        "failure_rate", "wilson_low", "wilson_high")
 
-def tail_estimate(x: DenseVector, k: int, c: int, epsilon: float, trials: int,
-                  bucket_seed: int, sign_seed: int, degree: int) -> TailReport:
-    """Empirical P(|chaos value| >= epsilon) for the duplicated-rescaled vector.
+
+def tail_estimate(spec: TransformSpec, trials: int, x: DenseVector | None = None) -> TailReport:
+    """Empirical P(|chaos value| >= spec.epsilon) for the duplicated-rescaled vector.
 
     Trial t draws fresh k-wise generators from seeds (bucket_seed + t,
     sign_seed + t). The threshold is closed: |value| equal to epsilon counts.
+    x defaults to the uniform unit vector.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    if min(k, c, degree) < 1:
-        raise ValueError("k, c and degree must be positive")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if bucket_seed == sign_seed:
-        raise ValueError("bucket_seed and sign_seed must differ")
-    _check_bucket_bias(k)
-    replicated = duplicate_rescale(x.to_numpy(), c)
+    if x is None:
+        x = DenseVector.uniform(spec.d)
+    if len(x) != spec.d:
+        raise ValueError(f"vector dimension {len(x)} does not match spec dimension {spec.d}")
+    replicated = duplicate_rescale(x.to_numpy(), spec.c)
     points = np.arange(replicated.size, dtype=np.uint64)
     norm_sq = float(replicated @ replicated)
 
     def hit(per_bucket: np.ndarray) -> bool:
-        return abs(float(per_bucket @ per_bucket) - norm_sq) >= epsilon
+        return abs(float(per_bucket @ per_bucket) - norm_sq) >= spec.epsilon
 
-    count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit, run=c)
-    hits = partitioned_count(count, trials)
+    hits = partitioned_count(trial_counter(spec, points, replicated, hit), trials)
     low, high = wilson_interval(hits, trials)
-    return TailReport(epsilon=float(epsilon), trials=trials, hits=hits,
+    return TailReport(d=spec.d, epsilon=spec.epsilon, delta=spec.delta, m=spec.m,
+                      k=spec.k, c=spec.c, trials=trials, hits=hits,
                       failure_rate=hits / trials, wilson_low=low, wilson_high=high)
 
 

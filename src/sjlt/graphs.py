@@ -118,6 +118,15 @@ def squares(vertices, x: Sequence[float]) -> float:
     return out
 
 
+def check_assignment_budget(d: int, k: int) -> int:
+    """The k^d * 2^d (hash, sign) assignments of d coordinates, within budget."""
+    total = (k ** d) * (2 ** d)
+    if total > ASSIGNMENT_ENUM_BUDGET:
+        raise BudgetExceededError(
+            f"{total} assignments exceed the exact enumeration budget {ASSIGNMENT_ENUM_BUDGET}")
+    return total
+
+
 def sequence_expectation(seq: PairSequence, x: Sequence[float], k: int, d: int) -> float:
     """Exact mean of the signed collision product over every (hash, sign) assignment.
 
@@ -129,10 +138,7 @@ def sequence_expectation(seq: PairSequence, x: Sequence[float], k: int, d: int) 
         raise ValueError("x must cover all d coordinates")
     if any(b > d for _, b in seq.pairs):
         raise ValueError("sequence uses vertices beyond d")
-    total = (2 ** d) * (k ** d)
-    if total > ASSIGNMENT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the enumeration budget {ASSIGNMENT_ENUM_BUDGET}")
+    total = check_assignment_budget(d, k)
     pair_list = seq.pairs
 
     def terms():
@@ -174,10 +180,16 @@ def _census(vertices: tuple[int, ...], two_m: int):
     _check_class_budget(len(vertices), two_m)
     counts: Counter[int] = Counter()
     members: list[tuple[int, tuple[frozenset[int], ...]]] = []
+    every = sum(1 << v for v in vertices)
     for orderings, seq in pair_multisets(vertices, two_m):
-        graph = build_multigraph(seq)
-        if len(graph.vertices) < len(vertices) or any(d % 2 for d in graph.degree.values()):
+        # vertex bitmasks: odd degrees and covered vertices, before any graph is built
+        odd = covered = 0
+        for a, b in seq.pairs:
+            odd ^= (1 << a) ^ (1 << b)
+            covered |= (1 << a) | (1 << b)
+        if odd or covered != every:
             continue
+        graph = build_multigraph(seq)
         counts[len(graph.components)] += orderings
         members.append((orderings, graph.components))
     return dict(counts), tuple(members)

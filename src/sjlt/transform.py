@@ -23,6 +23,7 @@ from .kwise import (
     eval_bucket_batch,
     eval_sign_batch,
     new_generator,
+    reduction_bias_bound,
 )
 from .stats import partitioned_count, wilson_interval
 
@@ -155,7 +156,8 @@ def write_dense_vectors(path, vectors) -> None:
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """Full parameterization of one sampled transform; immutable and reusable."""
+    """Full parameterization of one sampled transform; immutable, reusable, and
+    refusing what every use refuses, so its users re-check nothing."""
 
     d: int
     epsilon: float
@@ -174,12 +176,16 @@ class TransformSpec:
             raise ValueError("d, m, k, c and independence_degree must be positive")
         if self.k < self.m:
             raise ValueError("k must be at least m")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         if self.bucket_seed == self.sign_seed:
             # equal seeds give the bucket and sign hashes the same polynomial
             raise ValueError("bucket_seed and sign_seed must differ")
         if self.d * self.c > DEFAULT_FIELD.modulus:
             # flat replica points 0 .. d*c - 1 must be distinct field elements
             raise ValueError(f"d * c = {self.d * self.c} exceeds the field size 2^61 - 1")
+        if reduction_bias_bound(DEFAULT_FIELD, self.k) > _MAX_BUCKET_BIAS:
+            raise ValueError("target dimension too large: bucket reduction bias exceeds 2^-20")
 
 
 def sparsity_gain(m: int) -> float:
@@ -219,8 +225,6 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
         raise ValueError("kappa constants too large: m, k or c is not finite") from None
     if independence_degree is None:
         independence_degree = 2 * m
-    elif independence_degree < 1:
-        raise ValueError("independence degree must be positive")
     log_budget = math.log(1.0 / delta)
     threshold = math.inf if log_budget * log_budget == 0.0 else 1.0 / (log_budget * log_budget)
     assumption_ok = epsilon <= threshold
@@ -235,13 +239,7 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
                          epsilon_assumption_ok=assumption_ok)
 
 
-def _check_bucket_bias(k: int) -> None:
-    if k / DEFAULT_FIELD.modulus > _MAX_BUCKET_BIAS:
-        raise ValueError("target dimension too large: bucket reduction bias exceeds 2^-20")
-
-
 def bucket_generator(spec: TransformSpec) -> KWiseGenerator:
-    _check_bucket_bias(spec.k)
     return new_generator(spec.bucket_seed, spec.independence_degree, spec.k)
 
 
@@ -272,13 +270,12 @@ def signed_bucket_sums(buckets: np.ndarray, signs: np.ndarray, weights: np.ndarr
     return np.bincount(buckets, weights=signs * weights, minlength=k)
 
 
-def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
-                  bucket_seed: int, sign_seed: int,
-                  hit: Callable[[np.ndarray], bool], *, run: int) -> Callable[[int, int], int]:
+def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
+                  hit: Callable[[np.ndarray], bool]) -> Callable[[int, int], int]:
     """Count function over trial ranges, for `partitioned_count`.
 
-    Trial t projects `weights` at the n flat uint64 `points` (runs of `run`
-    replicas, see `eval_bucket_batch`) through fresh generators seeded
+    Trial t projects `weights` at the n flat uint64 `points` (runs of spec.c
+    replicas, see `eval_bucket_batch`) through fresh spec generators seeded
     (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so its
     outcome is fixed by its seeds alone. Trials go through the kernel in
     blocks of max(1, HORNER_BLOCK // max(n, k)) rows, one trial per row: a
@@ -286,6 +283,7 @@ def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
     sums all its rows in one 2-D `signed_bucket_sums`, and calls `hit` on
     the rows in trial order.
     """
+    k, degree, run = spec.k, spec.independence_degree, spec.c
     rows = max(1, HORNER_BLOCK // max(points.size, k))
     tiled = np.tile(points, rows)
 
@@ -293,8 +291,8 @@ def trial_counter(points: np.ndarray, weights: np.ndarray, k: int, degree: int,
         hits = 0
         for first in range(start, stop, rows):
             trials = range(first, min(first + rows, stop))
-            buckets = tuple(new_generator(bucket_seed + t, degree, k) for t in trials)
-            signs = tuple(new_generator(sign_seed + t, degree, 2) for t in trials)
+            buckets = tuple(new_generator(spec.bucket_seed + t, degree, k) for t in trials)
+            signs = tuple(new_generator(spec.sign_seed + t, degree, 2) for t in trials)
             block = tiled[:len(trials) * points.size]
             sums = signed_bucket_sums(
                 eval_bucket_batch(buckets, block, run=run).reshape(len(trials), -1),
@@ -403,25 +401,22 @@ class DistortionReport:
         "failure_rate", "wilson_low", "wilson_high")
 
 
-def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
-                     bucket_seed: int, sign_seed: int,
-                     constants: tuple[float, float, float] = DEFAULT_KAPPA,
+def distortion_bench(spec: TransformSpec, trials: int,
                      x: SparseVector | None = None) -> DistortionReport:
     """Failure fraction of the distortion guarantee over independently seeded trials.
 
     Trial t reseeds both generators with (bucket_seed + t, sign_seed + t), so
-    each trial's outcome is fixed by its seeds.
+    each trial's outcome is fixed by its seeds. x defaults to the uniform
+    unit vector.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    base = derive_spec(d, epsilon, delta, bucket_seed, sign_seed, constants)
     if x is None:
-        x = SparseVector.from_dense(DenseVector.uniform(d))
-    norm = _distortion_norm(base, x)
-    _check_bucket_bias(base.k)
-    points, weights = _replicas(x, base.c)
-    scale = math.sqrt(base.c)
-    low_bound, high_bound = 1.0 - epsilon, 1.0 + epsilon
+        x = SparseVector.from_dense(DenseVector.uniform(spec.d))
+    norm = _distortion_norm(spec, x)
+    points, weights = _replicas(x, spec.c)
+    scale = math.sqrt(spec.c)
+    low_bound, high_bound = 1.0 - spec.epsilon, 1.0 + spec.epsilon
 
     def fails(sums: np.ndarray) -> bool:
         # the same arithmetic as distortion_trial, so counts match it trial by trial
@@ -429,10 +424,8 @@ def distortion_bench(d: int, epsilon: float, delta: float, trials: int,
         ratio = float(np.sqrt(y @ y)) / norm
         return ratio < low_bound or ratio > high_bound
 
-    count = trial_counter(points, weights, base.k, base.independence_degree,
-                          bucket_seed, sign_seed, fails, run=base.c)
-    failures = partitioned_count(count, trials)
+    failures = partitioned_count(trial_counter(spec, points, weights, fails), trials)
     low, high = wilson_interval(failures, trials)
-    return DistortionReport(d=d, epsilon=float(epsilon), delta=float(delta), m=base.m,
-                            k=base.k, c=base.c, trials=trials, failures=failures,
+    return DistortionReport(d=spec.d, epsilon=spec.epsilon, delta=spec.delta, m=spec.m,
+                            k=spec.k, c=spec.c, trials=trials, failures=failures,
                             failure_rate=failures / trials, wilson_low=low, wilson_high=high)

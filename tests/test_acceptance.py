@@ -105,8 +105,8 @@ def test_criterion_4_specific_counts():
 
 
 def test_criterion_5_distortion_failure_rate():
-    report = distortion_bench(d=1024, epsilon=0.25, delta=0.05, trials=10**5,
-                              bucket_seed=20240501, sign_seed=20240502)
+    report = distortion_bench(derive_spec(1024, 0.25, 0.05, 20240501, 20240502),
+                              trials=10**5)
     print(f"  failures={report.failures}/{report.trials} "
           f"wilson_high={report.wilson_high:.3e} (allowed {report.delta})")
     assert report.wilson_high <= report.delta
@@ -116,9 +116,7 @@ def test_criterion_5_distortion_failure_rate():
 def test_criterion_6_tail_surrogate():
     delta = 0.05
     spec = derive_spec(256, 0.25, delta, 31337, 42424)
-    report = tail_estimate(DenseVector.uniform(256), spec.k, spec.c, 0.25,
-                           trials=20000, bucket_seed=31337, sign_seed=42424,
-                           degree=spec.independence_degree)
+    report = tail_estimate(spec, trials=20000)
     print(f"  tail hits={report.hits}/{report.trials} "
           f"wilson_high={report.wilson_high:.3e} (allowed {5 * delta})")
     assert report.wilson_high <= 5.0 * delta
@@ -127,8 +125,10 @@ def test_criterion_6_tail_surrogate():
     for d, k, epsilon, seeds in [(4, 2, 0.9, (101, 202)), (3, 2, 0.95, (303, 404))]:
         inst = ChaosInstance.uniform(d, k)
         markov_bound = exact_moment(inst, 1) / epsilon ** 2
-        sampled = tail_estimate(inst.x, k=k, c=1, epsilon=epsilon, trials=4000,
-                                bucket_seed=seeds[0], sign_seed=seeds[1], degree=2)
+        spec = TransformSpec(d=d, epsilon=epsilon, delta=delta, m=1, k=k, c=1,
+                             sparsity_gain=1.0, bucket_seed=seeds[0], sign_seed=seeds[1],
+                             independence_degree=2)
+        sampled = tail_estimate(spec, trials=4000, x=inst.x)
         se = math.sqrt(sampled.failure_rate * (1 - sampled.failure_rate) / sampled.trials)
         assert sampled.failure_rate <= markov_bound + 3.0 * se, (d, k, epsilon)
     _passed(6, "tail bound within 5*delta plus Markov consistency")

@@ -21,7 +21,13 @@ from sjlt.chaos import (
     tail_estimate,
     _exact_power_moment,
 )
-from sjlt.graphs import BudgetExceededError, PairSequence, build_multigraph, weight
+from sjlt.graphs import (
+    BudgetExceededError,
+    PairSequence,
+    build_multigraph,
+    sequence_expectation,
+    weight,
+)
 from sjlt.kwise import HORNER_BLOCK, eval_bucket_batch, eval_sign_batch, new_generator
 from sjlt.transform import (
     DenseVector,
@@ -40,6 +46,13 @@ def unit_vector(rng: np.random.Generator, d: int) -> DenseVector:
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
     return DenseVector(tuple(v.tolist()))
+
+
+def tail_spec(d, k, c, epsilon, bucket_seed, sign_seed, degree) -> TransformSpec:
+    # m and delta only label the tail report
+    return TransformSpec(d=d, epsilon=epsilon, delta=0.5, m=1, k=k, c=c, sparsity_gain=1.0,
+                         bucket_seed=bucket_seed, sign_seed=sign_seed,
+                         independence_degree=degree)
 
 
 def basis_instance(d: int, k: int) -> ChaosInstance:
@@ -176,9 +189,14 @@ def test_moment_invariant_under_coordinate_permutation():
 
 
 def test_exact_moment_budget_guard():
+    # one budget on the k^d * 2^d assignments, with one message: 2^60 at d = 30, k = 2
     inst = ChaosInstance.uniform(30, 2)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as moment:
         exact_moment(inst, 1)
+    with pytest.raises(BudgetExceededError) as expectation:
+        sequence_expectation(PairSequence(((1, 2), (1, 2))), inst.x, k=2, d=30)
+    assert str(moment.value) == str(expectation.value) == (
+        "1152921504606846976 assignments exceed the exact enumeration budget 100000000")
 
 
 def test_monte_carlo_moment_consistent_with_exact():
@@ -292,8 +310,7 @@ def test_moment_report_bundle():
 def test_tail_zero_for_basis_vector():
     # a single nonzero replica has no cross terms, so the chaos is identically 0
     x = DenseVector((1.0, 0.0, 0.0, 0.0))
-    report = tail_estimate(x, k=3, c=1, epsilon=0.5, trials=1000,
-                           bucket_seed=1, sign_seed=2, degree=2)
+    report = tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=x)
     assert report.hits == 0
     assert report.failure_rate == 0.0
 
@@ -303,29 +320,27 @@ def test_tail_forced_collision_boundary():
     # integer coordinates keep the arithmetic float-exact, which makes this a
     # true test of the closed >= threshold
     x = DenseVector((1.0, 1.0))
-    report = tail_estimate(x, k=1, c=1, epsilon=2.0, trials=1000,
-                           bucket_seed=3, sign_seed=4, degree=2)
+    report = tail_estimate(tail_spec(2, 1, 1, 2.0, 3, 4, 2), trials=1000, x=x)
     assert report.failure_rate == 1.0
 
 
 def test_tail_requires_enough_trials():
     with pytest.raises(ValueError):
-        tail_estimate(DenseVector.uniform(2), k=2, c=1, epsilon=0.5, trials=10,
-                      bucket_seed=0, sign_seed=1, degree=2)
+        tail_estimate(tail_spec(2, 2, 1, 0.5, 0, 1, 2), trials=10)
 
 
 def test_tail_rejects_equal_seeds():
-    # equal seeds expand to one polynomial for both the bucket and the sign hash
-    with pytest.raises(ValueError):
-        tail_estimate(DenseVector.uniform(2), k=2, c=1, epsilon=0.5, trials=1000,
-                      bucket_seed=7, sign_seed=7, degree=2)
+    # equal seeds expand to one polynomial for both the bucket and the sign hash;
+    # the spec the estimator takes refuses them
+    with pytest.raises(ValueError, match="must differ"):
+        tail_estimate(tail_spec(2, 2, 1, 0.5, 7, 7, 2), trials=1000)
 
 
 def test_tail_rejects_bucket_bias():
-    # k / (2^61 - 1) above 2^-20 is refused before any k-length sum is allocated
+    # k / (2^61 - 1) above 2^-20 is refused by the spec, before any k-length
+    # sum is allocated
     with pytest.raises(ValueError, match="bucket reduction bias"):
-        tail_estimate(DenseVector.uniform(4), k=2**42, c=1, epsilon=0.5, trials=1000,
-                      bucket_seed=7, sign_seed=8, degree=2)
+        tail_estimate(tail_spec(4, 2**42, 1, 0.5, 7, 8, 2), trials=1000)
 
 
 def test_tail_matches_distortion_ratio():
@@ -392,12 +407,12 @@ def test_trial_loops_match_per_trial_reference():
             fails.append(ratio < 1.0 - epsilon or ratio > 1.0 + epsilon)
         assert 0 < sum(fails) < len(fails)
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-            report = distortion_bench(d, epsilon, 0.01, trials, bucket_seed, sign_seed,
-                                      constants, x=sparse)
+            report = distortion_bench(spec, trials, x=sparse)
             assert report.failures == sum(fails[:trials])
 
     for k, c, degree in ((7, 3, 4), (7, 18, 4)):
         threshold = 0.3
+        spec = tail_spec(d, k, c, threshold, bucket_seed, sign_seed, degree)
         replicated = duplicate_rescale(x.to_numpy(), c)
         points = np.arange(replicated.size, dtype=np.uint64)
         norm_sq = float(replicated @ replicated)
@@ -411,10 +426,10 @@ def test_trial_loops_match_per_trial_reference():
                 for t in range(max(1000, 2 * rows + 3) + 1)]
         assert 0 < sum(hits) < len(hits)
         for trials in (1000, len(hits)):
-            report = tail_estimate(x, k, c, threshold, trials, bucket_seed, sign_seed, degree)
+            report = tail_estimate(spec, trials, x=x)
             assert report.hits == sum(hits[:trials])
         # below the estimator's 1000-trial floor, through its trial loop directly
-        count = trial_counter(points, replicated, k, degree, bucket_seed, sign_seed, hit, run=c)
+        count = trial_counter(spec, points, replicated, hit)
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             assert count(0, trials) == sum(hits[:trials])
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
@@ -427,7 +442,6 @@ def test_tail_markov_consistency():
     moment = exact_moment(inst, 1)
     assert moment == pytest.approx(0.75, rel=1e-12)
     bound = moment / epsilon ** 2
-    report = tail_estimate(inst.x, k=2, c=1, epsilon=epsilon, trials=4000,
-                           bucket_seed=101, sign_seed=202, degree=2)
+    report = tail_estimate(tail_spec(4, 2, 1, epsilon, 101, 202, 2), trials=4000, x=inst.x)
     se = math.sqrt(report.failure_rate * (1 - report.failure_rate) / report.trials)
     assert report.failure_rate <= bound + 3.0 * se

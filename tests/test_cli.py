@@ -8,8 +8,9 @@ import pytest
 
 import sjlt.chaos
 import sjlt.graphs
+from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
-from sjlt.transform import derive_spec
+from sjlt.transform import DistortionReport, derive_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -107,24 +108,28 @@ def test_tail_estimate_report(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_verify_roundtrips_every_report(tmp_path, capsys):
+    # each report's column row is its report type's CSV_COLUMNS; graph-count has no type
+    trial_flags = ["--epsilon", "0.5", "--delta", "0.2", "--bucket-seed", "1", "--sign-seed", "2"]
+    reports = [
+        (["graph-count", "--m", "1", "--i-max", "3"], ("m", "i", "t", "count", "elapsed_ms")),
+        (["moment-report", "--d", "2", "--k", "2", "--m", "1", "--trials", "1000"],
+         MomentReport.CSV_COLUMNS),
+        (["distortion-bench", "--d", "16", "--trials", "32", *trial_flags],
+         DistortionReport.CSV_COLUMNS),
+        (["tail-estimate", "--d", "8", "--trials", "1000", *trial_flags], TailReport.CSV_COLUMNS),
+    ]
     produced = []
-    out = tmp_path / "counts.csv"
-    assert run(["graph-count", "--m", "1", "--i-max", "3", "--out", str(out)], capsys)[0] == 0
-    produced.append(out)
-    out = tmp_path / "moment.csv"
-    assert run(["moment-report", "--d", "2", "--k", "2", "--m", "1", "--trials", "1000",
-                "--out", str(out)], capsys)[0] == 0
-    produced.append(out)
-    out = tmp_path / "bench.csv"
-    assert run(["distortion-bench", "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
-                "--trials", "32", "--bucket-seed", "1", "--sign-seed", "2",
-                "--out", str(out)], capsys)[0] == 0
-    produced.append(out)
-    out = tmp_path / "tail.csv"
-    assert run(["tail-estimate", "--d", "8", "--epsilon", "0.5", "--delta", "0.2",
-                "--trials", "1000", "--bucket-seed", "1", "--sign-seed", "2",
-                "--out", str(out)], capsys)[0] == 0
-    produced.append(out)
+    for argv, columns in reports:
+        out = tmp_path / f"{argv[0]}.csv"
+        assert run(argv + ["--out", str(out)], capsys)[0] == 0
+        lines = out.read_text().splitlines()
+        assert tuple(lines[1].split(",")) == columns
+        produced.append(out)
+    # the last report, tail-estimate's, records the derived transform
+    tail = dict(zip(lines[1].split(","), lines[2].split(",")))
+    spec = derive_spec(8, 0.5, 0.2, 1, 2)
+    keys = ("d", "k", "c", "m", "delta")
+    assert [float(tail[key]) for key in keys] == [getattr(spec, key) for key in keys]
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0\n")
     out = tmp_path / "y.txt"
@@ -226,6 +231,14 @@ def test_non_positive_graph_count_m_error_line(capsys):
     code, out, err = run(["graph-count", "--m", "-1", "--i-max", "2", "--out", "-"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: invalid-parameter:") and "m must be positive" in err
+
+
+@pytest.mark.parametrize("i_max", ["0", "-3"])
+def test_non_positive_graph_count_i_max_error_line(capsys, i_max):
+    # an empty cell range would give a header-only report that verify accepts
+    code, out, err = run(["graph-count", "--m", "1", "--i-max", i_max, "--out", "-"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: invalid-parameter: i_max must be positive, got {i_max}\n"
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])

@@ -101,6 +101,13 @@ def test_spec_rejects_replica_points_beyond_the_field():
         small_spec(d=(p + 1) // 2, k=4, c=2, bucket_seed=1, sign_seed=2)
 
 
+def test_spec_rejects_non_positive_epsilon():
+    # the tail threshold and the distortion band are both epsilon
+    for epsilon in (0.0, -0.5):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            small_spec(d=4, k=4, c=1, bucket_seed=1, sign_seed=2, epsilon=epsilon)
+
+
 def test_assumption_satisfied_records_no_warning(recwarn):
     spec = derive_spec(16, 0.05, 0.5, 1, 2)
     assert spec.epsilon_assumption_ok
@@ -422,9 +429,9 @@ def test_duplicate_rescale_layout():
 
 
 def test_bucket_generator_asserts_reduction_bias():
-    # k / modulus must stay below 2^-20 on the production field
-    oversized = TransformSpec(d=2, epsilon=0.5, delta=0.5, m=1, k=2**45, c=1,
-                              sparsity_gain=1.0, bucket_seed=1, sign_seed=2,
-                              independence_degree=2)
-    with pytest.raises(ValueError):
-        bucket_generator(oversized)
+    # k / modulus must stay below 2^-20 on the production field; the spec refuses
+    # it, so no generator, apply or trial loop ever sees such a k
+    with pytest.raises(ValueError, match="bucket reduction bias"):
+        TransformSpec(d=2, epsilon=0.5, delta=0.5, m=1, k=2**45, c=1,
+                      sparsity_gain=1.0, bucket_seed=1, sign_seed=2,
+                      independence_degree=2)
