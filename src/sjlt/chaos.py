@@ -24,7 +24,7 @@ from .graphs import (
     build_multigraph,
     check_assignment_budget,
     class_histogram,
-    pair_multisets,
+    even_pair_multisets,
     weight,
 )
 # Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
@@ -84,12 +84,17 @@ class RandomnessAssignment:
 
 
 def _pair_sum(x, buckets, signs) -> float:
+    # The ordered pairs (i, j) and (j, i) give one float: multiplication is
+    # commutative and the +-1 factors are exact. Doubling that rounded float
+    # is exact, so 2 * term over i < j has the ordered sum's exact value, and
+    # fsum rounds it once. It doubles the product, not x_i: (2 x_i) x_j can
+    # round differently when the product is subnormal.
     d = len(x)
     return math.fsum(
-        x[i] * x[j] * signs[i] * signs[j]
+        2.0 * (x[i] * x[j] * signs[i] * signs[j])
         for i in range(d)
-        for j in range(d)
-        if i != j and buckets[i] == buckets[j]
+        for j in range(i + 1, d)
+        if buckets[i] == buckets[j]
     )
 
 
@@ -121,16 +126,19 @@ def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
     x = inst.x.values
 
     def terms():
+        # Negating every sign leaves every pair term's bits unchanged, so each
+        # pattern with first sign -1 repeats the value of its mirror image:
+        # fix the first sign and count each value twice (an exact doubling).
         for buckets in product(range(inst.k), repeat=inst.d):
-            for signs in product((1, -1), repeat=inst.d):
-                yield _pair_sum(x, buckets, signs) ** power
+            for signs in product((1, -1), repeat=inst.d - 1):
+                yield 2.0 * _pair_sum(x, buckets, (1,) + signs) ** power
 
     return math.fsum(terms()) / total
 
 
 def _graphs(d: int, two_m: int):
     return ((orderings, build_multigraph(seq))
-            for orderings, seq in pair_multisets(range(1, d + 1), two_m))
+            for orderings, seq in even_pair_multisets(range(1, d + 1), two_m))
 
 
 @lru_cache(maxsize=8)
@@ -155,7 +163,9 @@ def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:
 
     The sum runs over multisets of pairs, each weight times its number of
     orderings. It is exact (every float is an integer over a power of two) and
-    rounded once, so it equals the correctly rounded sum over sequences.
+    rounded once, so it equals the correctly rounded sum over sequences. It
+    skips the multisets with an odd degree: their weight 0.0 is the ratio
+    (0, 1), which adds nothing and never raises the common denominator.
     """
     if m < 1:
         raise ValueError("m must be positive")

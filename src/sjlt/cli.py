@@ -115,6 +115,8 @@ def cmd_graph_count(args) -> int:
         raise ValueError(f"m must be positive, got {args.m}")
     if args.i_max < 1:
         raise ValueError(f"i_max must be positive, got {args.i_max}")
+    if args.budget < 1:
+        raise ValueError(f"budget must be positive, got {args.budget}")
     rows = []
     for i in range(1, args.i_max + 1):
         sequences = (i * (i - 1) // 2) ** (2 * args.m)

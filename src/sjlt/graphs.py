@@ -5,8 +5,8 @@ collision product is nonzero only when every vertex degree is even. The
 functions here construct those graphs and compute their component-wise
 weights. They count the sequence classes, grouped by vertex count and number
 of connected components, in closed form by exact integer recurrences. Class
-members are enumerated, as pair multisets weighted by their orderings, only to
-check their structure and as the counts' test oracle.
+members are enumerated, as even-degree pair multisets weighted by their
+orderings, only to check their structure and as the counts' test oracle.
 """
 
 from __future__ import annotations
@@ -162,15 +162,23 @@ def _check_class_budget(n: int, two_m: int) -> None:
             f"{total} sequences exceed the class enumeration budget {CLASS_ENUM_BUDGET}")
 
 
-def pair_multisets(vertices, two_m: int):
-    """Each multiset of two_m increasing pairs over the vertices once, as a
-    sequence, with its number of orderings; every ordering has the same multigraph."""
-    pairs = combinations(sorted(vertices), 2)
-    for chosen in combinations_with_replacement(pairs, two_m):
+def even_pair_multisets(vertices, two_m: int):
+    """Each multiset of two_m increasing pairs over the vertices whose multigraph
+    has only even degrees, once, as a sequence with its number of orderings
+    (every ordering has the same multigraph). The others weigh 0; a parity
+    bitmask of their pairs drops them before any sequence or graph is built."""
+    pairs = tuple(combinations(sorted(vertices), 2))
+    masks = tuple((1 << a) ^ (1 << b) for a, b in pairs)
+    for chosen in combinations_with_replacement(range(len(pairs)), two_m):
+        odd = 0
+        for p in chosen:
+            odd ^= masks[p]
+        if odd:
+            continue
         orderings = math.factorial(two_m)
         for repeats in Counter(chosen).values():
             orderings //= math.factorial(repeats)
-        yield orderings, PairSequence(chosen)
+        yield orderings, PairSequence(tuple(pairs[p] for p in chosen))
 
 
 @lru_cache(maxsize=32)
@@ -181,13 +189,12 @@ def _census(vertices: tuple[int, ...], two_m: int):
     counts: Counter[int] = Counter()
     members: list[tuple[int, tuple[frozenset[int], ...]]] = []
     every = sum(1 << v for v in vertices)
-    for orderings, seq in pair_multisets(vertices, two_m):
-        # vertex bitmasks: odd degrees and covered vertices, before any graph is built
-        odd = covered = 0
+    for orderings, seq in even_pair_multisets(vertices, two_m):
+        # covered vertices as a bitmask, before any graph is built
+        covered = 0
         for a, b in seq.pairs:
-            odd ^= (1 << a) ^ (1 << b)
             covered |= (1 << a) | (1 << b)
-        if odd or covered != every:
+        if covered != every:
             continue
         graph = build_multigraph(seq)
         counts[len(graph.components)] += orderings

@@ -234,11 +234,131 @@ def test_streamed_expansion_equals_cached(monkeypatch):
     assert sjlt.chaos._cached_graphs.cache_info().currsize == 0
 
 
+def test_cached_graphs_hold_only_even_multigraphs():
+    for (d, two_m), size in {(6, 4): 165, (4, 6): 74}.items():
+        graphs = sjlt.chaos._cached_graphs(d, two_m)
+        assert len(graphs) == size
+        assert all(c % 2 == 0 for _, graph in graphs for c in graph.degree.values())
+
+
 def test_expansion_budget_message():
     # the budget counts ordered sequences: 28^6 at d = 8, m = 3
     with pytest.raises(BudgetExceededError) as excinfo:
         graph_expansion_moment(ChaosInstance.uniform(8, 1), 3)
     assert str(excinfo.value) == "481890304 sequences exceed the enumeration budget 100000000"
+
+
+# float.hex pins of the exact oracles, taken from the plain enumerations: ordered
+# pairs, every sign pattern and every pair multiset. Skipping zero and
+# mirror-image terms must keep every bit.
+PINNED_UNIFORM_MOMENTS = (
+    # d, k, m, exact_moment, graph_expansion_moment
+    (2, 2, 1, "0x1.ffffffffffffcp-2", "0x1.ffffffffffffcp-2"),
+    (2, 2, 2, "0x1.ffffffffffff8p-2", "0x1.ffffffffffffap-2"),
+    (2, 3, 1, "0x1.5555555555553p-2", "0x1.5555555555553p-2"),
+    (2, 3, 2, "0x1.5555555555550p-2", "0x1.5555555555551p-2"),
+    (3, 2, 1, "0x1.5555555555558p-1", "0x1.5555555555559p-1"),
+    (3, 2, 2, "0x1.2f684bda12f6dp+0", "0x1.2f684bda12f6ep+0"),
+    (3, 3, 1, "0x1.c71c71c71c721p-2", "0x1.c71c71c71c720p-2"),
+    (3, 3, 2, "0x1.2f684bda12f6dp-1", "0x1.2f684bda12f6ep-1"),
+    (4, 2, 1, "0x1.8000000000000p-1", "0x1.8000000000000p-1"),
+    (4, 2, 2, "0x1.1400000000000p+1", "0x1.1400000000000p+1"),
+    (4, 3, 1, "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    (4, 3, 2, "0x1.d555555555555p-1", "0x1.d555555555555p-1"),
+    (4, 3, 3, "0x1.16aaaaaaaaaabp+2", "0x1.16aaaaaaaaaaap+2"),
+    (6, 2, 2, "0x1.da12f684bda1dp+1", "0x1.da12f684bda1dp+1"),
+    (1, 2, 1, "0x0.0p+0", "0x0.0p+0"),
+)
+# k and the unit vector: negative entries, entries near 1e-13, and tiny ones
+# whose products are subnormal
+PINNED_VECTORS = {
+    "a": (2, (
+        "0x1.c04773d63af49p-3", "0x1.0a717676c39d7p-1", "0x1.1d3fcc78c90a5p-44",
+        "-0x1.a69a171c66528p-1",
+    )),
+    "b": (3, (
+        "-0x1.600396949557ep-43", "-0x1.16ef21d6f9c5ep-2", "-0x1.b8d07a69994bap-3",
+        "0x1.d55a1e1b71ca8p-45", "0x1.e0277d4650a1ap-1",
+    )),
+    "c": (2, (
+        "0x1.3ceb792c58cabp-1", "-0x1.8cd9de6608a43p-1", "0x1.03b1c360f5587p-3",
+    )),
+    "d": (2, (
+        "-0x1.08d2504d04e3ap-2", "-0x1.1bf301f7759d4p-4", "0x1.51fbe69ed4589p-1",
+        "0x1.0bcf7d8ee459bp-2", "-0x1.4d72c66868b4ep-1", "0x1.6562359213bcap-44",
+    )),
+    "e": (2, (
+        "0x1.3333333333333p-1", "0x1.999999999999ap-1", "0x1.67e9c127b6e74p-532",
+    )),
+    "f": (3, (
+        "0x1.3333333333333p-1", "0x1.999999999999ap-1", "0x1.67e9c127b6e74p-532",
+        "0x1.be4ad0cad88f6p-534",
+    )),
+}
+PINNED_VECTOR_MOMENTS = (
+    ("a", 1, "0x1.d7460745d2e0cp-2", "0x1.d7460745d2e0dp-2"),
+    ("a", 2, "0x1.fa333b1aeb8efp-2", "0x1.fa333b1aeb8f1p-2"),
+    ("a", 3, "0x1.7e4196ca66751p-1", "0x1.7e4196ca66752p-1"),
+    ("b", 1, "0x1.2ad78719ae1bep-3", "0x1.2ad78719ae1bep-3"),
+    ("b", 2, "0x1.05a3dcfcfe559p-4", "0x1.05a3dcfcfe559p-4"),
+    ("c", 1, "0x1.f7d0feedfb4f2p-2", "0x1.f7d0feedfb4f4p-2"),
+    ("c", 2, "0x1.070ab2d5e105ep-1", "0x1.070ab2d5e105ep-1"),
+    ("c", 3, "0x1.3cc5c4f7c241ap-1", "0x1.3cc5c4f7c241bp-1"),
+    ("d", 1, "0x1.3df8014396529p-1", "0x1.3df8014396529p-1"),
+    ("d", 2, "0x1.2605c4b3f2b0bp+0", "0x1.2605c4b3f2b0cp+0"),
+    ("e", 1, "0x1.d7dbf487fcb92p-2", "0x1.d7dbf487fcb94p-2"),
+    ("e", 2, "0x1.b2dd8d6457178p-2", "0x1.b2dd8d645717ap-2"),
+    ("e", 3, "0x1.90c5a106ddfc4p-2", "0x1.90c5a106ddfc6p-2"),
+    ("f", 1, "0x1.3a92a30553261p-2", "0x1.3a92a30553262p-2"),
+    ("f", 2, "0x1.21e908ed8f650p-2", "0x1.21e908ed8f651p-2"),
+)
+PINNED_CHAOS_VALUES = (
+    # vector, buckets, signs, chaos_value
+    ("a", (1, 0, 1, 0), (1, -1, 1, 1), "0x1.b7d76996ca838p-1"),
+    ("a", (0, 0, 0, 0), (-1, -1, -1, 1), "0x1.72be460338f65p+0"),
+    ("a", (0, 1, 0, 0), (1, 1, -1, 1), "-0x1.7201ce337ce3cp-2"),
+    ("a", (0, 0, 1, 0), (1, -1, -1, -1), "-0x1.737abdd2f442ep-1"),
+    ("b", (1, 0, 2, 1, 0), (1, 1, -1, 1, -1), "0x1.0595b3304e6b9p-1"),
+    ("b", (1, 1, 0, 1, 2), (-1, 1, 1, -1, -1), "-0x1.ff6649deaaf8ap-45"),
+    ("b", (2, 2, 2, 2, 1), (1, 1, 1, -1, 1), "0x1.e04e29d604c73p-4"),
+    ("b", (1, 2, 0, 2, 0), (1, -1, 1, 1, -1), "0x1.9d65727fc2b14p-2"),
+    ("c", (1, 1, 1), (1, -1, -1), "0x1.364563ea40669p-1"),
+    ("c", (0, 1, 0), (-1, -1, 1), "-0x1.417e4c460ad38p-3"),
+    ("c", (0, 1, 1), (-1, -1, 1), "0x1.9293fd8441badp-3"),
+    ("c", (1, 1, 1), (-1, -1, -1), "-0x1.ff8f62ac6143fp-1"),
+    ("d", (1, 0, 1, 1, 1, 1), (1, -1, -1, -1, 1, 1), "0x1.2dfef8a563243p+1"),
+    ("d", (1, 0, 1, 0, 0, 0), (1, -1, -1, -1, -1, 1), "0x1.c10bf976528c3p-5"),
+    ("d", (1, 0, 1, 0, 1, 0), (-1, -1, -1, 1, -1, 1), "-0x1.a803fb2f5dfeap-1"),
+    ("d", (1, 1, 0, 1, 1, 0), (-1, -1, 1, -1, -1, -1), "-0x1.92e935e6b17c7p-5"),
+    ("e", (1, 1, 1), (1, -1, -1), "-0x1.eb851eb851eb8p-1"),
+    ("e", (0, 1, 0), (-1, -1, 1), "-0x1.afe54e2fa848bp-532"),
+    ("e", (0, 1, 1), (-1, -1, 1), "-0x1.1fee341fc585dp-531"),
+    ("e", (1, 1, 1), (-1, -1, -1), "0x1.eb851eb851eb8p-1"),
+    ("f", (1, 0, 2, 0), (1, -1, 1, 1), "-0x1.6508a708ad3f8p-533"),
+    ("f", (0, 1, 1, 0), (-1, -1, -1, 1), "0x1.b9f9299c4a13dp-532"),
+    ("f", (0, 1, 0, 0), (1, 1, -1, 1), "-0x1.2a020f8c6750ep-532"),
+    ("f", (1, 0, 2, 0), (1, -1, -1, -1), "0x1.6508a708ad3f8p-533"),
+    ("f", (0, 1, 2, 2), (1, 1, 1, -1), "-0x0.00000000004e6p-1022"),
+    ("f", (0, 1, 2, 2), (1, -1, -1, -1), "0x0.00000000004e6p-1022"),
+)
+
+
+def test_exact_oracles_keep_their_pinned_bits():
+    for d, k, m, exact, expansion in PINNED_UNIFORM_MOMENTS:
+        inst = ChaosInstance.uniform(d, k)
+        assert (exact_moment(inst, m).hex(), graph_expansion_moment(inst, m).hex()) == \
+            (exact, expansion), (d, k, m)
+    instances = {}
+    for name, (k, entries) in PINNED_VECTORS.items():
+        x = DenseVector(tuple(float.fromhex(e) for e in entries))
+        instances[name] = ChaosInstance(d=len(x), k=k, x=x, infinity_bound=1.0)
+    for name, m, exact, expansion in PINNED_VECTOR_MOMENTS:
+        inst = instances[name]
+        assert (exact_moment(inst, m).hex(), graph_expansion_moment(inst, m).hex()) == \
+            (exact, expansion), (name, m)
+    for name, buckets, signs, value in PINNED_CHAOS_VALUES:
+        assignment = RandomnessAssignment(buckets, signs)
+        assert chaos_value(instances[name], assignment).hex() == value, (name, buckets, signs)
 
 
 # ------------------------------------------------------------------ the bound

@@ -241,6 +241,15 @@ def test_non_positive_graph_count_i_max_error_line(capsys, i_max):
     assert err == f"error: invalid-parameter: i_max must be positive, got {i_max}\n"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_graph_count_budget_error_line(capsys, budget):
+    # refused before any cell, not reported as i=1's 0 sequences exceeding it
+    code, out, err = run(["graph-count", "--m", "1", "--i-max", "3", "--budget", budget,
+                          "--out", "-"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: invalid-parameter: budget must be positive, got {budget}\n"
+
+
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_non_positive_moment_report_d_error_line(capsys, d):
     code, out, err = run(["moment-report", "--d", d, "--k", "2", "--m", "1", "--out", "-"],

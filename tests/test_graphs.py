@@ -1,7 +1,8 @@
 """Multigraph engine tests: exact expectations, class counts, structure facts."""
 
 import math
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sjlt.graphs import (
     pair_family_bound,
     sequence_expectation,
     squares,
-    pair_multisets,
+    even_pair_multisets,
     weight,
     _census,
     _class_counts,
@@ -282,17 +283,28 @@ def test_closed_form_counts_sum_to_the_covering_count():
             assert sum(counts.values()) == covering_sequences_by_parity_walk(i, 2 * m)
 
 
-def test_pair_multisets_partition_the_sequences():
+def test_even_pair_multisets_are_the_even_multisets():
+    # the enumerator skips exactly the multisets with an odd vertex: what it
+    # yields is the even subset of every multiset, each once, and its orderings
+    # count the even-degree sequences without the orderings formula
     for n in range(1, 6):
         for two_m in (2, 4, 6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            even = set()
+            for chosen in combinations_with_replacement(pairs, two_m):
+                degree = Counter(v for pair in chosen for v in pair)
+                if all(c % 2 == 0 for c in degree.values()):
+                    even.add(chosen)
             seen = set()
             total = 0
-            for orderings, seq in pair_multisets(range(1, n + 1), two_m):
+            for orderings, seq in even_pair_multisets(range(1, n + 1), two_m):
                 key = tuple(sorted(seq.pairs))
                 assert key not in seen
                 seen.add(key)
+                assert all(c % 2 == 0 for c in build_multigraph(seq).degree.values())
                 total += orderings
-            assert total == math.comb(n, 2) ** two_m
+            assert seen == even
+            assert total == even_sequences_by_parity_walk(n, two_m)
 
 
 def even_compositions(total: int, parts: int):
