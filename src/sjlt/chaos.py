@@ -23,7 +23,7 @@ from .graphs import (
     Multigraph,
     build_multigraph,
     check_assignment_budget,
-    class_histogram,
+    class_histograms,
     even_pair_multisets,
     weight,
 )
@@ -113,27 +113,74 @@ def chaos_value(inst: ChaosInstance, assignment: RandomnessAssignment) -> float:
 def exact_moment(inst: ChaosInstance, m: int) -> float:
     """Average of the chaos value to the 2m-th power over every assignment.
 
-    Enumerates the fully independent law: all k^d bucket maps times all 2^d
-    sign patterns. Budget-guarded at k^d * 2^d <= 10^8.
+    The fully independent law: all k^d bucket maps times all 2^d sign
+    patterns, summed over the bucket partitions they induce. Budget-guarded at
+    k^d * 2^d <= 10^8.
     """
     if m < 1:
         raise ValueError("m must be positive")
     return _exact_power_moment(inst, 2 * m)
 
 
+def bucket_partitions(d: int, k: int):
+    """Each partition of range(d) into at most k blocks, once, as a restricted
+    growth string: labels[i] is the block of i, numbered in order of first
+    members. math.perm(k, q) of the k^d bucket maps induce a q-block one."""
+    def extend(labels: tuple[int, ...], blocks: int):
+        if len(labels) == d:
+            yield labels
+            return
+        for label in range(min(blocks + 1, k)):
+            yield from extend(labels + (label,), max(blocks, label + 1))
+    return extend((), 0)
+
+
+def _rounded_sum(weighted) -> float:
+    """The sum of count * value over (count, value) pairs, exact, rounded once.
+
+    Every finite float is an integer over a power of two, so the sum is one
+    such ratio until the final division: it equals math.fsum over the values
+    repeated count times, bit for bit. Infinite values make the sum what fsum
+    makes it (inf, or ValueError for inf - inf).
+    """
+    numerator, denominator = 0, 1
+    infinite = []
+    for count, value in weighted:
+        if math.isinf(value):
+            infinite.append(value)
+            continue
+        p, q = value.as_integer_ratio()
+        if q > denominator:
+            numerator, denominator = numerator * (q // denominator), q
+        numerator += count * p * (denominator // q)
+    return math.fsum(infinite) if infinite else numerator / denominator
+
+
 def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
     total = check_assignment_budget(inst.d, inst.k)
-    x = inst.x.values
+    d, k, x = inst.d, inst.k, inst.x.values
+    # the pair terms of _pair_sum: s_i s_j = -1 negates 2.0 * (x_i x_j) exactly
+    twice = [[2.0 * (x[i] * x[j]) for j in range(d)] for i in range(d)]
 
     def terms():
-        # Negating every sign leaves every pair term's bits unchanged, so each
-        # pattern with first sign -1 repeats the value of its mirror image:
-        # fix the first sign and count each value twice (an exact doubling).
-        for buckets in product(range(inst.k), repeat=inst.d):
-            for signs in product((1, -1), repeat=inst.d - 1):
-                yield 2.0 * _pair_sum(x, buckets, (1,) + signs) ** power
+        # A bucket map enters the value only through its partition, and
+        # negating the signs of a whole block leaves every pair term's bits
+        # unchanged. So each partition's value with the first sign of every
+        # block fixed to +1 stands for perm(k, q) maps times 2^q sign
+        # patterns. Its power is yielded doubled with half that count, as the
+        # plain enumeration's mirror pairs were, so a term >= 2^1023 still
+        # makes the moment inf.
+        for labels in bucket_partitions(d, k):
+            q = max(labels) + 1
+            pairs = [(i, j, twice[i][j])
+                     for i in range(d) for j in range(i + 1, d) if labels[i] == labels[j]]
+            choices = [(1,) if labels.index(labels[i]) == i else (1, -1) for i in range(d)]
+            count = math.perm(k, q) << (q - 1)
+            for signs in product(*choices):
+                value = math.fsum(t if signs[i] == signs[j] else -t for i, j, t in pairs)
+                yield count, 2.0 * value ** power
 
-    return math.fsum(terms()) / total
+    return _rounded_sum(terms()) / total
 
 
 def _graphs(d: int, two_m: int):
@@ -146,13 +193,16 @@ def _cached_graphs(d: int, two_m: int) -> tuple[tuple[int, Multigraph], ...]:
     return tuple(_graphs(d, two_m))
 
 
-def _iter_graphs(d: int, two_m: int):
-    pair_count = math.comb(d, 2)
-    total = pair_count ** two_m
+def _check_sequence_budget(d: int, two_m: int) -> None:
+    total = math.comb(d, 2) ** two_m
     if total > SEQUENCE_ENUM_BUDGET:
         raise BudgetExceededError(
             f"{total} sequences exceed the enumeration budget {SEQUENCE_ENUM_BUDGET}")
-    if math.comb(pair_count + two_m - 1, two_m) <= _GRAPH_CACHE_LIMIT:
+
+
+def _iter_graphs(d: int, two_m: int):
+    _check_sequence_budget(d, two_m)
+    if math.comb(math.comb(d, 2) + two_m - 1, two_m) <= _GRAPH_CACHE_LIMIT:
         return _cached_graphs(d, two_m)
     return _graphs(d, two_m)
 
@@ -162,20 +212,15 @@ def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:
     sequences of 2m increasing pairs; must equal exact_moment.
 
     The sum runs over multisets of pairs, each weight times its number of
-    orderings. It is exact (every float is an integer over a power of two) and
-    rounded once, so it equals the correctly rounded sum over sequences. It
-    skips the multisets with an odd degree: their weight 0.0 is the ratio
-    (0, 1), which adds nothing and never raises the common denominator.
+    orderings, exactly and rounded once, so it equals the correctly rounded
+    sum over sequences. It skips the multisets with an odd degree: their
+    weight 0.0 adds nothing to the exact sum.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    numerator, denominator = 0, 1
-    for orderings, graph in _iter_graphs(inst.d, 2 * m):
-        p, q = weight(graph, inst.x, inst.k).as_integer_ratio()
-        if q > denominator:
-            numerator, denominator = numerator * (q // denominator), q
-        numerator += orderings * p * (denominator // q)
-    return float(4 ** m) * (numerator / denominator)
+    return float(4 ** m) * _rounded_sum(
+        (orderings, weight(graph, inst.x, inst.k))
+        for orderings, graph in _iter_graphs(inst.d, 2 * m))
 
 
 def _check_cap(C: float) -> None:
@@ -192,8 +237,9 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
         raise ValueError("m must be positive")
     _check_cap(C)
     terms = []
+    histograms = class_histograms(2 * m, m)
     for i in range(1, 2 * m + 1):
-        for t, count in class_histogram(i, m).items():
+        for t, count in histograms[i].items():
             terms.append(count / math.factorial(i)
                          / float(inst.k) ** (i - t) / float(C) ** (2 * m - i))
     return float(4 ** m) * math.fsum(terms)
@@ -286,8 +332,15 @@ class MomentReport:
 
 def moment_report(inst: ChaosInstance, m: int, C: float,
                   trials: int, seed: int) -> MomentReport:
-    """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound."""
+    """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound.
+
+    Every refusal the exact phases can raise comes before the Monte Carlo.
+    """
     _check_cap(C)
+    if m < 1:
+        raise ValueError("m must be positive")
+    check_assignment_budget(inst.d, inst.k)
+    _check_sequence_budget(inst.d, 2 * m)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

@@ -190,53 +190,70 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     _add_kappa_flags(parser)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _transform_flags(parser: argparse.ArgumentParser) -> None:
+    _add_spec_flags(parser)
+    parser.add_argument("--in", dest="infile", required=True)
+    parser.add_argument("--out", required=True)
+
+
+def _trial_flags(parser: argparse.ArgumentParser) -> None:
+    _add_spec_flags(parser)
+    parser.add_argument("--trials", type=int, default=10000)
+    parser.add_argument("--out", default="-")
+
+
+def _moment_report_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--x", default="uniform")
+    parser.add_argument("--C", type=float, default=None)
+    parser.add_argument("--trials", type=int, default=10000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default="-")
+
+
+def _graph_count_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--m", type=int, required=True)
+    parser.add_argument("--i-max", type=int, required=True)
+    parser.add_argument("--budget", type=int, default=CLASS_ENUM_BUDGET,
+                        help="refuse cells whose sequence space exceeds this")
+    parser.add_argument("--out", default="-")
+
+
+def _verify_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("file")
+
+
+# subcommand: (help, handler, flags), in the order the top-level help lists them
+_COMMANDS = {
+    "transform": ("project a file of sparse vectors", cmd_transform, _transform_flags),
+    "distortion-bench": ("norm-distortion failure rate", cmd_trials, _trial_flags),
+    "moment-report": ("exact and sampled chaos moments", cmd_moment_report,
+                      _moment_report_flags),
+    "graph-count": ("exact sequence-class counts", cmd_graph_count, _graph_count_flags),
+    "tail-estimate": ("empirical chaos tail probability", cmd_trials, _trial_flags),
+    "verify": ("validate a previously emitted report file", cmd_verify, _verify_flags),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a command, only that subcommand gets its flags.
+
+    argparse builds a help formatter inside every add_argument call, so one
+    invocation, which parses with one subcommand, skips the others' flags.
+    Every subcommand is still registered, so the top-level help, usage and
+    errors are unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="sjlt",
         description="Sparse signed-bucket projection: transform, benchmark, verify.")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("transform", help="project a file of sparse vectors")
-    _add_spec_flags(p)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("distortion-bench", help="norm-distortion failure rate")
-    _add_spec_flags(p)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_trials)
-
-    p = sub.add_parser("moment-report", help="exact and sampled chaos moments")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", default="uniform")
-    p.add_argument("--C", type=float, default=None)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_moment_report)
-
-    p = sub.add_parser("graph-count", help="exact sequence-class counts")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--i-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=CLASS_ENUM_BUDGET,
-                   help="refuse cells whose sequence space exceeds this")
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_graph_count)
-
-    p = sub.add_parser("tail-estimate", help="empirical chaos tail probability")
-    _add_spec_flags(p)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_trials)
-
-    p = sub.add_parser("verify", help="validate a previously emitted report file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (help_text, handler, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -244,7 +261,9 @@ def main(argv=None) -> int:
     args_list = list(sys.argv[1:] if argv is None else argv)
     if args_list[:1] == ["--verify"]:
         args_list = ["verify"] + args_list[1:]
-    parser = _build_parser()
+    # Top-level options come before the subcommand and never equal its name,
+    # so the first argument naming a subcommand is the one argparse runs.
+    parser = _build_parser(next((arg for arg in args_list if arg in _COMMANDS), None))
     args = parser.parse_args(args_list)
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)

@@ -222,15 +222,17 @@ def _split_first_component(conn, rest, n: int, length: int) -> int:
                for a in range(1, n + 1) for b in range(length + 1))
 
 
-def _class_counts(n: int, two_m: int) -> dict[int, int]:
-    """Sequences of two_m pairs covering {1..n} with even degrees, by component number.
+def _class_tables(n: int, two_m: int) -> dict[int, dict[int, int]]:
+    """Sequences of two_m pairs covering {1..i} with even degrees, by component
+    number, for every i <= n.
 
     Exact integer recurrences (the exponential formula over vertex and position
     labels): even[v][l] = 2^-v sum_s C(v,s) lambda_s^l counts even-degree
     sequences on v vertices, where lambda_s = C(v-s,2) + C(s,2) - s(v-s) is the
     pair sum of the sign character of an s-set; inclusion-exclusion keeps the
     covering ones; splitting off the component of vertex 1 gives the connected
-    counts and then, one component at a time, the t-component counts.
+    counts and then, one component at a time, the t-component counts. The
+    tables for n hold every smaller vertex count, so one pass serves all i.
     """
     sizes, lengths = range(n + 1), range(two_m + 1)
     even = [[sum(math.comb(v, s) * (math.comb(v - s, 2) + math.comb(s, 2) - s * (v - s)) ** l
@@ -244,12 +246,30 @@ def _class_counts(n: int, two_m: int) -> dict[int, int]:
             # sequences whose component of vertex 1 is not the whole graph
             conn[v][l] = cover[v][l] - _split_first_component(conn, cover, v, l)
     layer = [[int(v == 0 and l == 0) for l in lengths] for v in sizes]
-    histogram = {}
+    histograms = {i: {} for i in range(1, n + 1)}
     for t in range(1, n // 2 + 1):
         layer = [[_split_first_component(conn, layer, v, l) for l in lengths] for v in sizes]
-        if layer[n][two_m]:
-            histogram[t] = layer[n][two_m]
-    return histogram
+        for i in range(2 * t, n + 1):
+            if layer[i][two_m]:
+                histograms[i][t] = layer[i][two_m]
+    return histograms
+
+
+def class_histograms(n: int, m: int) -> dict[int, dict[int, int]]:
+    """class_histogram(i, m) for every i in 1..n, from one pass of the counts.
+
+    Each i is checked against the census's budget in increasing order, so a
+    refusal names the same first i as the single histograms would.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
+    for i in range(1, n + 1):
+        _check_class_budget(i, 2 * m)
+    return _class_tables(n, 2 * m)
+
+
+def _class_counts(n: int, two_m: int) -> dict[int, int]:
+    return _class_tables(n, two_m)[n]
 
 
 def class_histogram(i: int, m: int) -> dict[int, int]:

@@ -1,6 +1,7 @@
 """Chaos moment oracles, the class-count bound, and tail estimation."""
 
 import math
+from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -12,6 +13,7 @@ import sjlt.chaos
 from sjlt.chaos import (
     ChaosInstance,
     RandomnessAssignment,
+    bucket_partitions,
     chaos_value,
     exact_moment,
     graph_expansion_moment,
@@ -199,6 +201,74 @@ def test_exact_moment_budget_guard():
         "1152921504606846976 assignments exceed the exact enumeration budget 100000000")
 
 
+def canonical_partition(buckets) -> tuple[int, ...]:
+    """Relabel a bucket map's values in order of first appearance."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(b, len(labels)) for b in buckets)
+
+
+def test_bucket_partitions_are_the_induced_partitions_once_each():
+    for d in range(1, 7):
+        for k in range(1, 5):
+            partitions = list(bucket_partitions(d, k))
+            assert len(partitions) == len(set(partitions))
+            induced = Counter(canonical_partition(b) for b in product(range(k), repeat=d))
+            assert set(partitions) == set(induced)
+            for labels in partitions:
+                assert induced[labels] == math.perm(k, max(labels) + 1)
+
+
+def test_partition_weights_count_every_assignment():
+    for d in range(1, 9):
+        for k in range(1, 6):
+            weights = sum(math.perm(k, max(labels) + 1) * 2 ** d
+                          for labels in bucket_partitions(d, k))
+            assert weights == k ** d * 2 ** d
+
+
+def brute_force_power_moments(inst: ChaosInstance, powers) -> list[float]:
+    """Every power's mean over all k^d bucket maps and 2^d sign patterns, each
+    assignment's value an fsum over its ordered pairs."""
+    x, d = inst.x.values, inst.d
+    values = []
+    for buckets in product(range(inst.k), repeat=d):
+        for signs in product((1, -1), repeat=d):
+            values.append(math.fsum(x[i] * x[j] * signs[i] * signs[j]
+                                    for i in range(d) for j in range(d)
+                                    if i != j and buckets[i] == buckets[j]))
+    total = len(values)
+    return [math.fsum(v ** power for v in values) / total for power in powers]
+
+
+@st.composite
+def awkward_unit_vectors(draw):
+    """Unit vectors with zero entries and entries whose products are subnormal."""
+    d = draw(st.integers(1, 6))
+    entry = st.one_of(st.floats(-1.0, 1.0), st.just(0.0),
+                      st.floats(1e-170, 1e-155), st.floats(-1e-155, -1e-170))
+    values = draw(st.lists(entry, min_size=d, max_size=d))
+    values[draw(st.integers(0, d - 1))] = draw(st.floats(0.25, 1.0))
+    norm = math.sqrt(math.fsum(v * v for v in values))
+    return DenseVector(tuple(v / norm for v in values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=awkward_unit_vectors(), k=st.integers(1, 3))
+def test_exact_power_moment_equals_brute_force_bit_for_bit(x, k):
+    inst = ChaosInstance(d=len(x), k=k, x=x, infinity_bound=1.0)
+    powers = range(1, 7)
+    expected = brute_force_power_moments(inst, powers)
+    assert [_exact_power_moment(inst, p).hex() for p in powers] == [e.hex() for e in expected]
+
+
+def test_huge_terms_make_the_moment_infinite():
+    # one bucket and equal signs at d = 3 give Z = 2: the term 2^1023 doubles
+    # to inf, as in the plain enumeration, while 2^1022 still sums finitely
+    inst = ChaosInstance.uniform(3, 1)
+    assert math.isfinite(_exact_power_moment(inst, 1022))
+    assert _exact_power_moment(inst, 1023) == math.inf
+
+
 def test_monte_carlo_moment_consistent_with_exact():
     inst = ChaosInstance.uniform(3, 2)
     mean, se = monte_carlo_moment(inst, 1, trials=20000, seed=4)
@@ -369,6 +439,32 @@ def test_moment_bound_single_term():
         assert moment_upper_bound(inst, 1, 3.0) == pytest.approx(2.0 / k, rel=1e-12)
 
 
+# float.hex of moment_upper_bound(uniform(d, k), m, C=d) on the oracles cells,
+# as the per-i class histograms gave them
+PINNED_BOUNDS = (
+    (2, 2, 1, "0x1.0000000000000p+0"), (2, 2, 2, "0x1.0000000000000p+4"),
+    (2, 3, 1, "0x1.5555555555555p-1"), (2, 3, 2, "0x1.9c71c71c71c71p+2"),
+    (3, 2, 1, "0x1.0000000000000p+0"), (3, 2, 2, "0x1.ae38e38e38e39p+3"),
+    (3, 3, 1, "0x1.5555555555555p-1"), (3, 3, 2, "0x1.4bda12f684bdap+2"),
+    (4, 2, 1, "0x1.0000000000000p+0"), (4, 2, 2, "0x1.8800000000000p+3"),
+    (4, 3, 1, "0x1.5555555555555p-1"), (4, 3, 2, "0x1.271c71c71c71cp+2"),
+    (4, 3, 3, "0x1.297da12f684bep+7"), (6, 2, 2, "0x1.638e38e38e38ep+3"),
+)
+
+
+def test_moment_bound_keeps_its_pinned_bits():
+    for d, k, m, bound in PINNED_BOUNDS:
+        assert moment_upper_bound(ChaosInstance.uniform(d, k), m, float(d)).hex() == bound
+
+
+def test_moment_bound_budget_names_the_first_refused_vertex_count():
+    # C(6,2)^8 is the first of the i = 1..8 histograms over the class budget
+    with pytest.raises(BudgetExceededError) as excinfo:
+        moment_upper_bound(ChaosInstance.uniform(3, 2), 4, 3.0)
+    assert str(excinfo.value) == \
+        "2562890625 sequences exceed the class enumeration budget 1000000000"
+
+
 def test_moment_bound_dominates_exact_moment():
     rng = np.random.default_rng(23)
     for d, k, m in [(3, 2, 1), (4, 2, 2), (4, 3, 2)]:
@@ -414,6 +510,24 @@ def test_non_finite_cap_rejected_before_any_phase(monkeypatch, cap):
         monkeypatch.setattr(sjlt.chaos, phase, unreachable)
     with pytest.raises(ValueError, match="C must be finite"):
         moment_report(inst, 2, cap, trials=100, seed=0)
+
+
+@pytest.mark.parametrize("d, k, m, error, message", [
+    (14, 2, 1, BudgetExceededError,
+     "268435456 assignments exceed the exact enumeration budget 100000000"),
+    (3, 2, 0, ValueError, "m must be positive"),
+    (8, 1, 3, BudgetExceededError,
+     "481890304 sequences exceed the enumeration budget 100000000"),
+])
+def test_exact_phase_refusals_come_before_any_phase(monkeypatch, d, k, m, error, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a moment phase ran before its refusal")
+
+    for phase in ("monte_carlo_moment", "exact_moment", "graph_expansion_moment"):
+        monkeypatch.setattr(sjlt.chaos, phase, unreachable)
+    with pytest.raises(error) as excinfo:
+        moment_report(ChaosInstance.uniform(d, k), m, float(d), trials=100, seed=0)
+    assert str(excinfo.value) == message
 
 
 def test_moment_report_bundle():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sjlt.chaos
+import sjlt.cli
 import sjlt.graphs
 from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
@@ -279,6 +280,33 @@ def test_usage_error(capsys):
     code, _, err = run([], capsys)
     assert code == 2
     assert "error: usage:" in err
+
+
+def parse_outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_CASES = [["-h"], [], ["bogus"], ["--bogus"], ["--verify"],
+                ["--bogus", "graph-count", "--m", "1", "--i-max", "2"]]
+for _command in sjlt.cli._COMMANDS:
+    PARSER_CASES += [[_command, "-h"], [_command], [_command, "--bogus"],
+                     [_command, "--d", "3", "--bogus", "1"], [_command, "--d"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_per_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
+    # help, usage and refusals must not depend on which subcommands got flags
+    monkeypatch.setenv("COLUMNS", "80")
+    lazy = parse_outcome(argv, capsys)
+    full_parser = sjlt.cli._build_parser
+    monkeypatch.setattr(sjlt.cli, "_build_parser", lambda command=None: full_parser())
+    assert lazy == parse_outcome(argv, capsys)
+    assert lazy[0] != 0 or argv[-1] == "-h"
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")

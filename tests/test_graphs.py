@@ -19,6 +19,7 @@ from sjlt.graphs import (
     class_count,
     class_count_over,
     class_histogram,
+    class_histograms,
     disjoint_pair_families,
     pair_family_bound,
     sequence_expectation,
@@ -217,6 +218,32 @@ def test_class_count_rejects_bad_arguments():
 def test_class_count_budget():
     with pytest.raises(BudgetExceededError):
         class_histogram(9, 3)   # 36^6 sequences
+
+
+def test_one_pass_histograms_equal_the_single_ones():
+    for m in (1, 2, 3):
+        for n in range(1, 7):
+            histograms = class_histograms(n, m)
+            assert sorted(histograms) == list(range(1, n + 1))
+            for i in range(1, n + 1):
+                assert histograms[i] == class_histogram(i, m)
+
+
+@pytest.mark.parametrize("n, m, first", [(9, 3, 9), (7, 4, 6)])
+def test_one_pass_budget_names_the_first_refused_vertex_count(n, m, first):
+    with pytest.raises(BudgetExceededError) as single:
+        class_histogram(first, m)
+    with pytest.raises(BudgetExceededError) as one_pass:
+        class_histograms(n, m)
+    assert str(one_pass.value) == str(single.value) == (
+        f"{math.comb(first, 2) ** (2 * m)} sequences exceed the class enumeration "
+        "budget 1000000000")
+
+
+def test_one_pass_histograms_reject_bad_arguments():
+    for n, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="n and m must be positive"):
+            class_histograms(n, m)
 
 
 def test_class_count_invariant_enforced():
