@@ -6,28 +6,35 @@ field, which is the only randomness property the projection analysis needs.
 Field values are folded onto the output range by plain modulo, so every
 consumer inherits a per-value reduction bias below range/modulus.
 
-The batch evaluators take one generator or a tuple of generators with the
-same degree and range. Each generator is one row of a coefficient matrix and
-evaluates its own equal segment of the flat points, so a block of
-independently seeded trials costs the numpy calls of one. On the Mersenne
-field 2^61 - 1 they are exact and give the scalar path's values bit for bit,
-by two routes:
+A GeneratorBlock holds many generators of one degree and range as the rows
+of a uint64 coefficient matrix; generator_block expands a whole array of
+seeds into one in a single numpy pass of the splitmix64 mixer, and
+new_generator is its one-row case. The batch evaluators take one generator
+or a block, whose row j evaluates the j-th equal segment of the flat points,
+so a block of independently seeded trials costs the numpy calls of one. On
+the Mersenne field 2^61 - 1 they are exact and give the scalar path's values
+bit for bit, by two routes:
 
 - Horner in blocks of HORNER_BLOCK points with lazy reduction: each step
   adds a coefficient column; between steps the accumulator is congruent to
   the partial value and below 2^61 + 8, and one min(acc, acc - p) at the end
   makes it canonical.
-- Forward differences for runs of `run` consecutive points, such as the c
-  replicas i*c .. i*c + c - 1 of a coordinate, when the runs are long against
-  the number of coefficients r and the call holds enough of them: the Horner
-  values at a run's first r points seed a difference table, which then steps
-  along the run at r - 1 modular additions per point. The stepping needs no
-  coefficients, so the runs of every row share one table.
+- Forward differences along runs of L consecutive points: the Horner values
+  at a run's first r points seed a difference table, which then steps along
+  the run at r - 1 modular additions per point. The stepping needs no
+  coefficients, so the runs of every row share one table. L is the caller's
+  `run`, such as the c replicas i*c .. i*c + c - 1 of a coordinate, or,
+  when every segment is one consecutive range, any multiple of it that
+  divides the segment length. One cost rule, `_difference_gain`, picks L or
+  Horner.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -35,6 +42,11 @@ import numpy as np
 MERSENNE61 = (1 << 61) - 1
 
 _MASK64 = (1 << 64) - 1
+
+# splitmix64's state increment and mixer multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 # Deterministic Miller-Rabin witness set, exact for every n below 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -90,10 +102,10 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
     """
     state = seed & _MASK64
     while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        state = (state + _GAMMA) & _MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         yield z ^ (z >> 31)
 
 
@@ -118,30 +130,89 @@ class KWiseGenerator:
         return len(self.coefficients)
 
 
-def new_generator(seed: int, degree: int, range_size: int,
-                  field: PrimeField = DEFAULT_FIELD) -> KWiseGenerator:
-    """Expand a 64-bit seed into a fresh generator.
+def _stream_coefficients(seed: int, degree: int, p: int) -> list[int]:
+    # the expansion's definition: truncated stream outputs, rejecting those >= p
+    mask = (1 << p.bit_length()) - 1
+    candidates = (value & mask for value in splitmix64_stream(seed))
+    return list(islice((c for c in candidates if c < p), degree))
+
+
+@dataclass(frozen=True, eq=False)
+class GeneratorBlock:
+    """Generators of one field, degree and range, one per row of a read-only
+    (rows, degree) uint64 coefficient matrix; row j is the generator whose
+    coefficients are coefficients[j]."""
+
+    field: PrimeField
+    coefficients: np.ndarray
+    range_size: int
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.coefficients)
+        if values.dtype.kind not in "iu" or values.ndim != 2 or 0 in values.shape:
+            raise ValueError("coefficients must be a non-empty (rows, degree) integer array")
+        if not 1 <= self.range_size <= self.field.modulus:
+            raise ValueError("range must satisfy 1 <= range <= modulus")
+        if values.min() < 0 or int(values.max()) >= self.field.modulus:
+            raise ValueError("coefficients must be field residues")
+        values = values.astype(np.uint64)
+        values.flags.writeable = False
+        object.__setattr__(self, "coefficients", values)
+
+    @property
+    def degree(self) -> int:
+        return self.coefficients.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def row(self, j: int) -> KWiseGenerator:
+        return KWiseGenerator(field=self.field, coefficients=tuple(self.coefficients[j].tolist()),
+                              range_size=self.range_size)
+
+
+def generator_block(seeds, degree: int, range_size: int,
+                    field: PrimeField = DEFAULT_FIELD) -> GeneratorBlock:
+    """Expand each 64-bit seed into one row of generator coefficients.
 
     Coefficient j consumes splitmix64 outputs until one, truncated to
     modulus.bit_length() bits, lands in [0, modulus); that value becomes the
-    coefficient of x^j. Identical (seed, degree, range) always produce an
-    identical generator.
+    coefficient of x^j. Seeds are integers taken mod 2^64. One uint64 pass
+    mixes stream outputs 1 .. degree of every seed at once; a row with a
+    rejected candidate, which on the Mersenne field has probability about
+    degree * 2^-61, is refilled from splitmix64_stream.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     p = field.modulus
     if p.bit_length() > 64:
         raise ValueError("seed expansion supports moduli below 2^64")
-    mask = (1 << p.bit_length()) - 1
-    stream = splitmix64_stream(seed)
-    coefficients = []
-    for _ in range(degree):
-        while True:
-            candidate = next(stream) & mask
-            if candidate < p:
-                break
-        coefficients.append(candidate)
-    return KWiseGenerator(field=field, coefficients=tuple(coefficients), range_size=range_size)
+    if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
+        seeds = seeds.astype(np.uint64).reshape(-1)
+    else:
+        seeds = np.array([operator.index(s) & _MASK64 for s in seeds], dtype=np.uint64)
+    # output n of a seed's stream mixes seed + n * gamma (mod 2^64)
+    z = seeds[:, None] + np.arange(1, degree + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    z &= (1 << p.bit_length()) - 1
+    rejected = z >= p
+    if rejected.any():
+        for j in np.flatnonzero(rejected.any(axis=1)):
+            z[j] = _stream_coefficients(int(seeds[j]), degree, p)
+    return GeneratorBlock(field=field, coefficients=z, range_size=range_size)
+
+
+def new_generator(seed: int, degree: int, range_size: int,
+                  field: PrimeField = DEFAULT_FIELD) -> KWiseGenerator:
+    """Expand a 64-bit seed into a fresh generator: the one-row generator_block.
+
+    Identical (seed, degree, range) always produce an identical generator.
+    """
+    return generator_block((seed,), degree, range_size, field).row(0)
 
 
 def eval_bucket(gen: KWiseGenerator, index: int) -> int:
@@ -274,82 +345,98 @@ def _runs61(coefficients: np.ndarray, idx: np.ndarray, run: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _differences_pay(runs: int, run: int, degree: int) -> bool:
-    # Differences skip Horner's degree - 1 products at all but the first
-    # degree points of each run, but step at four numpy calls per point
-    # however few runs a call holds. Timed against Horner, they pay once the
-    # products skipped reach about 2^9 per step: the rule switches at 45 runs
-    # for run 115 and degree 14 (measured break-even 50-100 runs) and at 20
-    # for run 531 and degree 28 (measured 16-32).
-    return runs * (degree - 1) * (run - degree) > (run - 1) << 9
+def _difference_gain(points: int, length: int, degree: int) -> int:
+    # Horner products that forward differences over runs of `length` save,
+    # less the cost of their steps. They skip degree - 1 products at every
+    # point past the first `degree` of a run. Timed on the kernel, one step
+    # of the table costs about 384 products in numpy calls, however few runs
+    # a call holds, plus a sixth of a product per table entry. For runs of
+    # 115 at degree 14 the gain turns positive at 42 runs (measured
+    # break-even 30-100 runs), for runs of 531 at degree 28 at 19 (measured
+    # 16-32).
+    saved = (degree - 1) * (points - points // length * degree)
+    return saved - (degree - 1) * points // 6 - 384 * length
 
 
-def _generator_rows(gen) -> tuple[KWiseGenerator, ...]:
-    gens = gen if isinstance(gen, tuple) else (gen,)
-    if not gens:
-        raise ValueError("need at least one generator")
-    first = gens[0]
-    for g in gens[1:]:
-        if (g.field, g.degree, g.range_size) != (first.field, first.degree, first.range_size):
-            raise ValueError("generators must share field, degree and range")
-    return gens
+def _divisors(n: int) -> list[int]:
+    small = [q for q in range(1, math.isqrt(n) + 1) if n % q == 0]
+    return small + [n // q for q in reversed(small) if q * q != n]
 
 
-def _field_points(gens: tuple[KWiseGenerator, ...], points, run: int) -> np.ndarray:
+def _run_length(idx: np.ndarray, rows: int, run: int, degree: int) -> int:
+    # Forward differences' run length for these points, or 0 for Horner. Runs
+    # of `run` are given; when every segment is one consecutive range, any
+    # multiple of `run` that divides the segment length serves too, and the
+    # gain picks the best of them: near sqrt(r (r - 1) n / 384) for n points.
+    if not idx.size:
+        return 0
+    lengths = [run * q for q in _divisors(idx.size // (rows * run))]
+    best = max(lengths, key=lambda length: _difference_gain(idx.size, length, degree))
+    if best != run:
+        # each segment is one range when its run starts lie `run` apart; the
+        # steps between segments are free
+        starts = idx.reshape(-1)[::run]
+        steps = starts[1:] - starts[:-1]
+        steps[starts.size // rows - 1::starts.size // rows] = run
+        if (steps != run).any():
+            best = run
+    return best if _difference_gain(idx.size, best, degree) > 0 else 0
+
+
+def _field_points(field: PrimeField, rows: int, points, run: int) -> np.ndarray:
     idx = np.asarray(points)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"points must have an integer dtype, not {idx.dtype}")
     idx = np.ascontiguousarray(idx, dtype=np.uint64)
-    if idx.size and int(idx.max()) >= gens[0].field.modulus:
+    if idx.size and int(idx.max()) >= field.modulus:
         raise ValueError("index outside the field")
     if isinstance(run, bool) or not isinstance(run, (int, np.integer)) or run < 1:
         raise ValueError(f"run must be a positive integer, not {run!r}")
-    if (run > 1 or len(gens) > 1) and (idx.ndim != 1 or idx.size % (len(gens) * run)):
+    if (run > 1 or rows > 1) and (idx.ndim != 1 or idx.size % (rows * run)):
         # segments of a multiple of run points each: runs never cross a segment
-        raise ValueError(f"points do not split into {len(gens)} segments of runs of {run}")
+        raise ValueError(f"points do not split into {rows} segments of runs of {run}")
     if run > 1:
-        rows = idx.reshape(-1, run)
-        if np.any(rows[:, 1:] - rows[:, :-1] != 1):
+        runs = idx.reshape(-1, run)
+        if np.any(runs[:, 1:] - runs[:, :-1] != 1):
             raise ValueError(f"points are not runs of {run} consecutive indices")
     return idx
 
 
-def eval_bucket_batch(gen: KWiseGenerator | tuple[KWiseGenerator, ...], points, *,
+def eval_bucket_batch(gen: KWiseGenerator | GeneratorBlock, points, *,
                       run: int = 1) -> np.ndarray:
     """Vectorized eval_bucket; bit-identical to the scalar path.
 
-    `gen` is one generator or a tuple of generators with the same field,
-    degree and range. `points` is an integer array; given a tuple of n
-    generators, the flat `points` split into n equal consecutive segments and
-    generator j evaluates segment j. With `run` > 1 every segment must consist
-    of runs of `run` consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1,
-    ...), as the replicas of a coordinate are; enough runs longer than the
-    degree are evaluated by forward differences. Points that are not such
-    segments of runs raise.
+    `points` is an integer array. Given a GeneratorBlock of n rows, the flat
+    `points` split into n equal consecutive segments and row j evaluates
+    segment j. With `run` > 1 every segment must consist of runs of `run`
+    consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1, ...), as the
+    replicas of a coordinate are. Points that are not such segments of runs
+    raise.
     """
-    gens = _generator_rows(gen)
-    idx = _field_points(gens, points, run)
-    first = gens[0]
-    if first.field.modulus != MERSENNE61:
+    block = gen if isinstance(gen, GeneratorBlock) else None
+    rows = 1 if block is None else len(block)
+    idx = _field_points(gen.field, rows, points, run)
+    if gen.field.modulus != MERSENNE61:
+        gens = [gen] if block is None else [block.row(j) for j in range(rows)]
         return np.array([eval_bucket(g, int(i))
-                         for g, segment in zip(gens, idx.reshape(len(gens), -1))
+                         for g, segment in zip(gens, idx.reshape(rows, -1))
                          for i in segment], dtype=np.int64).reshape(idx.shape)
-    coefficients = np.array([g.coefficients for g in gens], dtype=np.uint64)
-    if _differences_pay(idx.size // run, run, first.degree):
-        values = _runs61(coefficients, idx, run)
-    else:
-        values = _horner61(coefficients, idx)
+    coefficients = (np.array([gen.coefficients], dtype=np.uint64) if block is None
+                    else block.coefficients)
+    length = _run_length(idx, rows, run, gen.degree)
+    values = (_runs61(coefficients, idx, length).reshape(idx.shape) if length
+              else _horner61(coefficients, idx))
     # v - (v // range) * range: numpy divides by a scalar without a hardware
     # division per element, unlike v % range; the result is below range < 2^61
-    quotient = values // np.uint64(first.range_size)
-    np.multiply(quotient, np.uint64(first.range_size), out=quotient)
+    quotient = values // np.uint64(gen.range_size)
+    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
     np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator | tuple[KWiseGenerator, ...], points, *,
+def eval_sign_batch(gen: KWiseGenerator | GeneratorBlock, points, *,
                     run: int = 1) -> np.ndarray:
     """Vectorized eval_sign; `gen`, `points` and `run` as for eval_bucket_batch."""
-    if any(g.range_size != 2 for g in _generator_rows(gen)):
+    if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
     return 1 - 2 * eval_bucket_batch(gen, points, run=run)

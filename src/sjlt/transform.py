@@ -22,6 +22,7 @@ from .kwise import (
     KWiseGenerator,
     eval_bucket_batch,
     eval_sign_batch,
+    generator_block,
     new_generator,
     reduction_bias_bound,
 )
@@ -178,6 +179,9 @@ class TransformSpec:
             raise ValueError("k must be at least m")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
+        if not (0 <= self.bucket_seed < 1 << 64 and 0 <= self.sign_seed < 1 << 64):
+            # generators take seeds mod 2^64: seeds outside one period alias
+            raise ValueError("bucket_seed and sign_seed must lie in [0, 2^64)")
         if self.bucket_seed == self.sign_seed:
             # equal seeds give the bucket and sign hashes the same polynomial
             raise ValueError("bucket_seed and sign_seed must differ")
@@ -276,12 +280,13 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
 
     Trial t projects `weights` at the n flat uint64 `points` (runs of spec.c
     replicas, see `eval_bucket_batch`) through fresh spec generators seeded
-    (bucket_seed + t, sign_seed + t) and counts when `hit(sums)` holds, so its
-    outcome is fixed by its seeds alone. Trials go through the kernel in
-    blocks of max(1, HORNER_BLOCK // max(n, k)) rows, one trial per row: a
-    block hashes one segment of `points` per trial with one call per hash,
-    sums all its rows in one 2-D `signed_bucket_sums`, and calls `hit` on
-    the rows in trial order.
+    (bucket_seed + t, sign_seed + t) mod 2^64 and counts when `hit(sums)`
+    holds, so its outcome is fixed by its seeds alone. Trials go through the
+    kernel in blocks of max(1, HORNER_BLOCK // max(n, k)) rows, one trial per
+    row: a block expands its seeds into one GeneratorBlock per hash, hashes
+    one segment of `points` per trial with one call per hash, sums all its
+    rows in one 2-D `signed_bucket_sums`, and calls `hit` on the rows in
+    trial order.
     """
     k, degree, run = spec.k, spec.independence_degree, spec.c
     rows = max(1, HORNER_BLOCK // max(points.size, k))
@@ -290,13 +295,13 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     def count(start: int, stop: int) -> int:
         hits = 0
         for first in range(start, stop, rows):
-            trials = range(first, min(first + rows, stop))
-            buckets = tuple(new_generator(spec.bucket_seed + t, degree, k) for t in trials)
-            signs = tuple(new_generator(spec.sign_seed + t, degree, 2) for t in trials)
-            block = tiled[:len(trials) * points.size]
+            trials = np.arange(first, min(first + rows, stop), dtype=np.uint64)
+            buckets = generator_block(trials + np.uint64(spec.bucket_seed), degree, k)
+            signs = generator_block(trials + np.uint64(spec.sign_seed), degree, 2)
+            block = tiled[:trials.size * points.size]
             sums = signed_bucket_sums(
-                eval_bucket_batch(buckets, block, run=run).reshape(len(trials), -1),
-                eval_sign_batch(signs, block, run=run).reshape(len(trials), -1), weights, k)
+                eval_bucket_batch(buckets, block, run=run).reshape(trials.size, -1),
+                eval_sign_batch(signs, block, run=run).reshape(trials.size, -1), weights, k)
             hits += sum(hit(row) for row in sums)
         return hits
 

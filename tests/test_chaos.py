@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sjlt.chaos
+import sjlt.transform
+from sjlt import kwise
 from sjlt.chaos import (
     ChaosInstance,
     RandomnessAssignment,
@@ -667,6 +669,85 @@ def test_trial_loops_match_per_trial_reference():
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             assert count(0, trials) == sum(hits[:trials])
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
+
+
+def _dense_trial_case(d, kappa_c):
+    # a non-dyadic vector with every coordinate nonzero: each trial's replica
+    # points 0 .. d*c - 1 form one consecutive range
+    rng = np.random.default_rng(d)
+    dense = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+    dense /= np.linalg.norm(dense)
+    x = DenseVector(tuple(dense.tolist()))
+    spec = derive_spec(d, 0.25, 0.01, 4321, 56789, (1.0, 0.11, kappa_c))
+    return x, SparseVector.from_dense(x.values), spec
+
+
+def _dense_reference_outcomes(spec, x, sparse, trials):
+    # per trial (distortion failed, tail hit), from one-trial reference sums
+    c, k, degree = spec.c, spec.k, spec.independence_degree
+    points = np.arange(spec.d * c, dtype=np.uint64)
+    weights = np.repeat([v for _, v in sparse.entries], c)
+    replicated = duplicate_rescale(x.to_numpy(), c)
+    norm_sq = float(replicated @ replicated)
+    outcomes = []
+    for t in range(trials):
+        sums = _reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
+                                      points, weights)
+        y = sums / math.sqrt(c)
+        ratio = float(np.sqrt(y @ y)) / sparse.norm()
+        tail = _reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
+                                      points, replicated)
+        outcomes.append((ratio < 1.0 - spec.epsilon or ratio > 1.0 + spec.epsilon,
+                         abs(float(tail @ tail) - norm_sq) >= spec.epsilon))
+    return outcomes
+
+
+def _tail_counter(spec, x):
+    replicated = duplicate_rescale(x.to_numpy(), spec.c)
+    norm_sq = float(replicated @ replicated)
+    points = np.arange(replicated.size, dtype=np.uint64)
+    return trial_counter(spec, points, replicated,
+                         lambda s: abs(float(s @ s) - norm_sq) >= spec.epsilon)
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("kappa_c, expected_c", [(0.1, 1), (2.0, 18)])
+def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
+    # the dense counterpart of the test above: a block's points are one
+    # consecutive range per trial, which the kernel steps in runs longer
+    # than c, while the reference hashes one trial at a time by Horner
+    d = 24
+    x, sparse, spec = _dense_trial_case(d, kappa_c)
+    c, k, degree = spec.c, spec.k, spec.independence_degree
+    assert (c, degree, sparse.nnz) == (expected_c, 10, d)
+    rows = max(1, HORNER_BLOCK // max(d * c, k))
+    block = np.tile(np.arange(d * c, dtype=np.uint64), rows)
+    assert kwise._run_length(block, rows, c, degree) > max(c, degree)
+    outcomes = _dense_reference_outcomes(spec, x, sparse, max(1000, 2 * rows + 3))
+    fails, hits = ([outcome[j] for outcome in outcomes] for j in (0, 1))
+    assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
+    count = _tail_counter(spec, x)
+    for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
+        assert distortion_bench(spec, trials, x=sparse).failures == sum(fails[:trials])
+        assert count(0, trials) == sum(hits[:trials])
+    assert tail_estimate(spec, 1000, x=x).hits == sum(hits[:1000])
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("horner_block", [1, 7, 4096])
+def test_trial_counts_do_not_depend_on_horner_block(monkeypatch, horner_block):
+    # the block size sets how many trials share a kernel call, the Horner
+    # width and the difference-table chunks; no count may move with it. At
+    # the default size the c = 18 block takes runs of 36.
+    cases = [_dense_trial_case(d, kappa_c) for d, kappa_c in ((24, 0.1), (6, 2.0))]
+
+    def counts():
+        return [_tail_counter(spec, x)(3, 33) for x, _, spec in cases]
+
+    expected = counts()
+    monkeypatch.setattr(kwise, "HORNER_BLOCK", horner_block)
+    monkeypatch.setattr(sjlt.transform, "HORNER_BLOCK", horner_block)
+    assert counts() == expected
 
 
 def test_tail_markov_consistency():

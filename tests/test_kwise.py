@@ -14,12 +14,14 @@ from sjlt import kwise
 from sjlt.kwise import (
     DEFAULT_FIELD,
     MERSENNE61,
+    GeneratorBlock,
     KWiseGenerator,
     PrimeField,
     eval_bucket,
     eval_bucket_batch,
     eval_sign,
     eval_sign_batch,
+    generator_block,
     is_prime,
     new_generator,
     reduction_bias_bound,
@@ -140,10 +142,16 @@ def test_range_containment_bulk():
 
 
 def test_fixture_vectors_stable():
+    rows = {}
     for line in FIXTURE.read_text().splitlines():
         seed_text, degree_text, coeff_text = line.split(";")
         g = new_generator(int(seed_text), int(degree_text), 16)
         assert tuple(int(c) for c in coeff_text.split(",")) == g.coefficients
+        rows.setdefault(g.degree, []).append((int(seed_text), list(g.coefficients)))
+    # the seeds of one degree expand in one block to the same rows
+    for degree, pairs in rows.items():
+        block = generator_block([seed for seed, _ in pairs], degree, 16)
+        assert block.coefficients.tolist() == [coefficients for _, coefficients in pairs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,9 +300,9 @@ def test_horner_adversarial_values(degree):
 
 
 @st.composite
-def segmented_generators(draw):
-    # (generators, points, run): one segment of runs per generator, some of
-    # them ending at the top of the field; a long segment exceeds HORNER_BLOCK
+def generator_blocks(draw):
+    # (block, points, run): one segment of runs per row, some of them ending
+    # at the top of the field; a long segment exceeds HORNER_BLOCK
     degree = draw(st.integers(min_value=1, max_value=16))
     run = draw(st.sampled_from([1, degree, degree + 1, 3 * degree]))
     long = draw(st.booleans())
@@ -303,65 +311,247 @@ def segmented_generators(draw):
     range_size = draw(st.integers(min_value=1, max_value=5000))
     seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                           min_size=count, max_size=count))
-    gens = tuple(new_generator(seed, degree, range_size) for seed in seeds)
+    block = generator_block(seeds, degree, range_size)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
     top = MERSENNE61 - 1 - run
     starts = rng.integers(0, top, size=count * runs, endpoint=True, dtype=np.uint64)
     if draw(st.booleans()):
         starts[::2] = np.uint64(top) - rng.integers(0, 64, size=starts[::2].size, dtype=np.uint64)
     points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
-    return gens, points, run
+    return block, points, run
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=segmented_generators())
-def test_generator_tuples_match_one_generator_calls(case):
-    gens, points, run = case
+@given(case=generator_blocks())
+def test_generator_blocks_match_one_generator_calls(case):
+    block, points, run = case
+    gens = [block.row(j) for j in range(len(block))]
     segments = points.reshape(len(gens), -1)
     expected = np.concatenate([eval_bucket_batch(g, segment, run=run)
                                for g, segment in zip(gens, segments)])
-    assert eval_bucket_batch(gens, points, run=run).tolist() == expected.tolist()
+    assert eval_bucket_batch(block, points, run=run).tolist() == expected.tolist()
     # both kernel paths, whichever one the call picks
-    coefficients = np.array([g.coefficients for g in gens], dtype=np.uint64)
-    range_size = np.uint64(gens[0].range_size)
-    for values in (kwise._horner61(coefficients, points), kwise._runs61(coefficients, points, run)):
+    range_size = np.uint64(block.range_size)
+    for values in (kwise._horner61(block.coefficients, points),
+                   kwise._runs61(block.coefficients, points, run)):
         assert (values % range_size).tolist() == expected.tolist()
     # the scalar reference, on every point of short segments and a sample of long ones
     step = 1 if segments.shape[1] <= 200 else 97
     for j, (g, segment) in enumerate(zip(gens, segments)):
         for position in list(range(0, segment.size, step)) + list(range(segment.size))[-3:]:
             assert expected[j * segment.size + position] == eval_bucket(g, int(segment[position]))
-    if gens[0].range_size == 2:
+    if block.range_size == 2:
         signs = [eval_sign_batch(g, segment, run=run).tolist() for g, segment in zip(gens, segments)]
-        assert eval_sign_batch(gens, points, run=run).tolist() == sum(signs, [])
+        assert eval_sign_batch(block, points, run=run).tolist() == sum(signs, [])
 
 
-def test_generator_tuples_reject_mismatched_input():
-    g = new_generator(1, 3, 7)
+def test_generator_blocks_reject_mismatched_input():
+    block = generator_block([1, 2], 3, 7)
     points = np.arange(12, dtype=np.uint64)
     bad = [
-        ((g, new_generator(2, 4, 7)), points, 1),   # mixed degrees
-        ((g, new_generator(2, 3, 8)), points, 1),   # mixed ranges
-        ((), points, 1),                             # no generator
-        ((g, g), points[:5], 1),                     # 5 points over 2 generators
-        ((g, g, g), points[:8], 1),
-        ((g, g), points[:6], 2),                     # segments of 3 split runs of 2
-        ((g, g), np.r_[points[:6], [6, 7, 9, 10, 11, 12]], 3),  # second segment breaks a run
-        ((g, g), points.reshape(2, 6), 1),           # points must be flat
+        (block, points[:5], 1),                         # 5 points over 2 rows
+        (generator_block([1, 2, 3], 3, 7), points[:8], 1),
+        (block, points[:6], 2),                         # segments of 3 split runs of 2
+        (block, np.r_[points[:6], [6, 7, 9, 10, 11, 12]], 3),  # second segment breaks a run
+        (block, points.reshape(2, 6), 1),               # points must be flat
     ]
-    for gens, pts, run in bad:
+    for gen, pts, run in bad:
         with pytest.raises(ValueError):
-            eval_bucket_batch(gens, pts, run=run)
+            eval_bucket_batch(gen, pts, run=run)
     with pytest.raises(ValueError):
-        eval_sign_batch((new_generator(1, 3, 2), g), points)
-    assert eval_bucket_batch((g, g, g), points[:0], run=3).tolist() == []
+        eval_sign_batch(block, points)
+    assert eval_bucket_batch(generator_block([1, 2, 3], 3, 7), points[:0], run=3).tolist() == []
+    for coefficients in ([[1, 2], [3]], np.zeros((0, 3)), np.zeros((2, 0)), [[1.5, 2.0]],
+                         [[0, MERSENNE61]], [[-1, 2]]):
+        with pytest.raises(ValueError):
+            GeneratorBlock(DEFAULT_FIELD, coefficients, 7)
+    with pytest.raises(ValueError):
+        GeneratorBlock(DEFAULT_FIELD, [[1, 2]], 0)
+    with pytest.raises(TypeError):
+        generator_block(np.array([1.0, 2.0]), 3, 7)
+    with pytest.raises(ValueError):
+        generator_block([1, 2], 0, 7)
+    with pytest.raises(ValueError):
+        block.coefficients[0, 0] = 5
 
 
 def test_path_rule_follows_the_measured_break_even():
-    # c = 115 replicas at 14 coefficients: Horner below 45 runs (one run is
-    # what a 1-nnz apply and column_structure hash), differences from there;
-    # runs no longer than the degree and empty calls always take Horner
-    assert not any(kwise._differences_pay(runs, 115, 14) for runs in (0, 1, 25))
-    assert all(kwise._differences_pay(runs, 115, 14) for runs in (100, 10**4))
-    assert not kwise._differences_pay(10**6, 14, 14)
-    assert not kwise._differences_pay(10**6, 1, 1)
+    # c = 115 replicas at 14 coefficients, at scattered coordinates: Horner
+    # below 42 runs (one run is what a 1-nnz apply and column_structure
+    # hash), differences over runs of 115 from there; runs no longer than the
+    # degree and empty calls always take Horner
+    def scattered(runs, run):
+        starts = np.arange(runs, dtype=np.uint64) * np.uint64(3 * run)
+        return (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
+
+    assert [kwise._run_length(scattered(runs, 115), 1, 115, 14) for runs in (0, 1, 25, 41)] == [0] * 4
+    assert [kwise._run_length(scattered(runs, 115), 1, 115, 14) for runs in (42, 100, 10**4)] == [115] * 3
+    assert kwise._run_length(scattered(19, 531), 1, 531, 28) == 531
+    assert kwise._run_length(scattered(18, 531), 1, 531, 28) == 0
+    assert kwise._run_length(scattered(10**4, 14), 1, 14, 14) == 0
+    assert kwise._run_length(scattered(10**4, 1), 1, 1, 1) == 0
+
+
+def test_run_length_rule_follows_the_measured_optima():
+    # one consecutive range per segment: the rule picks the run lengths that
+    # timed fastest (16 x 1024 and 64 x 256 points at 6 coefficients: 32,
+    # 2.1-2.7x faster than Horner; 3 x 4608 replicas of 18 at 10: 72, 2.2x
+    # faster than runs of 18), and Horner where no divisor of the segment
+    # length pays (a prime segment, a single run of 115)
+    def ranges(rows, length, start=0):
+        return np.tile(np.arange(start, start + length, dtype=np.uint64), rows)
+
+    assert kwise._run_length(ranges(16, 1024), 16, 1, 6) == 32
+    assert kwise._run_length(ranges(64, 256), 64, 1, 6) == 32
+    assert kwise._run_length(ranges(3, 4608), 3, 18, 10) == 72
+    assert kwise._run_length(ranges(16, 1021), 16, 1, 6) == 0
+    assert kwise._run_length(ranges(1, 115, 115 * 7), 1, 115, 14) == 0
+    # segments that start anywhere, and the last points of the field
+    shifted = np.concatenate([np.arange(x, x + 1024, dtype=np.uint64)
+                              for x in (5, 10**9, MERSENNE61 - 1024, 0)] * 4)
+    assert kwise._run_length(shifted, 16, 1, 6) == 32
+    # one gap, or two segments in swapped order within one, keeps runs of `run`
+    gap = ranges(16, 1024)
+    gap[-100:] += np.uint64(1)
+    assert kwise._run_length(gap, 16, 1, 6) == 0
+    swapped = ranges(3, 4608)
+    swapped[:4608] = np.roll(swapped[:4608], 18)
+    assert kwise._run_length(swapped, 3, 18, 10) == 18
+
+
+def test_points_keep_their_shape_on_every_path():
+    # one generator takes points of any shape with run 1; a consecutive
+    # range may still take the long-run path
+    g = new_generator(17, 6, 1000)
+    for points in (np.arange(16384, dtype=np.uint64).reshape(128, 128),
+                   np.arange(2 ** 20, 2 ** 20 + 60, dtype=np.uint64).reshape(3, 4, 5)):
+        got = eval_bucket_batch(g, points)
+        assert got.shape == points.shape
+        assert got.reshape(-1).tolist() == [eval_bucket(g, int(i)) for i in points.reshape(-1)]
+    assert kwise._run_length(np.arange(16384, dtype=np.uint64).reshape(128, 128), 1, 1, 6) == 32
+
+
+def _segment_lengths(degree):
+    # primes, and lengths whose divisors all lie at or below the degree
+    return [1, 2, 3, 7, 13, 31, 257, 1021, 2 * degree, 4 * degree, 64, 256, 1024]
+
+
+@st.composite
+def long_run_cases(draw):
+    # (block, points, run, gap): rows of one consecutive range each, or with
+    # one gap in one segment; some ranges end at the top of the field
+    degree = draw(st.integers(min_value=1, max_value=16))
+    run = draw(st.sampled_from([1, 18, degree + 1 + draw(st.integers(0, 8))]))
+    per_segment = draw(st.sampled_from(_segment_lengths(degree)))
+    length = run * per_segment
+    rows = min(draw(st.integers(min_value=1, max_value=70)), max(1, 40000 // length))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                          min_size=rows, max_size=rows))
+    block = generator_block(seeds, degree, draw(st.integers(min_value=1, max_value=5000)))
+    top = MERSENNE61 - length - 1
+    starts = draw(st.lists(st.one_of(st.integers(min_value=0, max_value=top),
+                                     st.integers(min_value=top - 64, max_value=top)),
+                           min_size=rows, max_size=rows))
+    points = (np.array(starts, dtype=np.uint64)[:, None]
+              + np.arange(length, dtype=np.uint64)).reshape(-1)
+    gap = per_segment > 1 and draw(st.booleans())
+    if gap:
+        row = draw(st.integers(min_value=0, max_value=rows - 1))
+        cut = run * draw(st.integers(min_value=1, max_value=per_segment - 1))
+        points[row * length + cut:(row + 1) * length] += np.uint64(1)
+    return block, points, run, gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=long_run_cases(), data=st.data())
+def test_long_runs_match_horner_and_scalar(case, data):
+    block, points, run, gap = case
+    rows, degree = len(block), block.degree
+    length = kwise._run_length(points, rows, run, degree)
+    if gap:
+        assert length in (0, run)
+    horner = kwise._horner61(block.coefficients, points)
+    got = eval_bucket_batch(block, points, run=run)
+    assert got.tolist() == (horner % np.uint64(block.range_size)).tolist()
+    if not gap:
+        # every run length the rule may pick, not only the one it does pick
+        segment = points.size // rows
+        for L in [run * q for q in kwise._divisors(segment // run)]:
+            if degree < L <= 4096:
+                assert np.array_equal(kwise._runs61(block.coefficients, points, L), horner)
+    for position in data.draw(st.lists(st.integers(min_value=0, max_value=points.size - 1),
+                                       min_size=1, max_size=20)):
+        g = block.row(position // (points.size // rows))
+        assert got[position] == eval_bucket(g, int(points[position]))
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_M64 = 2**64 - 1
+
+
+def _scalar_splitmix64(seed, count):
+    # splitmix64 as published (Steele, Lea, Flood 2014), one output at a time
+    out, state = [], seed % 2**64
+    for _ in range(count):
+        state = (state + _GOLDEN) & _M64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _scalar_coefficients(seed, degree, p):
+    mask = (1 << p.bit_length()) - 1
+    coefficients, drawn = [], 0
+    while len(coefficients) < degree:
+        drawn += 4 * degree
+        outputs = _scalar_splitmix64(seed, drawn)
+        coefficients = [v & mask for v in outputs if v & mask < p][:degree]
+    return coefficients
+
+
+def _unmix(z):
+    # inverse of the splitmix64 mixer: undo each xorshift and odd multiply
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & _M64
+    z = unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & _M64
+    return unshift(z, 30)
+
+
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, F5, PrimeField(7)], ids=["m61", "f5", "f7"])
+def test_block_seed_expansion_matches_scalar_splitmix64(field):
+    rng = np.random.default_rng(field.modulus % 1000)
+    p = field.modulus
+    # the state whose first output is all ones: its first candidate is 2^61 - 1
+    first_rejected = (_unmix(_M64) - _GOLDEN) & _M64
+    assert _scalar_splitmix64(first_rejected, 1)[0] & MERSENNE61 == MERSENNE61
+    python_seeds = [0, 1, 2**63, _M64 - 2, first_rejected, -3, 2**64 + 5, 2**70 + 9]
+    for degree in range(1, 33):
+        array_seeds = rng.integers(0, 2**64, size=int(rng.integers(3, 40)), dtype=np.uint64)
+        # seeds near 2^64 wrap, as first + arange(n) does in a trial block
+        array_seeds[:3] = np.uint64(_M64 - 1) + np.arange(3, dtype=np.uint64)
+        for seeds in (python_seeds, array_seeds, array_seeds.astype(np.int64)):
+            block = generator_block(seeds, degree, 2, field)
+            assert block.coefficients.shape == (len(seeds), degree)
+            for seed, row in zip(seeds, block.coefficients.tolist()):
+                assert row == _scalar_coefficients(int(seed), degree, p)
+                assert new_generator(int(seed), degree, 2, field).coefficients == tuple(row)
+    if p == MERSENNE61:
+        row = generator_block([first_rejected], 4, 2).coefficients[0].tolist()
+        assert row == [v & MERSENNE61 for v in _scalar_splitmix64(first_rejected, 5)[1:]]
+    else:
+        # small fields reject often; most rows here take the refill path
+        block = generator_block(range(200), 8, 2, field)
+        mask = (1 << p.bit_length()) - 1
+        refilled = sum(any(v & mask >= p for v in _scalar_splitmix64(seed, 8))
+                       for seed in range(200))
+        assert refilled > 20
+        assert block.coefficients.tolist() == [_scalar_coefficients(s, 8, p) for s in range(200)]
