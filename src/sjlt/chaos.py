@@ -19,10 +19,10 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import (
-    BudgetExceededError,
     Multigraph,
     build_multigraph,
     check_assignment_budget,
+    check_power_budget,
     class_histograms,
     even_pair_multisets,
     weight,
@@ -194,10 +194,8 @@ def _cached_graphs(d: int, two_m: int) -> tuple[tuple[int, Multigraph], ...]:
 
 
 def _check_sequence_budget(d: int, two_m: int) -> None:
-    total = math.comb(d, 2) ** two_m
-    if total > SEQUENCE_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} sequences exceed the enumeration budget {SEQUENCE_ENUM_BUDGET}")
+    check_power_budget(math.comb(d, 2), two_m, SEQUENCE_ENUM_BUDGET,
+                       "sequences exceed the enumeration budget")
 
 
 def _iter_graphs(d: int, two_m: int):
@@ -330,17 +328,26 @@ class MomentReport:
         "d", "k", "m", "exact", "graph_expansion", "mc_mean", "mc_se", "rhs_bound")
 
 
+def check_moment_report(d: int, k: int, m: int, C: float) -> None:
+    """Every refusal of moment_report's exact phases, from the sizes of its
+    cell alone, so a caller can refuse before the d-entry vector is built."""
+    for name, value in (("d", d), ("k", k)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    _check_cap(C)
+    if m < 1:
+        raise ValueError("m must be positive")
+    check_assignment_budget(d, k)
+    _check_sequence_budget(d, 2 * m)
+
+
 def moment_report(inst: ChaosInstance, m: int, C: float,
                   trials: int, seed: int) -> MomentReport:
     """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound.
 
     Every refusal the exact phases can raise comes before the Monte Carlo.
     """
-    _check_cap(C)
-    if m < 1:
-        raise ValueError("m must be positive")
-    check_assignment_budget(inst.d, inst.k)
-    _check_sequence_budget(inst.d, 2 * m)
+    check_moment_report(inst.d, inst.k, m, C)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

@@ -14,8 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-from .chaos import ChaosInstance, MomentReport, TailReport, moment_report, tail_estimate
-from .graphs import CLASS_ENUM_BUDGET, BudgetExceededError, class_histogram
+from .chaos import (ChaosInstance, MomentReport, TailReport, check_moment_report, moment_report,
+                    tail_estimate)
+from .graphs import (CLASS_ENUM_BUDGET, BudgetExceededError, check_class_budget,
+                     check_power_budget, class_histogram)
 from .transform import (
     DEFAULT_KAPPA,
     DistortionReport,
@@ -101,8 +103,9 @@ def cmd_trials(args) -> int:
 def cmd_moment_report(args) -> int:
     if args.x != "uniform":
         raise ValueError("only --x uniform is supported")
-    instance = ChaosInstance.uniform(args.d, args.k)
     cap = args.C if args.C is not None else float(args.d)
+    check_moment_report(args.d, args.k, args.m, cap)
+    instance = ChaosInstance.uniform(args.d, args.k)
     report = moment_report(instance, args.m, cap, args.trials, args.seed)
     config = {"d": args.d, "k": args.k, "m": args.m, "x": args.x, "C": cap,
               "trials": args.trials, "seed": args.seed}
@@ -117,12 +120,13 @@ def cmd_graph_count(args) -> int:
         raise ValueError(f"i_max must be positive, got {args.i_max}")
     if args.budget < 1:
         raise ValueError(f"budget must be positive, got {args.budget}")
+    # every cell is checked before any is counted, in the order they run
+    for i in range(1, args.i_max + 1):
+        check_power_budget(i * (i - 1) // 2, 2 * args.m, args.budget,
+                           f"sequences at i={i} exceed the requested budget")
+        check_class_budget(i, 2 * args.m)
     rows = []
     for i in range(1, args.i_max + 1):
-        sequences = (i * (i - 1) // 2) ** (2 * args.m)
-        if sequences > args.budget:
-            raise BudgetExceededError(
-                f"i={i}: {sequences} sequences exceed the requested budget {args.budget}")
         started = time.perf_counter()
         counts = class_histogram(i, args.m)
         elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))

@@ -118,13 +118,21 @@ def squares(vertices, x: Sequence[float]) -> float:
     return out
 
 
+def check_power_budget(base: int, exponent: int, budget: int, refusal: str) -> int:
+    """The size base^exponent of an enumeration, refused above `budget` by a
+    message that names it as base^exponent. A size whose bit length alone
+    puts it past the budget is refused before any power is built."""
+    if exponent * (base.bit_length() - 1) < budget.bit_length():
+        total = base ** exponent
+        if total <= budget:
+            return total
+    raise BudgetExceededError(f"{base}^{exponent} {refusal} {budget}")
+
+
 def check_assignment_budget(d: int, k: int) -> int:
-    """The k^d * 2^d (hash, sign) assignments of d coordinates, within budget."""
-    total = (k ** d) * (2 ** d)
-    if total > ASSIGNMENT_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the exact enumeration budget {ASSIGNMENT_ENUM_BUDGET}")
-    return total
+    """The k^d * 2^d = (2k)^d (hash, sign) assignments of d coordinates, within budget."""
+    return check_power_budget(2 * k, d, ASSIGNMENT_ENUM_BUDGET,
+                              "assignments exceed the exact enumeration budget")
 
 
 def sequence_expectation(seq: PairSequence, x: Sequence[float], k: int, d: int) -> float:
@@ -155,11 +163,10 @@ def sequence_expectation(seq: PairSequence, x: Sequence[float], k: int, d: int) 
     return math.fsum(terms()) / total
 
 
-def _check_class_budget(n: int, two_m: int) -> None:
-    total = math.comb(n, 2) ** two_m
-    if total > CLASS_ENUM_BUDGET:
-        raise BudgetExceededError(
-            f"{total} sequences exceed the class enumeration budget {CLASS_ENUM_BUDGET}")
+def check_class_budget(n: int, two_m: int) -> None:
+    """The C(n,2)^2m pair sequences on n vertices, within the class budget."""
+    check_power_budget(math.comb(n, 2), two_m, CLASS_ENUM_BUDGET,
+                       "sequences exceed the class enumeration budget")
 
 
 def even_pair_multisets(vertices, two_m: int):
@@ -185,7 +192,7 @@ def even_pair_multisets(vertices, two_m: int):
 def _census(vertices: tuple[int, ...], two_m: int):
     """Counts by component number plus each member multiset's orderings and
     components, over the multisets covering every vertex with even degrees."""
-    _check_class_budget(len(vertices), two_m)
+    check_class_budget(len(vertices), two_m)
     counts: Counter[int] = Counter()
     members: list[tuple[int, tuple[frozenset[int], ...]]] = []
     every = sum(1 << v for v in vertices)
@@ -264,7 +271,7 @@ def class_histograms(n: int, m: int) -> dict[int, dict[int, int]]:
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     for i in range(1, n + 1):
-        _check_class_budget(i, 2 * m)
+        check_class_budget(i, 2 * m)
     return _class_tables(n, 2 * m)
 
 
@@ -279,7 +286,7 @@ def class_histogram(i: int, m: int) -> dict[int, int]:
     """
     if i < 1 or m < 1:
         raise ValueError("i and m must be positive")
-    _check_class_budget(i, 2 * m)
+    check_class_budget(i, 2 * m)
     return _class_counts(i, 2 * m)
 
 
@@ -288,12 +295,6 @@ def class_count(i: int, t: int, m: int) -> ClassCount:
     if min(i, t, m) < 1:
         raise ValueError("i, t and m must be positive")
     return ClassCount(i=i, t=t, m=m, count=class_histogram(i, m).get(t, 0))
-
-
-def class_count_over(vertices, t: int, m: int) -> int:
-    """Same count over an arbitrary vertex set; equals class_count by relabeling."""
-    n = len(set(vertices))
-    return class_histogram(n, m).get(t, 0) if n else 0
 
 
 def _pairings(elems: tuple[int, ...]):

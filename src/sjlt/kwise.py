@@ -22,11 +22,11 @@ bit for bit, by two routes:
 - Forward differences along runs of L consecutive points: the Horner values
   at a run's first r points seed a difference table, which then steps along
   the run at r - 1 modular additions per point. The stepping needs no
-  coefficients, so the runs of every row share one table. L is the caller's
-  `run`, such as the c replicas i*c .. i*c + c - 1 of a coordinate, or,
-  when every segment is one consecutive range, any multiple of it that
-  divides the segment length. One cost rule, `_difference_gain`, picks L or
-  Horner.
+  coefficients, so the runs of every row share one table. L comes from the
+  points: the gcd of their maximal consecutive runs, cut at segment ends,
+  such as c for the replicas i*c .. i*c + c - 1 of scattered coordinates,
+  or, when every segment is one consecutive range, any divisor of the
+  segment length. One cost rule, `_difference_gain`, picks L or Horner.
 """
 
 from __future__ import annotations
@@ -363,80 +363,64 @@ def _divisors(n: int) -> list[int]:
     return small + [n // q for q in reversed(small) if q * q != n]
 
 
-def _run_length(idx: np.ndarray, rows: int, run: int, degree: int) -> int:
-    # Forward differences' run length for these points, or 0 for Horner. Runs
-    # of `run` are given; when every segment is one consecutive range, any
-    # multiple of `run` that divides the segment length serves too, and the
-    # gain picks the best of them: near sqrt(r (r - 1) n / 384) for n points.
+def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
+    # Forward differences' run length for these points, or 0 for Horner. The
+    # maximal runs of consecutive points, cut at segment ends, are tiled by
+    # runs of their gcd, the unit. When every segment is one consecutive
+    # range, any divisor of its length serves too, and the gain picks the
+    # best of them: near sqrt(r (r - 1) n / 384) for n points.
     if not idx.size:
         return 0
-    lengths = [run * q for q in _divisors(idx.size // (rows * run))]
-    best = max(lengths, key=lambda length: _difference_gain(idx.size, length, degree))
-    if best != run:
-        # each segment is one range when its run starts lie `run` apart; the
-        # steps between segments are free
-        starts = idx.reshape(-1)[::run]
-        steps = starts[1:] - starts[:-1]
-        steps[starts.size // rows - 1::starts.size // rows] = run
-        if (steps != run).any():
-            best = run
-    return best if _difference_gain(idx.size, best, degree) > 0 else 0
+    flat = idx.reshape(-1)
+    segment = flat.size // rows
+    ends = np.ones(flat.size, dtype=bool)
+    np.not_equal(np.diff(flat), 1, out=ends[:-1])
+    ends[segment - 1::segment] = True
+    stops = np.flatnonzero(ends) + 1
+    lengths = (_divisors(segment) if stops.size == rows
+               else [int(np.gcd.reduce(np.diff(stops, prepend=0)))])
+    best = max(lengths, key=lambda length: _difference_gain(flat.size, length, degree))
+    return best if _difference_gain(flat.size, best, degree) > 0 else 0
 
 
-def _field_points(field: PrimeField, rows: int, points, run: int) -> np.ndarray:
+def eval_bucket_batch(gen: KWiseGenerator | GeneratorBlock, points) -> np.ndarray:
+    """Vectorized eval_bucket; bit-identical to the scalar path.
+
+    `points` is an integer array of field elements. Given a GeneratorBlock of
+    n rows, the flat `points` split into n equal consecutive segments and row
+    j evaluates segment j; one generator is the one-row case and takes points
+    of any shape. Runs of consecutive points are found in the points and
+    stepped by forward differences where that pays.
+    """
+    block = (gen if isinstance(gen, GeneratorBlock)
+             else GeneratorBlock(gen.field, [gen.coefficients], gen.range_size))
+    rows = len(block)
     idx = np.asarray(points)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"points must have an integer dtype, not {idx.dtype}")
     idx = np.ascontiguousarray(idx, dtype=np.uint64)
-    if idx.size and int(idx.max()) >= field.modulus:
+    if idx.size and int(idx.max()) >= block.field.modulus:
         raise ValueError("index outside the field")
-    if isinstance(run, bool) or not isinstance(run, (int, np.integer)) or run < 1:
-        raise ValueError(f"run must be a positive integer, not {run!r}")
-    if (run > 1 or rows > 1) and (idx.ndim != 1 or idx.size % (rows * run)):
-        # segments of a multiple of run points each: runs never cross a segment
-        raise ValueError(f"points do not split into {rows} segments of runs of {run}")
-    if run > 1:
-        runs = idx.reshape(-1, run)
-        if np.any(runs[:, 1:] - runs[:, :-1] != 1):
-            raise ValueError(f"points are not runs of {run} consecutive indices")
-    return idx
-
-
-def eval_bucket_batch(gen: KWiseGenerator | GeneratorBlock, points, *,
-                      run: int = 1) -> np.ndarray:
-    """Vectorized eval_bucket; bit-identical to the scalar path.
-
-    `points` is an integer array. Given a GeneratorBlock of n rows, the flat
-    `points` split into n equal consecutive segments and row j evaluates
-    segment j. With `run` > 1 every segment must consist of runs of `run`
-    consecutive indices (x0, x0 + 1, ..., x0 + run - 1, x1, ...), as the
-    replicas of a coordinate are. Points that are not such segments of runs
-    raise.
-    """
-    block = gen if isinstance(gen, GeneratorBlock) else None
-    rows = 1 if block is None else len(block)
-    idx = _field_points(gen.field, rows, points, run)
-    if gen.field.modulus != MERSENNE61:
-        gens = [gen] if block is None else [block.row(j) for j in range(rows)]
+    if rows > 1 and (idx.ndim != 1 or idx.size % rows):
+        raise ValueError(f"points do not split into {rows} equal segments")
+    if block.field.modulus != MERSENNE61:
+        gens = map(block.row, range(rows))
         return np.array([eval_bucket(g, int(i))
                          for g, segment in zip(gens, idx.reshape(rows, -1))
                          for i in segment], dtype=np.int64).reshape(idx.shape)
-    coefficients = (np.array([gen.coefficients], dtype=np.uint64) if block is None
-                    else block.coefficients)
-    length = _run_length(idx, rows, run, gen.degree)
-    values = (_runs61(coefficients, idx, length).reshape(idx.shape) if length
-              else _horner61(coefficients, idx))
+    length = _run_length(idx, rows, block.degree)
+    values = (_runs61(block.coefficients, idx, length).reshape(idx.shape) if length
+              else _horner61(block.coefficients, idx))
     # v - (v // range) * range: numpy divides by a scalar without a hardware
     # division per element, unlike v % range; the result is below range < 2^61
-    quotient = values // np.uint64(gen.range_size)
-    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
+    quotient = values // np.uint64(block.range_size)
+    np.multiply(quotient, np.uint64(block.range_size), out=quotient)
     np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator | GeneratorBlock, points, *,
-                    run: int = 1) -> np.ndarray:
-    """Vectorized eval_sign; `gen`, `points` and `run` as for eval_bucket_batch."""
+def eval_sign_batch(gen: KWiseGenerator | GeneratorBlock, points) -> np.ndarray:
+    """Vectorized eval_sign; `gen` and `points` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
-    return 1 - 2 * eval_bucket_batch(gen, points, run=run)
+    return 1 - 2 * eval_bucket_batch(gen, points)

@@ -278,8 +278,9 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
                   hit: Callable[[np.ndarray], bool]) -> Callable[[int, int], int]:
     """Count function over trial ranges, for `partitioned_count`.
 
-    Trial t projects `weights` at the n flat uint64 `points` (runs of spec.c
-    replicas, see `eval_bucket_batch`) through fresh spec generators seeded
+    Trial t projects `weights` at the n flat uint64 field `points`, such as
+    the replicas of a vector's nonzeros or one dense range (the kernel finds
+    their consecutive runs), through fresh spec generators seeded
     (bucket_seed + t, sign_seed + t) mod 2^64 and counts when `hit(sums)`
     holds, so its outcome is fixed by its seeds alone. Trials go through the
     kernel in blocks of max(1, HORNER_BLOCK // max(n, k)) rows, one trial per
@@ -288,7 +289,7 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     rows in one 2-D `signed_bucket_sums`, and calls `hit` on the rows in
     trial order.
     """
-    k, degree, run = spec.k, spec.independence_degree, spec.c
+    k, degree = spec.k, spec.independence_degree
     rows = max(1, HORNER_BLOCK // max(points.size, k))
     tiled = np.tile(points, rows)
 
@@ -300,8 +301,8 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
             signs = generator_block(trials + np.uint64(spec.sign_seed), degree, 2)
             block = tiled[:trials.size * points.size]
             sums = signed_bucket_sums(
-                eval_bucket_batch(buckets, block, run=run).reshape(trials.size, -1),
-                eval_sign_batch(signs, block, run=run).reshape(trials.size, -1), weights, k)
+                eval_bucket_batch(buckets, block).reshape(trials.size, -1),
+                eval_sign_batch(signs, block).reshape(trials.size, -1), weights, k)
             hits += sum(hit(row) for row in sums)
         return hits
 
@@ -320,8 +321,8 @@ def apply_with_generators(x: SparseVector, c: int, k: int,
                           sign_gen: KWiseGenerator) -> np.ndarray:
     """Project a sparse vector through explicit generators; returns k bucket sums."""
     points, weights = _replicas(x, c)
-    sums = signed_bucket_sums(eval_bucket_batch(bucket_gen, points, run=c),
-                              eval_sign_batch(sign_gen, points, run=c), weights, k)
+    sums = signed_bucket_sums(eval_bucket_batch(bucket_gen, points),
+                              eval_sign_batch(sign_gen, points), weights, k)
     return sums / math.sqrt(c)
 
 
@@ -336,8 +337,8 @@ def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
 def materialize(spec: TransformSpec) -> np.ndarray:
     """Dense k x d matrix equal to the transform; for small instances only."""
     points = np.arange(spec.d * spec.c, dtype=np.uint64)
-    buckets = eval_bucket_batch(bucket_generator(spec), points, run=spec.c)
-    signs = eval_sign_batch(sign_generator(spec), points, run=spec.c)
+    buckets = eval_bucket_batch(bucket_generator(spec), points)
+    signs = eval_sign_batch(sign_generator(spec), points)
     out = np.zeros((spec.k, spec.d))
     # unbuffered, in point order: replicas of a column add in replica order
     np.add.at(out, (buckets, np.repeat(np.arange(spec.d), spec.c)), signs / math.sqrt(spec.c))
@@ -349,8 +350,8 @@ def column_structure(spec: TransformSpec, column: int) -> list[tuple[int, int]]:
     if not 0 <= column < spec.d:
         raise ValueError(f"column {column} out of range")
     points = np.arange(column * spec.c, (column + 1) * spec.c, dtype=np.uint64)
-    return list(zip(eval_bucket_batch(bucket_generator(spec), points, run=spec.c).tolist(),
-                    eval_sign_batch(sign_generator(spec), points, run=spec.c).tolist()))
+    return list(zip(eval_bucket_batch(bucket_generator(spec), points).tolist(),
+                    eval_sign_batch(sign_generator(spec), points).tolist()))
 
 
 def apply_dense_baseline(kind: str, seed: int, k: int, x: SparseVector) -> DenseVector:

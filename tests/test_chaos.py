@@ -193,14 +193,14 @@ def test_moment_invariant_under_coordinate_permutation():
 
 
 def test_exact_moment_budget_guard():
-    # one budget on the k^d * 2^d assignments, with one message: 2^60 at d = 30, k = 2
+    # one budget on the k^d * 2^d = (2k)^d assignments, with one message: 4^30 at d = 30, k = 2
     inst = ChaosInstance.uniform(30, 2)
     with pytest.raises(BudgetExceededError) as moment:
         exact_moment(inst, 1)
     with pytest.raises(BudgetExceededError) as expectation:
         sequence_expectation(PairSequence(((1, 2), (1, 2))), inst.x, k=2, d=30)
     assert str(moment.value) == str(expectation.value) == (
-        "1152921504606846976 assignments exceed the exact enumeration budget 100000000")
+        "4^30 assignments exceed the exact enumeration budget 100000000")
 
 
 def canonical_partition(buckets) -> tuple[int, ...]:
@@ -317,7 +317,7 @@ def test_expansion_budget_message():
     # the budget counts ordered sequences: 28^6 at d = 8, m = 3
     with pytest.raises(BudgetExceededError) as excinfo:
         graph_expansion_moment(ChaosInstance.uniform(8, 1), 3)
-    assert str(excinfo.value) == "481890304 sequences exceed the enumeration budget 100000000"
+    assert str(excinfo.value) == "28^6 sequences exceed the enumeration budget 100000000"
 
 
 # float.hex pins of the exact oracles, taken from the plain enumerations: ordered
@@ -464,7 +464,7 @@ def test_moment_bound_budget_names_the_first_refused_vertex_count():
     with pytest.raises(BudgetExceededError) as excinfo:
         moment_upper_bound(ChaosInstance.uniform(3, 2), 4, 3.0)
     assert str(excinfo.value) == \
-        "2562890625 sequences exceed the class enumeration budget 1000000000"
+        "15^8 sequences exceed the class enumeration budget 1000000000"
 
 
 def test_moment_bound_dominates_exact_moment():
@@ -516,10 +516,10 @@ def test_non_finite_cap_rejected_before_any_phase(monkeypatch, cap):
 
 @pytest.mark.parametrize("d, k, m, error, message", [
     (14, 2, 1, BudgetExceededError,
-     "268435456 assignments exceed the exact enumeration budget 100000000"),
+     "4^14 assignments exceed the exact enumeration budget 100000000"),
     (3, 2, 0, ValueError, "m must be positive"),
     (8, 1, 3, BudgetExceededError,
-     "481890304 sequences exceed the enumeration budget 100000000"),
+     "28^6 sequences exceed the enumeration budget 100000000"),
 ])
 def test_exact_phase_refusals_come_before_any_phase(monkeypatch, d, k, m, error, message):
     def unreachable(*args, **kwargs):
@@ -609,7 +609,7 @@ def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
 def test_trial_loops_match_per_trial_reference():
     # non-dyadic entries and c > 1, where bucket sums are rounded, unlike the
     # dyadic c = 1 settings the benchmark's reference checks. The reference
-    # hashes one trial at a time, point by point (run=1); the loops hash
+    # hashes one trial at a time, point by point by Horner; the loops hash
     # blocks of trials, runs of c, by differences once c > degree. Trial
     # counts straddle the block boundaries, x has gaps so its replica points
     # are not one run, and odd k puts the rows of 2-D bucket sums at
@@ -722,7 +722,7 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
     assert (c, degree, sparse.nnz) == (expected_c, 10, d)
     rows = max(1, HORNER_BLOCK // max(d * c, k))
     block = np.tile(np.arange(d * c, dtype=np.uint64), rows)
-    assert kwise._run_length(block, rows, c, degree) > max(c, degree)
+    assert kwise._run_length(block, rows, degree) > max(c, degree)
     outcomes = _dense_reference_outcomes(spec, x, sparse, max(1000, 2 * rows + 3))
     fails, hits = ([outcome[j] for outcome in outcomes] for j in (0, 1))
     assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)

@@ -276,6 +276,55 @@ def test_budget_flag_lowers_the_cap(capsys):
     assert "budget=100" in out_text.splitlines()[0]
 
 
+def _refuse_work(monkeypatch):
+    # a graph-count cell or a moment-report vector that starts fails the test
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the budget refusal")
+
+    class NoInstance:
+        uniform = staticmethod(unreachable)
+
+    monkeypatch.setattr(sjlt.cli, "class_histogram", unreachable)
+    monkeypatch.setattr(sjlt.cli, "ChaosInstance", NoInstance)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["moment-report", "--d", "8000", "--k", "2", "--m", "1"],
+     "4^8000 assignments exceed the exact enumeration budget 100000000"),
+    (["moment-report", "--d", "26", "--k", "1", "--m", "3000"],
+     "325^6000 sequences exceed the enumeration budget 100000000"),
+    (["graph-count", "--m", "8000", "--i-max", "3"],
+     "3^16000 sequences at i=3 exceed the requested budget 1000000000"),
+    (["graph-count", "--m", "10", "--i-max", "4", "--budget", "1" + "0" * 30],
+     "3^20 sequences exceed the class enumeration budget 1000000000"),
+], ids=["assignments", "sequences", "requested", "class"])
+def test_budget_refusals_name_sizes_by_formula(monkeypatch, capsys, argv, message):
+    # sizes of thousands of digits (4^8000 has 4,817) are refused as
+    # budget-exceeded with one short line, before any work starts
+    _refuse_work(monkeypatch)
+    code, out, err = run(argv + ["--out", "-"], capsys)
+    assert (code, out, err) == (1, "", f"error: budget-exceeded: {message}\n")
+
+
+def test_moment_report_refuses_before_building_its_vector(monkeypatch, capsys):
+    # a 20-million-entry uniform vector is never built for a refused cell
+    _refuse_work(monkeypatch)
+    code, out, err = run(["moment-report", "--d", "20000000", "--k", "2", "--m", "1",
+                          "--out", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: budget-exceeded: 4^20000000 assignments exceed the exact "
+                   "enumeration budget 100000000\n")
+
+
+def test_graph_count_refuses_before_counting_any_cell(monkeypatch, capsys):
+    # cells i = 1, 2 fit, i = 3 does not: no cell is counted
+    _refuse_work(monkeypatch)
+    code, out, err = run(["graph-count", "--m", "200", "--i-max", "3", "--out", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: budget-exceeded: 3^400 sequences at i=3 exceed the requested "
+                   "budget 1000000000\n")
+
+
 def test_usage_error(capsys):
     code, _, err = run([], capsys)
     assert code == 2

@@ -15,9 +15,9 @@ from sjlt.graphs import (
     Multigraph,
     PairSequence,
     build_multigraph,
+    check_power_budget,
     check_structure,
     class_count,
-    class_count_over,
     class_histogram,
     class_histograms,
     disjoint_pair_families,
@@ -220,6 +220,22 @@ def test_class_count_budget():
         class_histogram(9, 3)   # 36^6 sequences
 
 
+def test_power_budget_is_exact_at_every_size():
+    # the bit-length shortcut refuses exactly the powers above the budget
+    for budget in (1, 2, 7, 8, 9, 10**8, 2**40 - 1, 2**40, 2**40 + 1):
+        for base in range(0, 40):
+            for exponent in range(1, 50):
+                total = base ** exponent
+                if total <= budget:
+                    assert check_power_budget(base, exponent, budget, "x exceed") == total
+                else:
+                    with pytest.raises(BudgetExceededError,
+                                       match=rf"^{base}\^{exponent} x exceed {budget}$"):
+                        check_power_budget(base, exponent, budget, "x exceed")
+    with pytest.raises(BudgetExceededError, match=r"^36\^20000000 "):
+        check_power_budget(36, 2 * 10**7, 10**9, "sequences exceed the budget")
+
+
 def test_one_pass_histograms_equal_the_single_ones():
     for m in (1, 2, 3):
         for n in range(1, 7):
@@ -236,7 +252,7 @@ def test_one_pass_budget_names_the_first_refused_vertex_count(n, m, first):
     with pytest.raises(BudgetExceededError) as one_pass:
         class_histograms(n, m)
     assert str(one_pass.value) == str(single.value) == (
-        f"{math.comb(first, 2) ** (2 * m)} sequences exceed the class enumeration "
+        f"{math.comb(first, 2)}^{2 * m} sequences exceed the class enumeration "
         "budget 1000000000")
 
 
@@ -252,20 +268,16 @@ def test_class_count_invariant_enforced():
 
 
 def test_symmetry_over_relabeled_vertex_sets():
+    # an enumeration over arbitrary vertex labels counts what the closed
+    # form counts on {1..n}
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        q = tuple(sorted(rng.choice(np.arange(1, 30), size=3, replace=False).tolist()))
-        assert class_count_over(q, 1, 2) == class_count(3, 1, 2).count
-    assert class_count_over((2, 5, 9, 11), 2, 2) == class_count(4, 2, 2).count
     for m in (1, 2, 3):
         for n in range(2, 7):
             vertices = rng.choice(np.arange(1, 100), size=n, replace=False).tolist()
-            histogram = class_histogram(n, m)
-            for t in range(1, n // 2 + 1):
-                assert class_count_over(vertices, t, m) == histogram.get(t, 0)
-                assert class_count_over(vertices + vertices[:1], t, m) == histogram.get(t, 0)
-    assert class_count_over((), 1, 2) == 0
-    assert class_count_over((7,), 1, 2) == 0
+            counts, _ = _census(tuple(sorted(vertices)), 2 * m)
+            assert counts == class_histogram(n, m)
+    q = tuple(sorted(rng.choice(np.arange(1, 30), size=3, replace=False).tolist()))
+    assert _census(q, 4)[0].get(1, 0) == class_count(3, 1, 2).count
 
 
 def test_closed_form_counts_equal_the_census():

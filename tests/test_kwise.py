@@ -1,5 +1,6 @@
 """Generator contract tests: exhaustive uniformity, determinism, batch/scalar parity."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sjlt import kwise
@@ -192,31 +193,66 @@ def test_sign_batch_matches_scalar():
     assert set(batch.tolist()) <= {-1, 1}
 
 
+def _maximal_run_unit(points, rows):
+    # the gcd of the maximal consecutive runs, cut at segment ends, and
+    # whether every segment is one range; plain Python, one point at a time
+    flat = [int(x) for x in points.reshape(-1)]
+    segment = len(flat) // rows
+    lengths, length = [], 0
+    for position, x in enumerate(flat):
+        length += 1
+        if (position + 1) % segment == 0 or flat[position + 1] != x + 1:
+            lengths.append(length)
+            length = 0
+    return math.gcd(*lengths), len(lengths) == rows
+
+
 @st.composite
-def replica_runs(draw):
-    # (generator, points, run): runs of `run` consecutive indices, some of them
-    # ending at the top of the field, in counts that are rarely block multiples
+def point_sets(draw):
+    # (generator, points, run): pieces of a multiple of `run` consecutive
+    # indices, some ending at the top of the field, in counts that are rarely
+    # block multiples. A piece follows the last one directly (adjacent
+    # replicas merge into longer runs), after a gap, or anywhere in the field;
+    # with run 1 the points are arbitrary
     degree = draw(st.integers(min_value=1, max_value=16))
     run = draw(st.sampled_from([1, degree, degree + 1, 3 * degree,
                                 kwise.HORNER_BLOCK + degree + 1]))
-    cap = 2 if run > kwise.HORNER_BLOCK else 12
-    top = MERSENNE61 - 1 - run
+    long = run > kwise.HORNER_BLOCK
+    top = MERSENNE61 - 1 - 3 * run
     start = st.one_of(st.integers(min_value=0, max_value=top),
                       st.integers(min_value=top - 64, max_value=top))
-    starts = draw(st.lists(start, max_size=cap))
-    points = np.array([x + r for x in starts for r in range(run)], dtype=np.uint64)
+    pieces = draw(st.lists(st.tuples(st.integers(min_value=1, max_value=1 if long else 3),
+                                     st.one_of(st.just(0), st.integers(1, 3 * run), start)),
+                           max_size=2 if long else 12))
+    points, x = [], 0
+    for count, step in pieces:
+        # a step above 3 * run is a fresh start; a piece may not leave the field
+        x = step if step > 3 * run else min(x + step, MERSENNE61 - count * run)
+        points.extend(range(x, x + count * run))
+        x += count * run
     gen = new_generator(draw(st.integers(min_value=0, max_value=2**64 - 1)), degree,
                         draw(st.integers(min_value=1, max_value=5000)))
-    return gen, points, run
+    return gen, np.array(points, dtype=np.uint64), run
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=replica_runs())
+@given(case=point_sets())
 def test_run_paths_match_scalar(case):
     gen, points, run = case
     scalar = [eval_bucket(gen, int(i)) for i in points]
-    assert eval_bucket_batch(gen, points, run=1).tolist() == scalar
-    assert eval_bucket_batch(gen, points, run=run).tolist() == scalar
+    assert eval_bucket_batch(gen, points).tolist() == scalar
+    if not points.size:
+        return
+    # both kernel paths over runs that tile the points, whichever the call picks
+    coefficients = np.array([gen.coefficients], dtype=np.uint64)
+    for values in (kwise._horner61(coefficients, points),
+                   kwise._runs61(coefficients, points, run)):
+        assert (values % np.uint64(gen.range_size)).tolist() == scalar
+    # a run length that is no divisor of one range is the unit, never shorter
+    unit, one_range = _maximal_run_unit(points, 1)
+    assert unit % run == 0
+    assert kwise._run_length(points, 1, gen.degree) in (
+        [0] + kwise._divisors(points.size) if one_range else (0, unit))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 16])
@@ -227,29 +263,10 @@ def test_runs_span_several_table_chunks(degree):
     count = kwise.HORNER_BLOCK // degree + 3
     starts = np.arange(count, dtype=np.uint64) * np.uint64(5 * run) + np.uint64(2**60)
     points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
-    got = eval_bucket_batch(g, points, run=run).tolist()
-    assert got == [eval_bucket(g, int(i)) for i in points]
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=replica_runs(), data=st.data())
-def test_broken_runs_rejected(case, data):
-    gen, points, run = case
-    assume(run > 1 and points.size)
-    broken = points.copy()
-    position = data.draw(st.integers(min_value=0, max_value=points.size - 1))
-    broken[position] ^= np.uint64(1 << data.draw(st.integers(min_value=0, max_value=40)))
-    assume(int(broken[position]) < MERSENNE61)
-    with pytest.raises(ValueError):
-        eval_bucket_batch(gen, broken, run=run)
-    with pytest.raises(ValueError):
-        eval_bucket_batch(gen, points[1:], run=run)
-
-
-@pytest.mark.parametrize("run", [0, -3, 1.5, True])
-def test_run_must_be_positive_integer(run):
-    with pytest.raises(ValueError):
-        eval_bucket_batch(new_generator(3, 2, 7), np.arange(4, dtype=np.uint64), run=run)
+    scalar = [eval_bucket(g, int(i)) for i in points]
+    assert eval_bucket_batch(g, points).tolist() == scalar
+    got = kwise._runs61(np.array([g.coefficients], dtype=np.uint64), points, run)
+    assert (got % np.uint64(1000)).tolist() == scalar
 
 
 def test_non_integer_points_rejected():
@@ -302,7 +319,9 @@ def test_horner_adversarial_values(degree):
 @st.composite
 def generator_blocks(draw):
     # (block, points, run): one segment of runs per row, some of them ending
-    # at the top of the field; a long segment exceeds HORNER_BLOCK
+    # at the top of the field; a long segment exceeds HORNER_BLOCK. Runs sit
+    # anywhere, or in adjacent pairs that merge (across a segment end too),
+    # or each segment is one range with a gap at a random point
     degree = draw(st.integers(min_value=1, max_value=16))
     run = draw(st.sampled_from([1, degree, degree + 1, 3 * degree]))
     long = draw(st.booleans())
@@ -313,10 +332,18 @@ def generator_blocks(draw):
                           min_size=count, max_size=count))
     block = generator_block(seeds, degree, range_size)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
-    top = MERSENNE61 - 1 - run
+    top = MERSENNE61 - 1 - 2 * run
+    layout = draw(st.sampled_from(["scattered", "adjacent", "gap"]))
+    if layout == "gap":
+        starts = rng.integers(0, MERSENNE61 - runs * run - 1, size=(count, 1), dtype=np.uint64)
+        points = starts + np.arange(runs * run, dtype=np.uint64)
+        points[:, rng.integers(0, max(1, runs * run)):] += np.uint64(1)
+        return block, points.reshape(-1), 1
     starts = rng.integers(0, top, size=count * runs, endpoint=True, dtype=np.uint64)
     if draw(st.booleans()):
         starts[::2] = np.uint64(top) - rng.integers(0, 64, size=starts[::2].size, dtype=np.uint64)
+    if layout == "adjacent":
+        starts[1::2] = starts[:-1:2] + np.uint64(run)
     points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
     return block, points, run
 
@@ -327,9 +354,9 @@ def test_generator_blocks_match_one_generator_calls(case):
     block, points, run = case
     gens = [block.row(j) for j in range(len(block))]
     segments = points.reshape(len(gens), -1)
-    expected = np.concatenate([eval_bucket_batch(g, segment, run=run)
+    expected = np.concatenate([eval_bucket_batch(g, segment)
                                for g, segment in zip(gens, segments)])
-    assert eval_bucket_batch(block, points, run=run).tolist() == expected.tolist()
+    assert eval_bucket_batch(block, points).tolist() == expected.tolist()
     # both kernel paths, whichever one the call picks
     range_size = np.uint64(block.range_size)
     for values in (kwise._horner61(block.coefficients, points),
@@ -341,26 +368,31 @@ def test_generator_blocks_match_one_generator_calls(case):
         for position in list(range(0, segment.size, step)) + list(range(segment.size))[-3:]:
             assert expected[j * segment.size + position] == eval_bucket(g, int(segment[position]))
     if block.range_size == 2:
-        signs = [eval_sign_batch(g, segment, run=run).tolist() for g, segment in zip(gens, segments)]
-        assert eval_sign_batch(block, points, run=run).tolist() == sum(signs, [])
+        signs = [eval_sign_batch(g, segment).tolist() for g, segment in zip(gens, segments)]
+        assert eval_sign_batch(block, points).tolist() == sum(signs, [])
 
 
 def test_generator_blocks_reject_mismatched_input():
     block = generator_block([1, 2], 3, 7)
     points = np.arange(12, dtype=np.uint64)
     bad = [
-        (block, points[:5], 1),                         # 5 points over 2 rows
-        (generator_block([1, 2, 3], 3, 7), points[:8], 1),
-        (block, points[:6], 2),                         # segments of 3 split runs of 2
-        (block, np.r_[points[:6], [6, 7, 9, 10, 11, 12]], 3),  # second segment breaks a run
-        (block, points.reshape(2, 6), 1),               # points must be flat
+        (block, points[:5]),                            # 5 points over 2 rows
+        (generator_block([1, 2, 3], 3, 7), points[:8]),
+        (block, points.reshape(2, 6)),                  # points must be flat
     ]
-    for gen, pts, run in bad:
+    for gen, pts in bad:
         with pytest.raises(ValueError):
-            eval_bucket_batch(gen, pts, run=run)
+            eval_bucket_batch(gen, pts)
     with pytest.raises(ValueError):
         eval_sign_batch(block, points)
-    assert eval_bucket_batch(generator_block([1, 2, 3], 3, 7), points[:0], run=3).tolist() == []
+    assert eval_bucket_batch(generator_block([1, 2, 3], 3, 7), points[:0]).tolist() == []
+    # points need not form runs of any length: pieces that split or break a
+    # run, and points in any order, evaluate like every other point
+    for pts in (points[:6], np.r_[0, 1, 2, 6, 7, 9, 10, 11],
+                np.array([MERSENNE61 - 1, 0, 5, 4, 4, MERSENNE61 - 2])):
+        expected = [eval_bucket(block.row(j), int(x))
+                    for j, segment in enumerate(pts.reshape(2, -1)) for x in segment]
+        assert eval_bucket_batch(block, pts).tolist() == expected
     for coefficients in ([[1, 2], [3]], np.zeros((0, 3)), np.zeros((2, 0)), [[1.5, 2.0]],
                          [[0, MERSENNE61]], [[-1, 2]]):
         with pytest.raises(ValueError):
@@ -375,60 +407,78 @@ def test_generator_blocks_reject_mismatched_input():
         block.coefficients[0, 0] = 5
 
 
+def _replicas(coordinates, c):
+    # the flat points of coordinates' replicas, as transform lays them out
+    coordinates = np.asarray(coordinates, dtype=np.uint64)
+    return (coordinates[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
+
+
 def test_path_rule_follows_the_measured_break_even():
     # c = 115 replicas at 14 coefficients, at scattered coordinates: Horner
     # below 42 runs (one run is what a 1-nnz apply and column_structure
     # hash), differences over runs of 115 from there; runs no longer than the
     # degree and empty calls always take Horner
-    def scattered(runs, run):
-        starts = np.arange(runs, dtype=np.uint64) * np.uint64(3 * run)
-        return (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
+    def scattered(runs, c):
+        return _replicas(np.arange(runs) * 3, c)
 
-    assert [kwise._run_length(scattered(runs, 115), 1, 115, 14) for runs in (0, 1, 25, 41)] == [0] * 4
-    assert [kwise._run_length(scattered(runs, 115), 1, 115, 14) for runs in (42, 100, 10**4)] == [115] * 3
-    assert kwise._run_length(scattered(19, 531), 1, 531, 28) == 531
-    assert kwise._run_length(scattered(18, 531), 1, 531, 28) == 0
-    assert kwise._run_length(scattered(10**4, 14), 1, 14, 14) == 0
-    assert kwise._run_length(scattered(10**4, 1), 1, 1, 1) == 0
+    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (0, 1, 25, 30, 41)] == [0] * 5
+    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (42, 100, 10**4)] == [115] * 3
+    assert kwise._run_length(scattered(19, 531), 1, 28) == 531
+    assert kwise._run_length(scattered(18, 531), 1, 28) == 0
+    assert kwise._run_length(scattered(10**4, 14), 1, 14) == 0
+    assert kwise._run_length(scattered(10**4, 1), 1, 1) == 0
+    # adjacent coordinates merge into runs of 230 and 345; their unit is
+    # still 115, and a divisor of the unit (23 at 30 runs) is never taken
+    merged = _replicas([0, 1, 5, 9, 10, 11] + list(range(20, 20 + 3 * 40, 3)), 115)
+    assert kwise._run_length(merged, 1, 14) == 115
+    assert kwise._run_length(merged[:115 * 30], 1, 14) == 0
+    assert kwise._run_length(_replicas(np.arange(50) * 4, 230), 1, 14) == 230
+    # the benchmark's transform files: 50 to 2000 nonzeros among d = 2^20
+    rng = np.random.default_rng(11)
+    for nnz in (50, 51, 200, 2000):
+        coordinates = np.sort(rng.choice(2**20, size=nnz, replace=False))
+        assert kwise._run_length(_replicas(coordinates, 115), 1, 14) == 115
 
 
 def test_run_length_rule_follows_the_measured_optima():
     # one consecutive range per segment: the rule picks the run lengths that
-    # timed fastest (16 x 1024 and 64 x 256 points at 6 coefficients: 32,
-    # 2.1-2.7x faster than Horner; 3 x 4608 replicas of 18 at 10: 72, 2.2x
-    # faster than runs of 18), and Horner where no divisor of the segment
-    # length pays (a prime segment, a single run of 115)
+    # timed fastest (the benchmark's trial blocks, 16 x 1024 and 64 x 256
+    # points at 6 coefficients: 32, 2.1-2.7x faster than Horner; 3 x 4608
+    # replicas of 18 at 10: 64, as fast as 72 and faster than runs of 18),
+    # and Horner where no divisor of the segment length pays (a prime
+    # segment, a single run of 115)
     def ranges(rows, length, start=0):
         return np.tile(np.arange(start, start + length, dtype=np.uint64), rows)
 
-    assert kwise._run_length(ranges(16, 1024), 16, 1, 6) == 32
-    assert kwise._run_length(ranges(64, 256), 64, 1, 6) == 32
-    assert kwise._run_length(ranges(3, 4608), 3, 18, 10) == 72
-    assert kwise._run_length(ranges(16, 1021), 16, 1, 6) == 0
-    assert kwise._run_length(ranges(1, 115, 115 * 7), 1, 115, 14) == 0
+    assert kwise._run_length(ranges(16, 1024), 16, 6) == 32
+    assert kwise._run_length(ranges(64, 256), 64, 6) == 32
+    assert kwise._run_length(ranges(3, 4608), 3, 10) == 64
+    assert kwise._run_length(ranges(16, 1021), 16, 6) == 0
+    assert kwise._run_length(ranges(1, 115, 115 * 7), 1, 14) == 0
     # segments that start anywhere, and the last points of the field
     shifted = np.concatenate([np.arange(x, x + 1024, dtype=np.uint64)
                               for x in (5, 10**9, MERSENNE61 - 1024, 0)] * 4)
-    assert kwise._run_length(shifted, 16, 1, 6) == 32
-    # one gap, or two segments in swapped order within one, keeps runs of `run`
+    assert kwise._run_length(shifted, 16, 6) == 32
+    # a gap leaves runs of the gcd of the pieces' lengths: 4 here, Horner
     gap = ranges(16, 1024)
     gap[-100:] += np.uint64(1)
-    assert kwise._run_length(gap, 16, 1, 6) == 0
+    assert kwise._run_length(gap, 16, 6) == 0
+    # two pieces of a segment in swapped order: runs of their gcd, 18
     swapped = ranges(3, 4608)
     swapped[:4608] = np.roll(swapped[:4608], 18)
-    assert kwise._run_length(swapped, 3, 18, 10) == 18
+    assert kwise._run_length(swapped, 3, 10) == 18
 
 
 def test_points_keep_their_shape_on_every_path():
-    # one generator takes points of any shape with run 1; a consecutive
-    # range may still take the long-run path
+    # one generator takes points of any shape; a consecutive range may still
+    # take the long-run path
     g = new_generator(17, 6, 1000)
     for points in (np.arange(16384, dtype=np.uint64).reshape(128, 128),
                    np.arange(2 ** 20, 2 ** 20 + 60, dtype=np.uint64).reshape(3, 4, 5)):
         got = eval_bucket_batch(g, points)
         assert got.shape == points.shape
         assert got.reshape(-1).tolist() == [eval_bucket(g, int(i)) for i in points.reshape(-1)]
-    assert kwise._run_length(np.arange(16384, dtype=np.uint64).reshape(128, 128), 1, 1, 6) == 32
+    assert kwise._run_length(np.arange(16384, dtype=np.uint64).reshape(128, 128), 1, 6) == 32
 
 
 def _segment_lengths(degree):
@@ -438,8 +488,9 @@ def _segment_lengths(degree):
 
 @st.composite
 def long_run_cases(draw):
-    # (block, points, run, gap): rows of one consecutive range each, or with
-    # one gap in one segment; some ranges end at the top of the field
+    # (block, points): rows of one consecutive range each, or with one row
+    # broken by a gap, or by arbitrary points in place of its range; some
+    # ranges end at the top of the field
     degree = draw(st.integers(min_value=1, max_value=16))
     run = draw(st.sampled_from([1, 18, degree + 1 + draw(st.integers(0, 8))]))
     per_segment = draw(st.sampled_from(_segment_lengths(degree)))
@@ -454,34 +505,37 @@ def long_run_cases(draw):
                            min_size=rows, max_size=rows))
     points = (np.array(starts, dtype=np.uint64)[:, None]
               + np.arange(length, dtype=np.uint64)).reshape(-1)
-    gap = per_segment > 1 and draw(st.booleans())
-    if gap:
-        row = draw(st.integers(min_value=0, max_value=rows - 1))
+    row = draw(st.integers(min_value=0, max_value=rows - 1))
+    broken = draw(st.sampled_from(["none", "gap", "scattered"]))
+    if broken == "gap" and per_segment > 1:
         cut = run * draw(st.integers(min_value=1, max_value=per_segment - 1))
         points[row * length + cut:(row + 1) * length] += np.uint64(1)
-    return block, points, run, gap
+    elif broken == "scattered":
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+        points[row * length:(row + 1) * length] = rng.integers(
+            0, MERSENNE61, size=length, dtype=np.uint64)
+    return block, points
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=long_run_cases(), data=st.data())
 def test_long_runs_match_horner_and_scalar(case, data):
-    block, points, run, gap = case
+    block, points = case
     rows, degree = len(block), block.degree
-    length = kwise._run_length(points, rows, run, degree)
-    if gap:
-        assert length in (0, run)
+    segment = points.size // rows
+    length = kwise._run_length(points, rows, degree)
+    unit, one_range = _maximal_run_unit(points, rows)
+    assert length in ([0] + kwise._divisors(segment) if one_range else (0, unit))
     horner = kwise._horner61(block.coefficients, points)
-    got = eval_bucket_batch(block, points, run=run)
+    got = eval_bucket_batch(block, points)
     assert got.tolist() == (horner % np.uint64(block.range_size)).tolist()
-    if not gap:
-        # every run length the rule may pick, not only the one it does pick
-        segment = points.size // rows
-        for L in [run * q for q in kwise._divisors(segment // run)]:
-            if degree < L <= 4096:
-                assert np.array_equal(kwise._runs61(block.coefficients, points, L), horner)
+    # every run length the rule may pick, not only the one it does pick
+    for L in (kwise._divisors(segment) if one_range else [unit]):
+        if degree < L <= 4096:
+            assert np.array_equal(kwise._runs61(block.coefficients, points, L), horner)
     for position in data.draw(st.lists(st.integers(min_value=0, max_value=points.size - 1),
                                        min_size=1, max_size=20)):
-        g = block.row(position // (points.size // rows))
+        g = block.row(position // segment)
         assert got[position] == eval_bucket(g, int(points[position]))
 
 
