@@ -11,7 +11,10 @@ of a uint64 coefficient matrix; generator_block expands a whole array of
 seeds into one in a single numpy pass of the splitmix64 mixer, and
 new_generator is its one-row case. The batch evaluators take one generator
 or a block, whose row j evaluates the j-th equal segment of the flat points,
-so a block of independently seeded trials costs the numpy calls of one. On
+so a block of independently seeded trials costs the numpy calls of one. A
+block's rows need not share a role: at range lcm(k, 2) a value v mod
+lcm(k, 2) fixes both the bucket v mod k and the sign bit v mod 2, so one
+call can hash a block's buckets and signs together. On
 the Mersenne field 2^61 - 1 they are exact and give the scalar path's values
 bit for bit, by two routes:
 

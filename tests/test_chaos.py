@@ -671,6 +671,61 @@ def test_trial_loops_match_per_trial_reference():
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 12])
+def test_stacked_block_reduction_matches_per_trial_reference(k):
+    # A block hashes buckets and signs in one call at range lcm(k, 2) and
+    # reduces the halves to v mod k and v mod 2: k = 1 (range 2, every
+    # bucket 0), k = 2 (one range for both), odd k (buckets need a modulo)
+    # and even k (buckets are a view). Each trial's sums equal two one-trial
+    # calls bit for bit, across partial blocks and from a nonzero first
+    # trial; the bucket seed wraps past 2^64 in both. Full blocks step runs
+    # of c = 5 by differences, and short last blocks take Horner.
+    c, degree = 5, 4
+    spec = tail_spec(40, k, c, 0.5, 2**64 - 3, 777, degree)
+    indices = np.array([0, 3, 4, 11, 29, 39], dtype=np.uint64)
+    points = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
+    weights = np.random.default_rng(k).standard_normal(points.size)
+    rows = max(1, HORNER_BLOCK // max(points.size, k))
+    reference = [_reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
+                                        points, weights)
+                 for t in range(2 * rows + 4)]
+    for trials in (rows - 1, rows + 1, 2 * rows + 3):
+        for start in (0, 1):
+            seen = []
+            count = trial_counter(spec, points, weights, lambda s: seen.append(s) or True)
+            assert count(start, start + trials) == trials
+            assert np.array(seen).tobytes() == np.array(reference[start:start + trials]).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_trial_block_is_one_kernel_call(monkeypatch):
+    # The benchmark's traced kwise.hash_evals counts the points handed to
+    # sjlt.transform.eval_bucket_batch. A block of trials hashes its buckets
+    # and signs in one such call, so the count stays 2 evaluations per point
+    # and trial, and the trial path makes no eval_sign_batch call.
+    calls = []
+    original = sjlt.transform.eval_bucket_batch
+
+    def counted(gen, points):
+        calls.append(len(points))
+        return original(gen, points)
+
+    def refused(gen, points):
+        raise AssertionError("eval_sign_batch called on the trial path")
+
+    monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", counted)
+    monkeypatch.setattr(sjlt.transform, "eval_sign_batch", refused)
+    x, sparse, spec = _dense_trial_case(24, 0.1)
+    n = spec.d * spec.c
+    rows = max(1, HORNER_BLOCK // max(n, spec.k))
+    for trials, run in ((2 * rows + 3, lambda t: distortion_bench(spec, t, x=sparse)),
+                        (rows + 1, lambda t: _tail_counter(spec, x)(5, 5 + t))):
+        calls.clear()
+        run(trials)
+        assert len(calls) == -(-trials // rows)
+        assert sum(calls) == 2 * trials * n
+
+
 def _dense_trial_case(d, kappa_c):
     # a non-dyadic vector with every coordinate nonzero: each trial's replica
     # points 0 .. d*c - 1 form one consecutive range
@@ -721,8 +776,9 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
     c, k, degree = spec.c, spec.k, spec.independence_degree
     assert (c, degree, sparse.nnz) == (expected_c, 10, d)
     rows = max(1, HORNER_BLOCK // max(d * c, k))
-    block = np.tile(np.arange(d * c, dtype=np.uint64), rows)
-    assert kwise._run_length(block, rows, degree) > max(c, degree)
+    # a full block stacks 2 * rows segments: its bucket rows, then its sign rows
+    block = np.tile(np.arange(d * c, dtype=np.uint64), 2 * rows)
+    assert kwise._run_length(block, 2 * rows, degree) > max(c, degree)
     outcomes = _dense_reference_outcomes(spec, x, sparse, max(1000, 2 * rows + 3))
     fails, hits = ([outcome[j] for outcome in outcomes] for j in (0, 1))
     assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
@@ -738,16 +794,25 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
 def test_trial_counts_do_not_depend_on_horner_block(monkeypatch, horner_block):
     # the block size sets how many trials share a kernel call, the Horner
     # width and the difference-table chunks; no count may move with it. At
-    # the default size the c = 18 block takes runs of 36.
+    # the default size the c = 18 block takes runs of 36. The spike vector's
+    # points are scattered runs of c = 9 > degree 4, at odd k = 37; 120
+    # trials are enough for the default and 4096 blocks to step them by
+    # differences, while blocks of one trial take Horner.
     cases = [_dense_trial_case(d, kappa_c) for d, kappa_c in ((24, 0.1), (6, 2.0))]
+    spike_spec = TransformSpec(d=64, epsilon=0.15, delta=0.5, m=1, k=37, c=9,
+                               sparsity_gain=1.0, bucket_seed=31337, sign_seed=4242,
+                               independence_degree=4)
+    spikes = SparseVector(64, ((5, 0.5), (6, -0.5), (20, 0.5), (63, 0.5)))
 
     def counts():
-        return [_tail_counter(spec, x)(3, 33) for x, _, spec in cases]
+        return ([_tail_counter(spec, x)(3, 33) for x, _, spec in cases]
+                + [distortion_bench(spike_spec, 120, x=spikes).failures])
 
     expected = counts()
     monkeypatch.setattr(kwise, "HORNER_BLOCK", horner_block)
     monkeypatch.setattr(sjlt.transform, "HORNER_BLOCK", horner_block)
     assert counts() == expected
+    assert 0 < expected[-1] < 120
 
 
 def test_tail_markov_consistency():
