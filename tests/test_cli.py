@@ -1,9 +1,11 @@
 """CLI behavior: determinism, report schemas, verify mode, machine-readable errors."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sjlt.chaos
@@ -11,7 +13,9 @@ import sjlt.cli
 import sjlt.graphs
 from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
-from sjlt.transform import DistortionReport, derive_spec
+from sjlt.kwise import _run_length, eval_bucket, eval_sign
+from sjlt.transform import (DistortionReport, _replicas, apply, bucket_generator, derive_spec,
+                            format_dense_vector, parse_sparse_vector, sign_generator)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,6 +58,57 @@ def test_transform_bitwise_reproducible(tmp_path, capsys):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def _transform(infile, out, capsys, d=2 ** 20, epsilon="0.1", delta="1e-3",
+               bucket_seed=1234567, sign_seed=7654321):
+    return run(["transform", "--d", str(d), "--epsilon", epsilon, "--delta", delta,
+                "--bucket-seed", str(bucket_seed), "--sign-seed", str(sign_seed),
+                "--in", str(infile), "--out", str(out)], capsys)
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_transform_output_matches_apply_byte_for_byte(tmp_path, capsys):
+    d = 2 ** 20
+    spec = derive_spec(d, 0.1, 1e-3, 1234567, 7654321)
+    assert (spec.k, spec.c, spec.independence_degree) == (2800, 115, 14)
+    rng = np.random.default_rng(5)
+    lines = []
+    for nnz in (0, 1, 30, 300):
+        idx = np.sort(rng.choice(d, size=nnz, replace=False))
+        val = rng.standard_normal(nnz) * rng.lognormal(size=nnz)
+        lines.append(f"{d};" + ",".join(f"{i}:{v!r}" for i, v in zip(idx.tolist(), val.tolist())))
+    infile, out = tmp_path / "v.txt", tmp_path / "y.txt"
+    infile.write_text("\n".join(lines) + "\n")
+    code, _, err = _transform(infile, out, capsys)
+    assert code == 0, err
+    got = out.read_text(encoding="ascii").split("\n")
+    assert len(got) == 5 and got[-1] == ""
+    vectors = [parse_sparse_vector(line) for line in lines]
+    assert got[:-1] == [format_dense_vector(apply(spec, x)) for x in vectors]
+    # the one-entry line against the scalar hashes, summed in replica order
+    (i, value), = vectors[1].entries
+    bucket_gen, sign_gen = bucket_generator(spec), sign_generator(spec)
+    sums = [0.0] * spec.k
+    for point in range(i * spec.c, (i + 1) * spec.c):
+        sums[eval_bucket(bucket_gen, point)] += eval_sign(sign_gen, point) * value
+    assert got[1] == ",".join(f"{s / math.sqrt(spec.c):.17g}" for s in sums)
+    # nnz 1 and 30 hash by Horner, nnz 300 by forward differences along the replicas
+    for x, length in zip(vectors[1:], (0, 0, spec.c)):
+        points, _ = _replicas(x, spec.c)
+        assert _run_length(points, 1, spec.independence_degree) == length
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
+    # 50 entries of 1e308 put 5750 replicas in 2800 buckets: some sums overflow
+    d = 2 ** 20
+    infile, out = tmp_path / "v.txt", tmp_path / "y.txt"
+    infile.write_text(f"{d};3:1.5\n{d};" + ",".join(f"{i}:1e308" for i in range(50)) + "\n")
+    code, stdout, err = _transform(infile, out, capsys)
+    assert (code, stdout) == (1, "")
+    assert err == "error: invalid-parameter: dense vector entries must be finite\n"
+    assert not out.exists()
 
 
 def test_graph_count_rows(tmp_path, capsys):

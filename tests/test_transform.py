@@ -140,6 +140,71 @@ def test_parse_example_line():
     assert x.dim == 4 and x.entries == ((0, 1.0),)
     empty = parse_sparse_vector("3;")
     assert empty.nnz == 0
+    assert parse_sparse_vector("5;") == SparseVector(dim=5, entries=())
+
+
+@pytest.mark.parametrize("line, message", [
+    ("4 0:1.0\n", "missing ';' in sparse vector line: '4 0:1.0\\n'"),
+    ("4;0:1.0,2", "missing ':' in sparse entry '2'"),
+    ("4;0:1.0,", "missing ':' in sparse entry ''"),
+    ("4;0:1:2", "could not convert string to float: '1:2'"),
+    ("4;x:1.0", "invalid literal for int() with base 10: 'x'"),
+    ("4;:1.0", "invalid literal for int() with base 10: ''"),
+    ("4;1.5:1.0", "invalid literal for int() with base 10: '1.5'"),
+    ("4;0:abc", "could not convert string to float: 'abc'"),
+    ("x;0:1.0", "invalid literal for int() with base 10: 'x'"),
+    ("0;", "dim must be positive"),
+    ("-3;0:1.0", "dim must be positive"),
+    ("4;1:1.0,1:2.0", "indices must be strictly increasing"),
+    ("4;2:1.0,1:2.0", "indices must be strictly increasing"),
+    ("4;4:1.0", "index 4 out of range for dim 4"),
+    ("4;-1:1.0", "index -1 out of range for dim 4"),
+    ("4;99999999999999999999:1.0", "index 99999999999999999999 out of range for dim 4"),
+    ("4;1:0.0", "stored zeros are not allowed"),
+    ("4;1:-0", "stored zeros are not allowed"),
+    ("4;1:nan", "values must be finite"),
+    ("4;1:inf", "values must be finite"),
+    ("4;1:-inf", "values must be finite"),
+    ("4;1:1e999", "values must be finite"),
+])
+def test_parse_error_messages(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_sparse_vector(line)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    # entry text is read entry by entry, and the dimension after the entries
+    ("4;0:abc,2", "could not convert string to float: 'abc'"),
+    ("4;0,x:1.0", "missing ':' in sparse entry '0'"),
+    ("4;x:abc", "invalid literal for int() with base 10: 'x'"),
+    ("x;0:abc", "could not convert string to float: 'abc'"),
+    ("0;0:abc", "could not convert string to float: 'abc'"),
+    # every entry parses before any is checked against the dimension
+    ("4;9:1.0,x:1.0", "invalid literal for int() with base 10: 'x'"),
+    ("0;9:0.0", "dim must be positive"),
+    # the checks run entry by entry: range, order, zero, finiteness
+    ("4;5:1.0,1:0.0", "index 5 out of range for dim 4"),
+    ("4;1:0.0,9:1.0", "stored zeros are not allowed"),
+    ("4;9:0.0", "index 9 out of range for dim 4"),
+    ("4;2:1.0,1:0.0", "indices must be strictly increasing"),
+    ("4;1:nan,0:1.0", "values must be finite"),
+    ("4;1:1.0,0:nan", "indices must be strictly increasing"),
+    ("4;1:1.0,2:0.0,3:inf,9:1.0", "stored zeros are not allowed"),
+    ("4;0:1.0,1:inf,1:1.0", "values must be finite"),
+])
+def test_parse_reports_the_first_error(line, message):
+    with pytest.raises(ValueError) as info:
+        parse_sparse_vector(line)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_what_int_and_float_accept():
+    x = parse_sparse_vector(" 6 ; 0 : 1.5 , +2:-2e0,4:1_0 \n")
+    assert x == SparseVector(dim=6, entries=((0, 1.5), (2, -2.0), (4, 10.0)))
+    huge = parse_sparse_vector("99999999999999999999999;99999999999999999999:1.0")
+    assert huge.dim == 99999999999999999999999
+    assert huge.entries == ((99999999999999999999, 1.0),)
 
 
 @settings(max_examples=80, deadline=None)
