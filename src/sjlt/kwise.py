@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -131,6 +132,12 @@ class KWiseGenerator:
     @property
     def degree(self) -> int:
         return len(self.coefficients)
+
+    @cached_property
+    def block(self) -> GeneratorBlock:
+        """This generator as a one-row GeneratorBlock, the kernel's input; built once."""
+        return GeneratorBlock(self.field, np.array([self.coefficients], dtype=np.uint64),
+                              self.range_size)
 
 
 def _stream_coefficients(seed: int, degree: int, p: int) -> list[int]:
@@ -395,8 +402,7 @@ def eval_bucket_batch(gen: KWiseGenerator | GeneratorBlock, points) -> np.ndarra
     of any shape. Runs of consecutive points are found in the points and
     stepped by forward differences where that pays.
     """
-    block = (gen if isinstance(gen, GeneratorBlock)
-             else GeneratorBlock(gen.field, [gen.coefficients], gen.range_size))
+    block = gen if isinstance(gen, GeneratorBlock) else gen.block
     rows = len(block)
     idx = np.asarray(points)
     if idx.dtype.kind not in "iu":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from operator import itemgetter
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -72,7 +72,11 @@ class DenseVector:
 
 @dataclass(frozen=True)
 class SparseVector:
-    """Index/value pairs with strictly increasing indices and no stored zeros."""
+    """Index/value pairs with strictly increasing indices and no stored zeros.
+
+    `_arrays` holds the indices (int64; object when one lies outside int64)
+    and the float64 values as read-only arrays, the form every numpy user takes.
+    """
 
     dim: int
     entries: tuple[tuple[int, float], ...]
@@ -82,28 +86,11 @@ class SparseVector:
             raise ValueError("dim must be positive")
         entries = tuple((int(i), float(v)) for i, v in self.entries)
         object.__setattr__(self, "entries", entries)
-        previous = -1
-        for i, v in entries:
-            if not 0 <= i < self.dim:
-                raise ValueError(f"index {i} out of range for dim {self.dim}")
-            if i <= previous:
-                raise ValueError("indices must be strictly increasing")
-            if v == 0.0:
-                raise ValueError("stored zeros are not allowed")
-            if not math.isfinite(v):
-                raise ValueError("values must be finite")
-            previous = i
+        object.__setattr__(self, "_arrays", _checked_arrays(self.dim, entries))
 
     @property
     def nnz(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        # separate arrays: a float64 detour would round indices above 2^53
-        indices = np.array([i for i, _ in self.entries], dtype=np.int64)
-        values = np.array([v for _, v in self.entries], dtype=np.float64)
-        return indices, values
 
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for _, v in self.entries))
@@ -120,19 +107,67 @@ class SparseVector:
         return cls(dim=len(vals), entries=tuple((i, v) for i, v in enumerate(vals) if v != 0.0))
 
 
+def _checked_arrays(dim: int,
+                    entries: tuple[tuple[int, float], ...]) -> tuple[np.ndarray, np.ndarray]:
+    # Refuses the first bad entry with its first failing check, in the order
+    # range, order, zero, finiteness. Separate arrays: a float64 detour would
+    # round indices above 2^53.
+    n = len(entries)
+    try:
+        index_array = np.fromiter(map(itemgetter(0), entries), dtype=np.int64, count=n)
+    except OverflowError:
+        index_array = np.array([i for i, _ in entries], dtype=object)
+    value_array = np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=n)
+    failed = np.zeros((4, n), dtype=bool)
+    failed[0] = (index_array < 0) | (index_array >= dim)
+    failed[1, 1:] = index_array[1:] <= index_array[:-1]
+    failed[2] = value_array == 0.0
+    failed[3] = ~np.isfinite(value_array)
+    if failed.any():
+        j = int(failed.any(axis=0).argmax())
+        raise ValueError((f"index {entries[j][0]} out of range for dim {dim}",
+                          "indices must be strictly increasing",
+                          "stored zeros are not allowed",
+                          "values must be finite")[int(failed[:, j].argmax())])
+    index_array.flags.writeable = False
+    value_array.flags.writeable = False
+    return index_array, value_array
+
+
+# every byte but the entry separators ',' and ':'
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",:")
+
+
+def _parse_entry(item: str) -> tuple[int, float]:
+    index_text, sep, value_text = item.partition(":")
+    if not sep:
+        raise ValueError(f"missing ':' in sparse entry {item!r}")
+    return int(index_text), float(value_text)
+
+
+def _parse_entries(body: str) -> tuple[tuple[int, float], ...]:
+    tokens = body.replace(",", ":").split(":")
+    try:
+        # the tokens alternate index and value text when the separators alternate
+        if body.encode().translate(None, _NOT_SEPARATORS) == b":," * body.count(",") + b":":
+            return tuple(zip(map(int, tokens[0::2]), map(float, tokens[1::2])))
+    except ValueError:
+        pass
+    # some entry is bad: read entry by entry to raise the first one's error
+    return tuple(map(_parse_entry, body.split(",")))
+
+
 def parse_sparse_vector(line: str) -> SparseVector:
-    """Parse one `dim;idx:val,idx:val,...` line."""
+    """Parse one `dim;idx:val,idx:val,...` line.
+
+    Every entry is read before the dimension, and each entry as `_parse_entry`
+    reads it, so a bad line raises the error of its first bad entry.
+    """
     head, sep, body = line.strip().partition(";")
     if not sep:
         raise ValueError(f"missing ';' in sparse vector line: {line!r}")
-    entries = []
-    if body:
-        for item in body.split(","):
-            idx_text, sep2, val_text = item.partition(":")
-            if not sep2:
-                raise ValueError(f"missing ':' in sparse entry {item!r}")
-            entries.append((int(idx_text), float(val_text)))
-    return SparseVector(dim=int(head), entries=tuple(entries))
+    entries = _parse_entries(body) if body else ()
+    return SparseVector(dim=int(head), entries=entries)
 
 
 def format_sparse_vector(x: SparseVector) -> str:
@@ -149,10 +184,14 @@ def format_dense_vector(y: DenseVector) -> str:
     return ",".join(f"{v:.17g}" for v in y.values)
 
 
-def write_dense_vectors(path, vectors) -> None:
+def write_dense_vectors(path, rows) -> None:
+    """Write each row of a 2-D float array as the line format_dense_vector gives."""
+    rows = np.asarray(rows, dtype=np.float64).tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for y in vectors:
-            fh.write(format_dense_vector(y) + "\n")
+        if rows:
+            # "%.17g" % v is f"{v:.17g}" byte for byte, -0 included
+            line = ",".join(["%.17g"] * len(rows[0])) + "\n"
+            fh.writelines(line % tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -331,12 +370,28 @@ def apply_with_generators(x: SparseVector, c: int, k: int,
     return sums / math.sqrt(c)
 
 
+def apply_rows(spec: TransformSpec, vectors) -> np.ndarray:
+    """Apply the sampled transform to each vector; cost scales with c * nnz.
+
+    Row i of the (n, k) float64 result projects vectors[i]. The spec's bucket
+    and sign generators are expanded once for all rows. Every dimension is
+    checked before any work, and the rows are refused unless all are finite.
+    """
+    for x in vectors:
+        if x.dim != spec.d:
+            raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
+    bucket_gen, sign_gen = bucket_generator(spec), sign_generator(spec)
+    rows = np.zeros((len(vectors), spec.k))
+    for row, x in zip(rows, vectors):
+        row[...] = apply_with_generators(x, spec.c, spec.k, bucket_gen, sign_gen)
+    if not np.isfinite(rows).all():
+        raise ValueError("dense vector entries must be finite")
+    return rows
+
+
 def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
-    """Apply the sampled transform; cost scales with c * nnz(x)."""
-    if x.dim != spec.d:
-        raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
-    y = apply_with_generators(x, spec.c, spec.k, bucket_generator(spec), sign_generator(spec))
-    return DenseVector(tuple(float(v) for v in y))
+    """Apply the sampled transform to one vector: the one-row apply_rows."""
+    return DenseVector(apply_rows(spec, [x])[0].tolist())
 
 
 def materialize(spec: TransformSpec) -> np.ndarray:

@@ -481,6 +481,9 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.counters["kwise.hash_evals"] == 2 * sum(nnz) * c
+    # one bucket and one sign generator for the whole file
+    assert tracer.layer_metrics(1)["kwise.generators"] == 2
+    assert tracer.counters["transform.values_written"] == len(nnz) * 2800
 
     # The expansion builds its graphs through sjlt.chaos.build_multigraph, and
     # the oracles workload clears the census cache by name.

@@ -407,6 +407,18 @@ def test_generator_blocks_reject_mismatched_input():
         block.coefficients[0, 0] = 5
 
 
+def test_generator_hands_the_kernel_one_cached_block():
+    gen = new_generator(77, 5, 11)
+    block = gen.block
+    assert gen.block is block and len(block) == 1 and block.range_size == 11
+    assert block.coefficients.tolist() == [list(gen.coefficients)]
+    points = np.arange(40, dtype=np.uint64)
+    expected = [eval_bucket(gen, int(x)) for x in points]
+    assert eval_bucket_batch(gen, points).tolist() == expected
+    assert eval_bucket_batch(block, points).tolist() == expected
+    assert gen.block is block
+
+
 def _replicas(coordinates, c):
     # the flat points of coordinates' replicas, as transform lays them out
     coordinates = np.asarray(coordinates, dtype=np.uint64)

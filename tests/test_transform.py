@@ -17,6 +17,7 @@ from sjlt.transform import (
     TransformSpec,
     apply,
     apply_dense_baseline,
+    apply_rows,
     apply_with_generators,
     bucket_generator,
     column_structure,
@@ -30,6 +31,7 @@ from sjlt.transform import (
     sign_generator,
     signed_bucket_sums,
     sparsity_gain,
+    write_dense_vectors,
 )
 
 
@@ -152,6 +154,7 @@ def test_parse_example_line():
     ("4;:1.0", "invalid literal for int() with base 10: ''"),
     ("4;1.5:1.0", "invalid literal for int() with base 10: '1.5'"),
     ("4;0:abc", "could not convert string to float: 'abc'"),
+    ("4;0:\ud800", "could not convert string to float: '\\ud800'"),
     ("x;0:1.0", "invalid literal for int() with base 10: 'x'"),
     ("0;", "dim must be positive"),
     ("-3;0:1.0", "dim must be positive"),
@@ -178,6 +181,9 @@ def test_parse_error_messages(line, message):
     ("4;0:abc,2", "could not convert string to float: 'abc'"),
     ("4;0,x:1.0", "missing ':' in sparse entry '0'"),
     ("4;x:abc", "invalid literal for int() with base 10: 'x'"),
+    # a ':' too many and one too few, as many ':' as entries in all
+    ("4;1:2:3,3", "could not convert string to float: '2:3'"),
+    ("4;1,2:3:4", "missing ':' in sparse entry '1'"),
     ("x;0:abc", "could not convert string to float: 'abc'"),
     ("0;0:abc", "could not convert string to float: 'abc'"),
     # every entry parses before any is checked against the dimension
@@ -226,6 +232,18 @@ def test_dense_format_is_17_significant_digits():
     text = format_dense_vector(y)
     assert text == "0.33333333333333331,2"
     assert [float(v) for v in text.split(",")] == list(y.values)
+
+
+def test_written_rows_are_the_formatted_vectors(tmp_path):
+    rows = np.array([[-0.0, 1.0 / 3.0, 5e-324, -2.5e-308, 1e22, 123456789012345680.0],
+                     [0.0, -1.0, 2.0 ** 60, 0.1, -7e-5, 1.7976931348623157e308]])
+    path = tmp_path / "rows.txt"
+    write_dense_vectors(path, rows)
+    lines = [format_dense_vector(DenseVector(tuple(row))) for row in rows.tolist()]
+    assert path.read_bytes() == "".join(line + "\n" for line in lines).encode("ascii")
+    assert lines[0].startswith("-0,0.33333333333333331,")
+    write_dense_vectors(path, np.zeros((0, 6)))
+    assert path.read_bytes() == b""
 
 
 # ---------------------------------------------------------------- apply paths
@@ -331,6 +349,21 @@ def test_apply_rejects_dimension_mismatch():
     spec = small_spec(d=3, k=4, c=2, bucket_seed=1, sign_seed=2)
     with pytest.raises(ValueError):
         apply(spec, SparseVector(dim=4, entries=((0, 1.0),)))
+
+
+def test_apply_rows_stacks_apply():
+    spec = small_spec(d=6, k=5, c=3, bucket_seed=3, sign_seed=4)
+    vectors = [SparseVector(dim=6, entries=()), SparseVector(dim=6, entries=((2, -1.5),)),
+               SparseVector.from_dense([0.5, 0.0, 2.0, -1.0, 0.0, 3.0])]
+    rows = apply_rows(spec, vectors)
+    assert rows.shape == (3, 5) and rows.dtype == np.float64
+    for row, x in zip(rows, vectors):
+        assert row.tolist() == list(apply(spec, x).values)
+    assert apply_rows(spec, []).shape == (0, 5)
+    with pytest.raises(ValueError, match="does not match spec dimension"):
+        apply_rows(spec, vectors + [SparseVector(dim=5, entries=((0, 1.0),))])
+    with pytest.raises(ValueError, match="dense vector entries must be finite"):
+        apply_rows(spec, [SparseVector(dim=6, entries=tuple((i, 1e308) for i in range(6)))])
 
 
 @settings(max_examples=40, deadline=None)
