@@ -240,7 +240,11 @@ def _class_tables(n: int, two_m: int) -> dict[int, dict[int, int]]:
     covering ones; splitting off the component of vertex 1 gives the connected
     counts and then, one component at a time, the t-component counts. The
     tables for n hold every smaller vertex count, so one pass serves all i.
+    Below three vertices there is at most the one pair (1, 2), whose 2m
+    copies form one even component: no tables of length up to 2m are built.
     """
+    if n <= 2:
+        return {i: {1: 1} if i == 2 else {} for i in range(1, n + 1)}
     sizes, lengths = range(n + 1), range(two_m + 1)
     even = [[sum(math.comb(v, s) * (math.comb(v - s, 2) + math.comb(s, 2) - s * (v - s)) ** l
                  for s in range(v + 1)) >> v for l in lengths] for v in sizes]

@@ -271,7 +271,11 @@ def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # (mod p) and adds the coefficient column before a single fold:
     # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
     #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
-    # so (s & p) + (s >> 61) <= 2^61 + 3. acc < 2p at the end, and
+    # so (s & p) + (s >> 61) <= 2^61 + 3. A block whose points all lie below
+    # 2^32 has b1 = 0 and skips the a0*b1 and a1*b1 products: then
+    # mid = a1*b0 < 2^61, the first two terms of s sum below 2^61, and
+    # s < 2^61 + (2^61 - 1) + 7 + (2^61 - 2) < 2^63, so (s & p) + (s >> 61)
+    # <= 2^61 + 2 and the same invariant holds. acc < 2p at the end, and
     # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     rows = len(coefficients)
@@ -290,17 +294,20 @@ def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
         acc[...] = coefficients[:, -1:]
         np.right_shift(x, _U32, out=b1)
         np.bitwise_and(x, _LOW32, out=b0)
+        wide = b1.any()
         for coefficient in steps:
             np.right_shift(acc, _U32, out=a1)
             np.bitwise_and(acc, _LOW32, out=a0)
             np.multiply(a1, b0, out=mid)
-            np.multiply(a0, b1, out=s)
-            np.add(mid, s, out=mid)
+            if wide:
+                np.multiply(a0, b1, out=s)
+                np.add(mid, s, out=mid)
             np.multiply(a0, b0, out=lo)
-            np.multiply(a1, b1, out=s)
-            np.left_shift(s, _U3, out=s)
-            np.right_shift(mid, _U29, out=a1)
-            np.add(s, a1, out=s)
+            np.right_shift(mid, _U29, out=s)
+            if wide:
+                np.multiply(a1, b1, out=a0)
+                np.left_shift(a0, _U3, out=a0)
+                np.add(s, a0, out=s)
             np.bitwise_and(mid, _LOW29, out=a1)
             np.left_shift(a1, _U32, out=a1)
             np.add(s, a1, out=s)

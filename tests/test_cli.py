@@ -2,7 +2,10 @@
 
 import importlib.util
 import math
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from sjlt.transform import (DistortionReport, _replicas, apply, bucket_generator
                             format_dense_vector, parse_sparse_vector, sign_generator)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -95,7 +99,7 @@ def test_transform_output_matches_apply_byte_for_byte(tmp_path, capsys):
     assert got[1] == ",".join(f"{s / math.sqrt(spec.c):.17g}" for s in sums)
     # nnz 1 and 30 hash by Horner, nnz 300 by forward differences along the replicas
     for x, length in zip(vectors[1:], (0, 0, spec.c)):
-        points, _ = _replicas(x, spec.c)
+        points, _ = _replicas(*x._arrays, spec.c)
         assert _run_length(points, 1, spec.independence_degree) == length
 
 
@@ -109,6 +113,17 @@ def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
     assert (code, stdout) == (1, "")
     assert err == "error: invalid-parameter: dense vector entries must be finite\n"
     assert not out.exists()
+    # a fresh process prints every warning pytest would capture: stderr holds
+    # the error line alone, no RuntimeWarning from the overflowing sums (the
+    # parameters' AssumptionWarning, a UserWarning, is silenced)
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore::UserWarning", "-m", "sjlt.cli", "transform",
+         "--d", str(d), "--epsilon", "0.1", "--delta", "1e-3", "--bucket-seed", "1234567",
+         "--sign-seed", "7654321", "--in", str(infile), "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "error: invalid-parameter: dense vector entries must be finite\n"
+    assert not out.exists()
 
 
 def test_graph_count_rows(tmp_path, capsys):
@@ -120,6 +135,20 @@ def test_graph_count_rows(tmp_path, capsys):
     assert lines[1] == "m,i,t,count,elapsed_ms"
     rows = [line.split(",") for line in lines[2:]]
     assert [r[:4] for r in rows] == [["1", "2", "1", "1"], ["1", "3", "1", "0"]]
+
+
+def test_graph_count_answers_two_vertex_cells_without_tables(capsys):
+    # C(i, 2) <= 1: no rows at i = 1, one one-component sequence at i = 2
+    started = time.perf_counter()
+    code, out, err = run(["graph-count", "--m", "5000", "--i-max", "2", "--out", "-"], capsys)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "")
+    assert [line.split(",")[:4] for line in out.splitlines()[2:]] == [["5000", "2", "1", "1"]]
+    for m in (1, 2, 3):
+        for i in (1, 2):
+            census_counts, _ = sjlt.graphs._census(tuple(range(1, i + 1)), 2 * m)
+            assert sjlt.graphs.class_histogram(i, m) == census_counts
+        assert sjlt.graphs.class_histogram(3, m) == sjlt.graphs._census((1, 2, 3), 2 * m)[0]
 
 
 def test_moment_report_row(tmp_path, capsys):

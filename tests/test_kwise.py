@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -293,7 +294,8 @@ def _lazy_accumulators(coefficients, x):
         mid, lo = a1 * b0 + a0 * b1, a0 * b0
         s = (8 * a1 * b1 + (mid >> 29) + ((mid & (2**29 - 1)) << 32)
              + (lo & MERSENNE61) + (lo >> 61) + c)
-        assert s < 2**64
+        # a point below 2^32 takes the narrow step, whose bound is 2^63
+        assert s < (2**63 if b1 == 0 else 2**64)
         acc = (s & MERSENNE61) + (s >> 61)
         seen.append(acc)
     return seen
@@ -314,6 +316,39 @@ def test_horner_adversarial_values(degree):
             assert value == expected
             peak = max(peak, *_lazy_accumulators(coefficients, x))
     assert p <= peak < 2**61 + 8
+
+
+@st.composite
+def narrow_and_wide_points(draw):
+    # coefficients near p or anywhere; points below 2^32 (the narrow step),
+    # at or above it, and the edge pair 2^32 - 1, 2^32
+    p = MERSENNE61
+    degree = draw(st.integers(min_value=1, max_value=12))
+    coefficient = st.one_of(st.integers(min_value=p - 64, max_value=p - 1),
+                            st.integers(min_value=0, max_value=p - 1))
+    narrow = st.one_of(st.sampled_from([0, 1, 2**32 - 1]),
+                       st.integers(min_value=0, max_value=2**32 - 1))
+    wide = st.one_of(st.sampled_from([2**32, p - 1]), st.integers(min_value=2**32, max_value=p - 1))
+    runs = draw(st.lists(st.lists(st.one_of(narrow, wide), min_size=1, max_size=12)
+                         | st.lists(narrow, min_size=1, max_size=12), min_size=1, max_size=4))
+    points = [x for run in runs for x in run] + [2**32 - 1, 2**32]
+    return (draw(st.lists(coefficient, min_size=degree, max_size=degree)), points,
+            draw(st.integers(min_value=1, max_value=16)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=narrow_and_wide_points())
+def test_narrow_horner_blocks_match_scalar(case):
+    # blocks of `width` points: some lie below 2^32 and skip the high products
+    coefficients, points, width = case
+    gen = KWiseGenerator(DEFAULT_FIELD, tuple(coefficients), MERSENNE61)
+    with patch.object(kwise, "HORNER_BLOCK", width):
+        got = kwise._horner61([coefficients], np.array(points, dtype=np.uint64))
+    assert got.tolist() == [eval_bucket(gen, x) for x in points]
+    for x in points:
+        assert max(_lazy_accumulators(coefficients, x), default=0) < 2**61 + 8
+    ranged = KWiseGenerator(DEFAULT_FIELD, tuple(coefficients), 1000)
+    assert eval_bucket_batch(ranged, points).tolist() == [eval_bucket(ranged, x) for x in points]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Transform tests against a dense-materialization oracle plus the file formats."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sjlt.kwise import KWiseGenerator, PrimeField, eval_bucket, eval_sign
+from sjlt.kwise import (HORNER_BLOCK, KWiseGenerator, PrimeField, eval_bucket, eval_bucket_batch,
+                        eval_sign, eval_sign_batch)
 from sjlt.transform import (
     AssumptionWarning,
     DenseVector,
     SparseVector,
     TransformSpec,
+    _replicas,
     apply,
     apply_dense_baseline,
     apply_rows,
@@ -364,6 +367,87 @@ def test_apply_rows_stacks_apply():
         apply_rows(spec, vectors + [SparseVector(dim=5, entries=((0, 1.0),))])
     with pytest.raises(ValueError, match="dense vector entries must be finite"):
         apply_rows(spec, [SparseVector(dim=6, entries=tuple((i, 1e308) for i in range(6)))])
+
+
+def _random_vectors(spec, sizes, seed):
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for nnz in sizes:
+        idx = np.sort(rng.choice(spec.d, size=nnz, replace=False))
+        val = rng.standard_normal(nnz) * rng.lognormal(size=nnz)
+        vectors.append(SparseVector(dim=spec.d, entries=tuple(zip(idx.tolist(), val.tolist()))))
+    return vectors
+
+
+def _bincount_row(spec, x):
+    # the per-vector reference: all of one vector's replicas, one np.bincount
+    points, weights = _replicas(*x._arrays, spec.c)
+    buckets = eval_bucket_batch(bucket_generator(spec), points)
+    signs = eval_sign_batch(sign_generator(spec), points)
+    sums = np.bincount(buckets, weights=signs * weights, minlength=spec.k)
+    return sums / math.sqrt(spec.c)
+
+
+def _stream_spec(name):
+    if name == "long-runs":
+        # c > degree: a chunk is 16384 // 14 = 1170 coordinates, one table pass
+        return derive_spec(2 ** 20, 0.1, 1e-3, 1234567, 7654321)
+    # c < degree: a chunk is 16384 // 3 = 5461 coordinates, 16383 Horner points
+    return small_spec(d=6000, k=37, c=3, bucket_seed=41, sign_seed=42, degree=8)
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("name", ["long-runs", "short-runs"])
+def test_apply_rows_streams_chunks_bit_for_bit(name):
+    spec = _stream_spec(name)
+    chunk = HORNER_BLOCK // min(spec.c, spec.independence_degree)
+    files = [
+        # vector 2 straddles the first chunk end, the second chunk holds its
+        # tail and the head of vector 5, and empty vectors sit between them
+        [chunk // 2, 0, chunk // 2 + chunk // 3, 0, 0, chunk],
+        # exactly two chunks, the first ending 5 coordinates into vector 2
+        [chunk - 5, 0, 5 + chunk // 2, chunk - chunk // 2],
+        [0, 1, 0],
+    ]
+    for seed, sizes in enumerate(files):
+        vectors = _random_vectors(spec, sizes, seed)
+        rows = apply_rows(spec, vectors)
+        assert rows.shape == (len(sizes), spec.k)
+        for row, x in zip(rows, vectors):
+            assert row.tobytes() == _bincount_row(spec, x).tobytes()
+            assert ",".join(f"{v:.17g}" for v in row) == format_dense_vector(apply(spec, x))
+
+
+def test_stream_adds_each_bucket_in_point_order():
+    # k = 1: every replica lands in bucket 0. 1e16 ends the first chunk, and
+    # 1.0 then -1e16 start the second: in point order 1e16 + 1.0 rounds back
+    # to 1e16 and the bucket ends near 0; any other order leaves about 1.0
+    spec = small_spec(d=HORNER_BLOCK + 2, k=1, c=1, bucket_seed=5, sign_seed=6, degree=2)
+    targets = np.full(spec.d, 1e-300)
+    targets[HORNER_BLOCK - 1:] = (1e16, 1.0, -1e16)
+    signs = eval_sign_batch(sign_generator(spec), np.arange(spec.d, dtype=np.uint64))
+    x = SparseVector(dim=spec.d, entries=tuple(enumerate((targets * signs).tolist())))
+    total = 0.0
+    for target in targets.tolist():
+        total += target
+    assert abs(total) < 1e-250
+    (got,), = apply_rows(spec, [x])
+    assert got.tobytes() == np.float64(total).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_apply_rows_memory_is_one_chunk():
+    # 20,000 nonzeros stream through the chunks of one 1,170-nonzero vector
+    spec = _stream_spec("long-runs")
+    peaks = []
+    for x in _random_vectors(spec, [1170, 20000], 3):
+        tracemalloc.start()
+        try:
+            apply_rows(spec, [x])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @settings(max_examples=40, deadline=None)
