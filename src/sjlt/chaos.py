@@ -22,6 +22,7 @@ from .graphs import (
     Multigraph,
     build_multigraph,
     check_assignment_budget,
+    check_class_budget,
     check_power_budget,
     class_histograms,
     even_pair_multisets,
@@ -339,6 +340,9 @@ def check_moment_report(d: int, k: int, m: int, C: float) -> None:
         raise ValueError("m must be positive")
     check_assignment_budget(d, k)
     _check_sequence_budget(d, 2 * m)
+    # moment_upper_bound's class_histograms(2m, m), vertex count by vertex count
+    for i in range(1, 2 * m + 1):
+        check_class_budget(i, 2 * m)
 
 
 def moment_report(inst: ChaosInstance, m: int, C: float,

@@ -41,10 +41,6 @@ class PairSequence:
             if not 1 <= a < b:
                 raise ValueError(f"pair ({a}, {b}) must be strictly increasing and 1-based")
 
-    @property
-    def m(self) -> int:
-        return len(self.pairs) // 2
-
 
 class UnionFind:
     """Union-find with path compression over a fixed vertex set."""

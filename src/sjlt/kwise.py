@@ -6,17 +6,18 @@ field, which is the only randomness property the projection analysis needs.
 Field values are folded onto the output range by plain modulo, so every
 consumer inherits a per-value reduction bias below range/modulus.
 
-A GeneratorBlock holds many generators of one degree and range as the rows
-of a uint64 coefficient matrix; generator_block expands a whole array of
-seeds into one in a single numpy pass of the splitmix64 mixer, and
-new_generator is its one-row case. The batch evaluators take one generator
-or a block, whose row j evaluates the j-th equal segment of the flat points,
-so a block of independently seeded trials costs the numpy calls of one. A
-block's rows need not share a role: at range lcm(k, 2) a value v mod
-lcm(k, 2) fixes both the bucket v mod k and the sign bit v mod 2, so one
-call can hash a block's buckets and signs together. On
-the Mersenne field 2^61 - 1 they are exact and give the scalar path's values
-bit for bit, by two routes:
+A KWiseGenerator holds one or more generators of one degree and range as
+the rows of a read-only uint64 coefficient matrix; generator_block expands a
+whole array of seeds into one in a single numpy pass of the splitmix64
+mixer, and new_generator is its one-seed case. The batch evaluators split the
+flat points into one equal segment per row, so a block of independently
+seeded trials costs the numpy calls of one. A generator's rows need not
+share a role: at range lcm(k, 2) a value v mod lcm(k, 2) fixes both the
+bucket v mod k and the sign bit v mod 2, so one call can hash a block's
+buckets and signs together. The scalar eval_bucket/eval_sign take one row,
+in Python integers, and are the reference. On the Mersenne field 2^61 - 1
+the batch evaluators are exact and give the scalar path's values bit for
+bit, by two routes:
 
 - Horner in blocks of HORNER_BLOCK points with lazy reduction: each step
   adds a coefficient column; between steps the accumulator is congruent to
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -113,52 +113,23 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class KWiseGenerator:
-    """Immutable polynomial hash; evaluation is pure and thread-safe."""
-
-    field: PrimeField
-    coefficients: tuple[int, ...]
-    range_size: int
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("degree must be at least 1")
-        if not 1 <= self.range_size <= self.field.modulus:
-            raise ValueError("range must satisfy 1 <= range <= modulus")
-        if any(not 0 <= c < self.field.modulus for c in self.coefficients):
-            raise ValueError("coefficients must be field residues")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients)
-
-    @cached_property
-    def block(self) -> GeneratorBlock:
-        """This generator as a one-row GeneratorBlock, the kernel's input; built once."""
-        return GeneratorBlock(self.field, np.array([self.coefficients], dtype=np.uint64),
-                              self.range_size)
-
-
-def _stream_coefficients(seed: int, degree: int, p: int) -> list[int]:
-    # the expansion's definition: truncated stream outputs, rejecting those >= p
-    mask = (1 << p.bit_length()) - 1
-    candidates = (value & mask for value in splitmix64_stream(seed))
-    return list(islice((c for c in candidates if c < p), degree))
-
-
 @dataclass(frozen=True, eq=False)
-class GeneratorBlock:
-    """Generators of one field, degree and range, one per row of a read-only
-    (rows, degree) uint64 coefficient matrix; row j is the generator whose
-    coefficients are coefficients[j]."""
+class KWiseGenerator:
+    """Immutable polynomial hashes of one field, degree and range, one per row
+    of a read-only (rows, degree) uint64 coefficient matrix; a flat
+    coefficient sequence is one generator. Evaluation is pure and thread-safe.
+    Generators compare by identity; compare their coefficients instead."""
 
     field: PrimeField
     coefficients: np.ndarray
     range_size: int
 
     def __post_init__(self) -> None:
+        if self.field.modulus > _MASK64:
+            raise ValueError("generators support moduli below 2^64")
         values = np.asarray(self.coefficients)
+        if values.ndim == 1:
+            values = values[None]
         if values.dtype.kind not in "iu" or values.ndim != 2 or 0 in values.shape:
             raise ValueError("coefficients must be a non-empty (rows, degree) integer array")
         if not 1 <= self.range_size <= self.field.modulus:
@@ -177,12 +148,19 @@ class GeneratorBlock:
         return len(self.coefficients)
 
     def row(self, j: int) -> KWiseGenerator:
-        return KWiseGenerator(field=self.field, coefficients=tuple(self.coefficients[j].tolist()),
-                              range_size=self.range_size)
+        """The one-row generator of row j."""
+        return KWiseGenerator(self.field, self.coefficients[j], self.range_size)
+
+
+def _stream_coefficients(seed: int, degree: int, p: int) -> list[int]:
+    # the expansion's definition: truncated stream outputs, rejecting those >= p
+    mask = (1 << p.bit_length()) - 1
+    candidates = (value & mask for value in splitmix64_stream(seed))
+    return list(islice((c for c in candidates if c < p), degree))
 
 
 def generator_block(seeds, degree: int, range_size: int,
-                    field: PrimeField = DEFAULT_FIELD) -> GeneratorBlock:
+                    field: PrimeField = DEFAULT_FIELD) -> KWiseGenerator:
     """Expand each 64-bit seed into one row of generator coefficients.
 
     Coefficient j consumes splitmix64 outputs until one, truncated to
@@ -195,8 +173,8 @@ def generator_block(seeds, degree: int, range_size: int,
     if degree < 1:
         raise ValueError("degree must be at least 1")
     p = field.modulus
-    if p.bit_length() > 64:
-        raise ValueError("seed expansion supports moduli below 2^64")
+    if p > _MASK64:
+        raise ValueError("generators support moduli below 2^64")
     if isinstance(seeds, np.ndarray) and seeds.dtype.kind in "iu":
         seeds = seeds.astype(np.uint64).reshape(-1)
     else:
@@ -213,25 +191,31 @@ def generator_block(seeds, degree: int, range_size: int,
     if rejected.any():
         for j in np.flatnonzero(rejected.any(axis=1)):
             z[j] = _stream_coefficients(int(seeds[j]), degree, p)
-    return GeneratorBlock(field=field, coefficients=z, range_size=range_size)
+    return KWiseGenerator(field=field, coefficients=z, range_size=range_size)
 
 
 def new_generator(seed: int, degree: int, range_size: int,
                   field: PrimeField = DEFAULT_FIELD) -> KWiseGenerator:
-    """Expand a 64-bit seed into a fresh generator: the one-row generator_block.
+    """Expand a 64-bit seed into a fresh one-row generator: generator_block of one seed.
 
-    Identical (seed, degree, range) always produce an identical generator.
+    Identical (seed, degree, range) always produce identical coefficients.
     """
-    return generator_block((seed,), degree, range_size, field).row(0)
+    return generator_block((seed,), degree, range_size, field)
 
 
 def eval_bucket(gen: KWiseGenerator, index: int) -> int:
-    """Evaluate the polynomial at `index`, reduced onto [0, range)."""
+    """Evaluate a one-row generator's polynomial at `index`, reduced onto [0, range).
+
+    The reference path: Python integers, which uint64 arithmetic would wrap.
+    """
+    rows = gen.coefficients.tolist()
+    if len(rows) != 1:
+        raise ValueError(f"scalar evaluation needs one generator, not {len(rows)} rows")
     p = gen.field.modulus
     if not 0 <= index < p:
         raise ValueError(f"index {index} outside [0, {p})")
     acc = 0
-    for c in reversed(gen.coefficients):
+    for c in reversed(rows[0]):
         acc = (acc * index + c) % p
     return acc % gen.range_size
 
@@ -400,42 +384,40 @@ def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
     return best if _difference_gain(flat.size, best, degree) > 0 else 0
 
 
-def eval_bucket_batch(gen: KWiseGenerator | GeneratorBlock, points) -> np.ndarray:
+def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
     """Vectorized eval_bucket; bit-identical to the scalar path.
 
-    `points` is an integer array of field elements. Given a GeneratorBlock of
-    n rows, the flat `points` split into n equal consecutive segments and row
-    j evaluates segment j; one generator is the one-row case and takes points
-    of any shape. Runs of consecutive points are found in the points and
-    stepped by forward differences where that pays.
+    `points` is an integer array of field elements. Given a generator of n
+    rows, the flat `points` split into n equal consecutive segments and row
+    j evaluates segment j; a one-row generator takes points of any shape.
+    Runs of consecutive points are found in the points and stepped by forward
+    differences where that pays.
     """
-    block = gen if isinstance(gen, GeneratorBlock) else gen.block
-    rows = len(block)
+    rows = len(gen)
     idx = np.asarray(points)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"points must have an integer dtype, not {idx.dtype}")
     idx = np.ascontiguousarray(idx, dtype=np.uint64)
-    if idx.size and int(idx.max()) >= block.field.modulus:
+    if idx.size and int(idx.max()) >= gen.field.modulus:
         raise ValueError("index outside the field")
     if rows > 1 and (idx.ndim != 1 or idx.size % rows):
         raise ValueError(f"points do not split into {rows} equal segments")
-    if block.field.modulus != MERSENNE61:
-        gens = map(block.row, range(rows))
-        return np.array([eval_bucket(g, int(i))
-                         for g, segment in zip(gens, idx.reshape(rows, -1))
+    if gen.field.modulus != MERSENNE61:
+        return np.array([eval_bucket(row, int(i))
+                         for row, segment in zip(map(gen.row, range(rows)), idx.reshape(rows, -1))
                          for i in segment], dtype=np.int64).reshape(idx.shape)
-    length = _run_length(idx, rows, block.degree)
-    values = (_runs61(block.coefficients, idx, length).reshape(idx.shape) if length
-              else _horner61(block.coefficients, idx))
+    length = _run_length(idx, rows, gen.degree)
+    values = (_runs61(gen.coefficients, idx, length).reshape(idx.shape) if length
+              else _horner61(gen.coefficients, idx))
     # v - (v // range) * range: numpy divides by a scalar without a hardware
     # division per element, unlike v % range; the result is below range < 2^61
-    quotient = values // np.uint64(block.range_size)
-    np.multiply(quotient, np.uint64(block.range_size), out=quotient)
+    quotient = values // np.uint64(gen.range_size)
+    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
     np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator | GeneratorBlock, points) -> np.ndarray:
+def eval_sign_batch(gen: KWiseGenerator, points) -> np.ndarray:
     """Vectorized eval_sign; `gen` and `points` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")

@@ -8,17 +8,17 @@ from typing import Callable
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95% confidence."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     phat = successes / trials
-    zz = z * z
+    zz = Z95 * Z95
     denom = 1.0 + zz / trials
     center = (phat + zz / (2.0 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials))
+    half = (Z95 / denom) * math.sqrt(phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials))
     return max(0.0, center - half), min(1.0, center + half)
 
 

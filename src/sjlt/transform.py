@@ -239,15 +239,15 @@ def sparsity_gain(m: int) -> float:
 
 
 def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_seed: int,
-                constants: tuple[float, float, float] = DEFAULT_KAPPA,
-                independence_degree: int | None = None) -> TransformSpec:
+                constants: tuple[float, float, float] = DEFAULT_KAPPA) -> TransformSpec:
     """Fix every parameter of one sampled transform from (d, epsilon, delta).
 
     The moment order is m = ceil(kappa_m * ln(1/delta)), the target dimension
     k = ceil(kappa_k * m / epsilon^2), and the replica count
-    c = ceil(kappa_c * (m / gain)^2 / epsilon) with gain = sparsity_gain(m).
-    Natural logarithms throughout. epsilon <= ln(1/delta)^-2 is advisory:
-    violating it records an AssumptionWarning but the transform still applies.
+    c = ceil(kappa_c * (m / gain)^2 / epsilon) with gain = sparsity_gain(m),
+    and both generators have degree 2m. Natural logarithms throughout.
+    epsilon <= ln(1/delta)^-2 is advisory: violating it records an
+    AssumptionWarning but the transform still applies.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError("d must be a positive integer")
@@ -266,8 +266,6 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
     except OverflowError:
         # an infinite product reaches ceil, or the square overflows
         raise ValueError("kappa constants too large: m, k or c is not finite") from None
-    if independence_degree is None:
-        independence_degree = 2 * m
     log_budget = math.log(1.0 / delta)
     threshold = math.inf if log_budget * log_budget == 0.0 else 1.0 / (log_budget * log_budget)
     assumption_ok = epsilon <= threshold
@@ -278,7 +276,7 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
             AssumptionWarning, stacklevel=2)
     return TransformSpec(d=d, epsilon=float(epsilon), delta=float(delta), m=m, k=k, c=c,
                          sparsity_gain=gain, bucket_seed=int(bucket_seed),
-                         sign_seed=int(sign_seed), independence_degree=independence_degree,
+                         sign_seed=int(sign_seed), independence_degree=2 * m,
                          epsilon_assumption_ok=assumption_ok)
 
 
@@ -323,8 +321,8 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     (bucket_seed + t, sign_seed + t) mod 2^64 and counts when `hit(sums)`
     holds, so its outcome is fixed by its seeds alone. Trials go through the
     kernel in blocks of m = max(1, HORNER_BLOCK // max(n, k)) trials. A block
-    expands its m bucket seeds and then its m sign seeds into one
-    GeneratorBlock of range lcm(k, 2), whose values fix both v mod k and
+    expands its m bucket seeds and then its m sign seeds into one 2m-row
+    KWiseGenerator of range lcm(k, 2), whose values fix both v mod k and
     v mod 2, and hashes both stacks of trial points in one kernel call. One
     2-D `signed_bucket_sums` sums the block, and `hit` sees its rows in
     trial order.

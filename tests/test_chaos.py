@@ -520,6 +520,8 @@ def test_non_finite_cap_rejected_before_any_phase(monkeypatch, cap):
     (3, 2, 0, ValueError, "m must be positive"),
     (8, 1, 3, BudgetExceededError,
      "28^6 sequences exceed the enumeration budget 100000000"),
+    (4, 2, 4, BudgetExceededError,
+     "15^8 sequences exceed the class enumeration budget 1000000000"),
 ])
 def test_exact_phase_refusals_come_before_any_phase(monkeypatch, d, k, m, error, message):
     def unreachable(*args, **kwargs):

@@ -126,6 +126,17 @@ def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_transform_refuses_a_mismatched_dimension(tmp_path, capsys):
+    # the second vector's dimension differs from --d: nothing is written
+    infile, out = tmp_path / "v.txt", tmp_path / "y.txt"
+    infile.write_text("4;0:1.0\n5;1:2.0\n")
+    code, stdout, err = _transform(infile, out, capsys, d=4, epsilon="0.5", delta="0.5")
+    assert (code, stdout) == (1, "")
+    assert err == "error: invalid-parameter: vector dimension 5 does not match spec dimension 4\n"
+    assert not out.exists()
+
+
 def test_graph_count_rows(tmp_path, capsys):
     out = tmp_path / "counts.csv"
     code, _, err = run(["graph-count", "--m", "1", "--i-max", "3", "--out", str(out)], capsys)

@@ -16,7 +16,6 @@ from sjlt import kwise
 from sjlt.kwise import (
     DEFAULT_FIELD,
     MERSENNE61,
-    GeneratorBlock,
     KWiseGenerator,
     PrimeField,
     eval_bucket,
@@ -48,16 +47,17 @@ def test_field_rejects_composite_modulus():
 
 def test_new_generator_construction_contract():
     g = new_generator(seed=7, degree=4, range_size=16)
-    assert g.degree == 4
-    assert len(g.coefficients) == 4
-    assert all(0 <= c < DEFAULT_FIELD.modulus for c in g.coefficients)
+    assert g.degree == 4 and len(g) == 1
+    assert g.coefficients.shape == (1, 4)
+    assert all(0 <= c < DEFAULT_FIELD.modulus for c in g.coefficients[0].tolist())
 
 
 def test_new_generator_deterministic():
     a = new_generator(seed=7, degree=4, range_size=16)
     b = new_generator(seed=7, degree=4, range_size=16)
-    assert a == b
-    assert a.coefficients == b.coefficients
+    # generators compare by identity; their coefficient matrices are equal
+    assert a is not b
+    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_new_generator_rejects_bad_parameters():
@@ -148,8 +148,8 @@ def test_fixture_vectors_stable():
     for line in FIXTURE.read_text().splitlines():
         seed_text, degree_text, coeff_text = line.split(";")
         g = new_generator(int(seed_text), int(degree_text), 16)
-        assert tuple(int(c) for c in coeff_text.split(",")) == g.coefficients
-        rows.setdefault(g.degree, []).append((int(seed_text), list(g.coefficients)))
+        assert [int(c) for c in coeff_text.split(",")] == g.coefficients[0].tolist()
+        rows.setdefault(g.degree, []).append((int(seed_text), g.coefficients[0].tolist()))
     # the seeds of one degree expand in one block to the same rows
     for degree, pairs in rows.items():
         block = generator_block([seed for seed, _ in pairs], degree, 16)
@@ -245,9 +245,8 @@ def test_run_paths_match_scalar(case):
     if not points.size:
         return
     # both kernel paths over runs that tile the points, whichever the call picks
-    coefficients = np.array([gen.coefficients], dtype=np.uint64)
-    for values in (kwise._horner61(coefficients, points),
-                   kwise._runs61(coefficients, points, run)):
+    for values in (kwise._horner61(gen.coefficients, points),
+                   kwise._runs61(gen.coefficients, points, run)):
         assert (values % np.uint64(gen.range_size)).tolist() == scalar
     # a run length that is no divisor of one range is the unit, never shorter
     unit, one_range = _maximal_run_unit(points, 1)
@@ -266,7 +265,7 @@ def test_runs_span_several_table_chunks(degree):
     points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
     scalar = [eval_bucket(g, int(i)) for i in points]
     assert eval_bucket_batch(g, points).tolist() == scalar
-    got = kwise._runs61(np.array([g.coefficients], dtype=np.uint64), points, run)
+    got = kwise._runs61(g.coefficients, points, run)
     assert (got % np.uint64(1000)).tolist() == scalar
 
 
@@ -429,11 +428,12 @@ def test_generator_blocks_reject_mismatched_input():
                     for j, segment in enumerate(pts.reshape(2, -1)) for x in segment]
         assert eval_bucket_batch(block, pts).tolist() == expected
     for coefficients in ([[1, 2], [3]], np.zeros((0, 3)), np.zeros((2, 0)), [[1.5, 2.0]],
-                         [[0, MERSENNE61]], [[-1, 2]]):
+                         [[0, MERSENNE61]], [[-1, 2]], (), 3, np.zeros((1, 2, 2), dtype=int),
+                         (0, MERSENNE61), (True, False)):
         with pytest.raises(ValueError):
-            GeneratorBlock(DEFAULT_FIELD, coefficients, 7)
+            KWiseGenerator(DEFAULT_FIELD, coefficients, 7)
     with pytest.raises(ValueError):
-        GeneratorBlock(DEFAULT_FIELD, [[1, 2]], 0)
+        KWiseGenerator(DEFAULT_FIELD, [[1, 2]], 0)
     with pytest.raises(TypeError):
         generator_block(np.array([1.0, 2.0]), 3, 7)
     with pytest.raises(ValueError):
@@ -442,16 +442,37 @@ def test_generator_blocks_reject_mismatched_input():
         block.coefficients[0, 0] = 5
 
 
-def test_generator_hands_the_kernel_one_cached_block():
+def test_one_generator_type_contract():
+    # one seed is a read-only (1, degree) uint64 matrix, a flat coefficient
+    # sequence is one generator, and the batch path equals the scalar one
     gen = new_generator(77, 5, 11)
-    block = gen.block
-    assert gen.block is block and len(block) == 1 and block.range_size == 11
-    assert block.coefficients.tolist() == [list(gen.coefficients)]
+    assert len(gen) == 1 and gen.degree == 5 and gen.range_size == 11
+    assert gen.coefficients.dtype == np.uint64 and gen.coefficients.shape == (1, 5)
+    with pytest.raises(ValueError):
+        gen.coefficients[0, 0] = 5
+    flat = KWiseGenerator(DEFAULT_FIELD, tuple(gen.coefficients[0].tolist()), 11)
+    assert np.array_equal(flat.coefficients, gen.coefficients)
     points = np.arange(40, dtype=np.uint64)
     expected = [eval_bucket(gen, int(x)) for x in points]
     assert eval_bucket_batch(gen, points).tolist() == expected
-    assert eval_bucket_batch(block, points).tolist() == expected
-    assert gen.block is block
+    assert eval_bucket_batch(flat, points).tolist() == expected
+    # the constructor copies: freezing the matrix leaves the caller's array writable
+    source = np.array([[1, 2, 3]], dtype=np.uint64)
+    KWiseGenerator(DEFAULT_FIELD, source, 7)
+    source[0, 0] = 4
+    # scalar evaluation takes one row; a block evaluates row by row
+    block = generator_block([77, 78], 5, 2)
+    assert block.row(0).coefficients.tolist() == new_generator(77, 5, 2).coefficients.tolist()
+    with pytest.raises(ValueError, match="one generator, not 2 rows"):
+        eval_bucket(block, 3)
+    with pytest.raises(ValueError, match="one generator, not 2 rows"):
+        eval_sign(block, 3)
+    # uint64 coefficients cannot hold residues of a modulus of 2^64 or more
+    wide = PrimeField(2**64 + 13)
+    with pytest.raises(ValueError, match="moduli below 2\\^64"):
+        KWiseGenerator(wide, (1, 2), 5)
+    with pytest.raises(ValueError, match="moduli below 2\\^64"):
+        new_generator(1, 2, 5, wide)
 
 
 def _replicas(coordinates, c):
@@ -644,7 +665,7 @@ def test_block_seed_expansion_matches_scalar_splitmix64(field):
             assert block.coefficients.shape == (len(seeds), degree)
             for seed, row in zip(seeds, block.coefficients.tolist()):
                 assert row == _scalar_coefficients(int(seed), degree, p)
-                assert new_generator(int(seed), degree, 2, field).coefficients == tuple(row)
+                assert new_generator(int(seed), degree, 2, field).coefficients[0].tolist() == row
     if p == MERSENNE61:
         row = generator_block([first_rejected], 4, 2).coefficients[0].tolist()
         assert row == [v & MERSENNE61 for v in _scalar_splitmix64(first_rejected, 5)[1:]]
