@@ -30,10 +30,11 @@ from .graphs import (
 )
 # Unused here; bound because the benchmark's tracer (bench/tracing.py) patches them by name.
 from .kwise import eval_bucket_batch, eval_sign_batch, new_generator  # noqa: F401
-from .stats import partitioned_count, wilson_interval
+from .stats import partitioned_count
 from .transform import (
     DenseVector,
     TransformSpec,
+    _trial_report,
     duplicate_rescale,
     signed_bucket_sums,
     trial_counter,
@@ -308,10 +309,7 @@ def tail_estimate(spec: TransformSpec, trials: int, x: DenseVector | None = None
         return abs(float(per_bucket @ per_bucket) - norm_sq) >= spec.epsilon
 
     hits = partitioned_count(trial_counter(spec, points, replicated, hit), trials)
-    low, high = wilson_interval(hits, trials)
-    return TailReport(d=spec.d, epsilon=spec.epsilon, delta=spec.delta, m=spec.m,
-                      k=spec.k, c=spec.c, trials=trials, hits=hits,
-                      failure_rate=hits / trials, wilson_low=low, wilson_high=high)
+    return _trial_report(TailReport, spec, trials, hits)
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,10 @@ def _kappas(args) -> tuple[float, float, float]:
 
 
 def cmd_transform(args) -> int:
-    vectors = read_sparse_vectors(args.infile)
+    # parameters first: a bad one is refused before the input is opened
     spec = derive_spec(args.d, args.epsilon, args.delta, args.bucket_seed,
                        args.sign_seed, _kappas(args))
+    vectors = read_sparse_vectors(args.infile)
     write_dense_vectors(args.out, apply_rows(spec, vectors))
     return 0
 

@@ -42,26 +42,6 @@ class PairSequence:
                 raise ValueError(f"pair ({a}, {b}) must be strictly increasing and 1-based")
 
 
-class UnionFind:
-    """Union-find with path compression over a fixed vertex set."""
-
-    def __init__(self, items):
-        self.parent = {v: v for v in items}
-
-    def find(self, v):
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass(frozen=True, eq=False)
 class Multigraph:
     vertices: frozenset[int]
@@ -71,19 +51,28 @@ class Multigraph:
 
 
 def build_multigraph(seq: PairSequence) -> Multigraph:
-    """Multigraph whose edge multiset is the sequence; only used vertices appear."""
+    """Multigraph whose edge multiset is the sequence; only used vertices appear.
+
+    Components are found as vertex bitmasks: each pair's two-bit mask absorbs
+    every component mask it meets.
+    """
     degree: Counter[int] = Counter()
+    masks: list[int] = []
     for a, b in seq.pairs:
         degree[a] += 1
         degree[b] += 1
+        joined = (1 << a) | (1 << b)
+        apart = []
+        for mask in masks:
+            if mask & joined:
+                joined |= mask
+            else:
+                apart.append(mask)
+        masks = apart + [joined]
     vertices = sorted(degree)
-    uf = UnionFind(vertices)
-    for a, b in seq.pairs:
-        uf.union(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    components = tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    # disjoint masks sort by their lowest bit, the component's smallest vertex
+    components = tuple(frozenset(v for v in vertices if mask >> v & 1)
+                       for mask in sorted(masks, key=lambda mask: mask & -mask))
     return Multigraph(vertices=frozenset(vertices), edges=tuple(seq.pairs),
                       degree=dict(degree), components=components)
 
@@ -275,10 +264,6 @@ def class_histograms(n: int, m: int) -> dict[int, dict[int, int]]:
     return _class_tables(n, 2 * m)
 
 
-def _class_counts(n: int, two_m: int) -> dict[int, int]:
-    return _class_tables(n, two_m)[n]
-
-
 def class_histogram(i: int, m: int) -> dict[int, int]:
     """Eligible sequence counts on vertex set {1..i}, grouped by component number.
 
@@ -287,7 +272,7 @@ def class_histogram(i: int, m: int) -> dict[int, int]:
     if i < 1 or m < 1:
         raise ValueError("i and m must be positive")
     check_class_budget(i, 2 * m)
-    return _class_counts(i, 2 * m)
+    return _class_tables(i, 2 * m)[i]
 
 
 def class_count(i: int, t: int, m: int) -> ClassCount:

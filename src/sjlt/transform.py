@@ -491,6 +491,13 @@ class DistortionReport:
         "failure_rate", "wilson_low", "wilson_high")
 
 
+def _trial_report(report_type, spec: TransformSpec, trials: int, count: int):
+    """A DistortionReport or TailReport: the spec's parameters, the count of
+    failed trials, its rate and its Wilson interval, in the fields' order."""
+    return report_type(spec.d, spec.epsilon, spec.delta, spec.m, spec.k, spec.c, trials,
+                       count, count / trials, *wilson_interval(count, trials))
+
+
 def distortion_bench(spec: TransformSpec, trials: int,
                      x: SparseVector | None = None) -> DistortionReport:
     """Failure fraction of the distortion guarantee over independently seeded trials.
@@ -515,7 +522,4 @@ def distortion_bench(spec: TransformSpec, trials: int,
         return ratio < low_bound or ratio > high_bound
 
     failures = partitioned_count(trial_counter(spec, points, weights, fails), trials)
-    low, high = wilson_interval(failures, trials)
-    return DistortionReport(d=spec.d, epsilon=spec.epsilon, delta=spec.delta, m=spec.m,
-                            k=spec.k, c=spec.c, trials=trials, failures=failures,
-                            failure_rate=failures / trials, wilson_low=low, wilson_high=high)
+    return _trial_report(DistortionReport, spec, trials, failures)

@@ -1,5 +1,6 @@
 """CLI behavior: determinism, report schemas, verify mode, machine-readable errors."""
 
+import importlib
 import importlib.util
 import math
 import os
@@ -14,13 +15,15 @@ import pytest
 import sjlt.chaos
 import sjlt.cli
 import sjlt.graphs
+import sjlt.transform
 from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
 from sjlt.kwise import _run_length, eval_bucket, eval_sign
 from sjlt.transform import (DistortionReport, _replicas, apply, bucket_generator, derive_spec,
                             format_dense_vector, parse_sparse_vector, sign_generator)
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -271,6 +274,23 @@ def test_invalid_parameter_error_line(tmp_path, capsys):
                         "--in", str(infile), "--out", str(tmp_path / "y.txt")], capsys)
     assert code == 1
     assert err.startswith("error: invalid-parameter:")
+
+
+def test_transform_refuses_a_bad_parameter_before_parsing(tmp_path, capsys):
+    infile = tmp_path / "v.txt"
+    infile.write_text("4;0:1.0\nnot a vector\n")
+    code, _, err = _transform(infile, tmp_path / "y.txt", capsys, d=4, epsilon="0.0",
+                              delta="0.5")
+    assert code == 1
+    assert err == "error: invalid-parameter: epsilon must lie in (0, 1)\n"
+    assert not (tmp_path / "y.txt").exists()
+
+
+def test_transform_refuses_a_bad_parameter_before_opening_the_input(tmp_path, capsys):
+    code, _, err = _transform(tmp_path / "absent.txt", tmp_path / "y.txt", capsys, d=4,
+                              epsilon="0.0", delta="0.5")
+    assert code == 1
+    assert err == "error: invalid-parameter: epsilon must lie in (0, 1)\n"
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -538,3 +558,35 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
         tracer.uninstall()
     assert tracer.aggregates["graphs.build_multigraph"].calls > 0
     assert callable(sjlt.graphs._census.cache_clear)
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_benchmark_binds_names_outside_the_tracer(monkeypatch, tmp_path, capsys):
+    # bench/run.py, workloads.py and reference.py reach sjlt names directly,
+    # outside the tracer's patch table: the CLI entry point, the warning class
+    # the runner silences, the generators the scalar references hash with and
+    # the caches the oracles workload clears before each call.
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("reference", "workloads")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        reference = importlib.import_module("reference")
+        workloads = importlib.import_module("workloads")
+    finally:
+        for name in names:
+            sys.modules.pop(name, None)
+    assert callable(sjlt.cli.main)
+    assert issubclass(sjlt.transform.AssumptionWarning, Warning)
+    spec = derive_spec(4, 0.5, 0.5, 1, 2)
+    x = parse_sparse_vector("4;0:1.0,2:-0.5")
+    assert reference.projected_line(4, 0.5, 0.5, 1, 2, x.entries) == \
+        format_dense_vector(apply(spec, x)).encode("ascii")
+    assert reference.tail_hits(4, 0.5, 0.5, 3, 1, 2) <= 3
+    oracles = workloads.Oracles(1, tmp_path)
+    calls = oracles.cycle(0)
+    for call in (calls[0], calls[len(workloads.Oracles.GRAPH_COUNT_M)]):
+        oracles.prepare(call)
+        code, out, err = run(call.argv, capsys)
+        assert code == 0, err
+        assert oracles.check(call, oracles.payload(call, out)) is None

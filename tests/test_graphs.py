@@ -27,7 +27,7 @@ from sjlt.graphs import (
     even_pair_multisets,
     weight,
     _census,
-    _class_counts,
+    _class_tables,
 )
 
 
@@ -98,6 +98,40 @@ def test_components_match_matrix_oracle(raw):
     assert got == oracle
     g = build_multigraph(seq)
     assert sum(g.degree.values()) == 2 * len(g.edges)
+
+
+def components_by_bfs(pairs) -> tuple[frozenset[int], ...]:
+    """Independent component oracle: breadth-first search from each unseen
+    vertex in increasing order, so components come sorted by smallest vertex."""
+    neighbours = {}
+    for a, b in pairs:
+        neighbours.setdefault(a, set()).add(b)
+        neighbours.setdefault(b, set()).add(a)
+    components, seen = [], set()
+    for start in sorted(neighbours):
+        if start in seen:
+            continue
+        seen.add(start)
+        component, frontier = {start}, [start]
+        while frontier:
+            frontier = [w for v in frontier for w in neighbours[v] if w not in seen]
+            seen.update(frontier)
+            component.update(frontier)
+        components.append(frozenset(component))
+    return tuple(components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda half: st.lists(
+    st.lists(st.integers(1, 12), min_size=2, max_size=2, unique=True),
+    min_size=2 * half, max_size=2 * half)))
+def test_components_and_degrees_match_bfs(raw):
+    # 2 to 8 pairs on up to 12 vertices
+    pairs = tuple((min(a, b), max(a, b)) for a, b in raw)
+    g = build_multigraph(PairSequence(pairs))
+    assert g.components == components_by_bfs(pairs)
+    assert g.degree == Counter(v for pair in pairs for v in pair)
+    assert g.vertices == frozenset(g.degree)
 
 
 # ---------------------------------------------------------------------- weight
@@ -312,7 +346,7 @@ def test_closed_form_counts_sum_to_the_covering_count():
     # sequences, counted by inclusion-exclusion over unused vertices
     for m in (4, 5, 6):
         for i in range(1, 2 * m + 1):
-            assert sum(_class_counts(i, 2 * m).values()) == \
+            assert sum(_class_tables(i, 2 * m)[i].values()) == \
                 covering_sequences_by_parity_walk(i, 2 * m)
     # within it: the census's orderings-weighted total, checked without the
     # orderings formula
@@ -368,7 +402,7 @@ def test_closed_form_counts_of_perfect_matchings():
                 for part in parts:
                     term //= math.factorial(part)
                 orderings += term
-            assert _class_counts(2 * t, 2 * m).get(t, 0) == matchings * orderings
+            assert _class_tables(2 * t, 2 * m)[2 * t].get(t, 0) == matchings * orderings
 
 
 def test_crude_cap():
