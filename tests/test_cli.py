@@ -149,6 +149,16 @@ def test_graph_count_rows(tmp_path, capsys):
     assert lines[1] == "m,i,t,count,elapsed_ms"
     rows = [line.split(",") for line in lines[2:]]
     assert [r[:4] for r in rows] == [["1", "2", "1", "1"], ["1", "3", "1", "0"]]
+    # every cell against its own histogram; one timed pass serves every row
+    for m in (1, 2, 3):
+        code, out_text, err = run(["graph-count", "--m", str(m), "--i-max", "6", "--out", "-"],
+                                  capsys)
+        assert code == 0, err
+        rows = [[int(cell) for cell in line.split(",")] for line in out_text.splitlines()[2:]]
+        assert [row[:4] for row in rows] == [
+            [m, i, t, sjlt.graphs.class_histogram(i, m).get(t, 0)]
+            for i in range(1, 7) for t in range(1, i // 2 + 1)]
+        assert len({row[4] for row in rows}) == 1
 
 
 def test_graph_count_answers_two_vertex_cells_without_tables(capsys):
@@ -399,7 +409,7 @@ def _refuse_work(monkeypatch):
     class NoInstance:
         uniform = staticmethod(unreachable)
 
-    monkeypatch.setattr(sjlt.cli, "class_histogram", unreachable)
+    monkeypatch.setattr(sjlt.cli, "class_histograms", unreachable)
     monkeypatch.setattr(sjlt.cli, "ChaosInstance", NoInstance)
 
 
@@ -446,31 +456,55 @@ def test_usage_error(capsys):
     assert "error: usage:" in err
 
 
-def parse_outcome(argv, capsys):
+def outcome(call, argv, capsys):
     try:
-        code = main(argv)
+        result = call(argv)
     except SystemExit as exc:
-        code = exc.code
+        result = exc.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return result, captured.out, captured.err
 
 
+_SPEC = ["--d", "16", "--epsilon", "0.5", "--delta", "0.2", "--bucket-seed", "1",
+         "--sign-seed", "2"]
+# a call each subcommand parses; none of them is run
+VALID_ARGV = {
+    "transform": ["transform", *_SPEC, "--in", "absent.txt", "--out", "absent.txt"],
+    "distortion-bench": ["distortion-bench", *_SPEC, "--trials", "10"],
+    "moment-report": ["moment-report", "--d", "2", "--k", "2", "--m", "1", "--trials", "100"],
+    "graph-count": ["graph-count", "--m", "1", "--i-max", "2"],
+    "tail-estimate": ["tail-estimate", *_SPEC, "--trials", "10"],
+    "verify": ["verify", "absent.csv"],
+}
+PARSED_CASES = [["moment-report", "--d", "2", "--k", "2", "--m", "1", "--tri", "1000"],
+                ["graph-count", "--m", "1", "--i-max", "2", "--bu", "100"],
+                ["--verify", "absent.csv"]]
 PARSER_CASES = [["-h"], [], ["bogus"], ["--bogus"], ["--verify"],
-                ["--bogus", "graph-count", "--m", "1", "--i-max", "2"]]
+                ["--bogus", "graph-count", "--m", "1", "--i-max", "2"],
+                VALID_ARGV["moment-report"] + ["x"], *PARSED_CASES]
 for _command in sjlt.cli._COMMANDS:
     PARSER_CASES += [[_command, "-h"], [_command], [_command, "--bogus"],
-                     [_command, "--d", "3", "--bogus", "1"], [_command, "--d"]]
+                     [_command, "--d", "3", "--bogus", "1"], [_command, "--d"],
+                     VALID_ARGV[_command] + ["--bogus"]]
 
 
-@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+@pytest.mark.parametrize("argv", PARSER_CASES + list(VALID_ARGV.values()), ids=" ".join)
 def test_per_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
-    # help, usage and refusals must not depend on which subcommands got flags
+    # help, usage, refusals and the parsed arguments (command and func
+    # included) must not depend on whether one subcommand's parser or the
+    # full parser read the call
     monkeypatch.setenv("COLUMNS", "80")
-    lazy = parse_outcome(argv, capsys)
-    full_parser = sjlt.cli._build_parser
-    monkeypatch.setattr(sjlt.cli, "_build_parser", lambda command=None: full_parser())
-    assert lazy == parse_outcome(argv, capsys)
-    assert lazy[0] != 0 or argv[-1] == "-h"
+    args_list = ["verify", *argv[1:]] if argv[:1] == ["--verify"] else argv
+    parsed = outcome(sjlt.cli._parse, args_list, capsys)
+    assert parsed == outcome(sjlt.cli._parse_full, args_list, capsys)
+    assert (getattr(parsed[0], "command", None) is not None) == (
+        argv in PARSED_CASES or argv in VALID_ARGV.values())
+    if argv in VALID_ARGV.values():
+        return
+    lazy = outcome(main, argv, capsys)
+    monkeypatch.setattr(sjlt.cli, "_parse", sjlt.cli._parse_full)
+    assert lazy == outcome(main, argv, capsys)
+    assert lazy[0] != 0 or argv[-1] == "-h" or argv in PARSED_CASES
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")

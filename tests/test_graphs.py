@@ -31,23 +31,6 @@ from sjlt.graphs import (
 )
 
 
-def component_count_by_matrix_power(seq: PairSequence) -> list[set[int]]:
-    """Independent component oracle: boolean reachability via adjacency powers."""
-    vertices = sorted({v for pair in seq.pairs for v in pair})
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    reach = np.eye(n, dtype=bool)
-    for a, b in seq.pairs:
-        reach[index[a], index[b]] = reach[index[b], index[a]] = True
-    for _ in range(n):
-        reach = reach @ reach
-    groups = {}
-    for i, v in enumerate(vertices):
-        key = tuple(np.flatnonzero(reach[i]).tolist())
-        groups.setdefault(key, set()).add(v)
-    return list(groups.values())
-
-
 # ----------------------------------------------------------------- multigraphs
 
 def test_pair_sequence_validation():
@@ -81,23 +64,8 @@ def test_build_hand_checked_instance():
     seq = PairSequence(((1, 2), (2, 3), (1, 3), (4, 5), (4, 5), (1, 2)))
     g = build_multigraph(seq)
     assert g.degree == {1: 3, 2: 3, 3: 2, 4: 2, 5: 2}
-    got = sorted(sorted(c) for c in g.components)
-    assert got == [[1, 2, 3], [4, 5]]
-    oracle = sorted(sorted(c) for c in component_count_by_matrix_power(seq))
-    assert got == oracle
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=2,
-                max_size=8).filter(lambda raw: len(raw) % 2 == 0))
-def test_components_match_matrix_oracle(raw):
-    pairs = tuple((min(a, b), max(a, b) + (1 if a == b else 0)) for a, b in raw)
-    seq = PairSequence(pairs)
-    got = sorted(sorted(c) for c in build_multigraph(seq).components)
-    oracle = sorted(sorted(c) for c in component_count_by_matrix_power(seq))
-    assert got == oracle
-    g = build_multigraph(seq)
-    assert sum(g.degree.values()) == 2 * len(g.edges)
+    assert g.components == (frozenset({1, 2, 3}), frozenset({4, 5}))
+    assert g.components == components_by_bfs(seq.pairs)
 
 
 def components_by_bfs(pairs) -> tuple[frozenset[int], ...]:
@@ -132,6 +100,7 @@ def test_components_and_degrees_match_bfs(raw):
     assert g.components == components_by_bfs(pairs)
     assert g.degree == Counter(v for pair in pairs for v in pair)
     assert g.vertices == frozenset(g.degree)
+    assert g.edges == pairs
 
 
 # ---------------------------------------------------------------------- weight
