@@ -277,6 +277,70 @@ def test_monte_carlo_moment_consistent_with_exact():
     assert abs(mean - 2.0 / 3.0) <= 4.0 * se
 
 
+def reference_monte_carlo_moment(inst: ChaosInstance, m: int, trials: int,
+                                 seed: int) -> tuple[float, float]:
+    """monte_carlo_moment computed row by row: every chunk of up to 4096 trials
+    draws its buckets, then its sign bits, and each trial's row is summed,
+    squared and raised to the power on its own."""
+    rng = np.random.default_rng(seed)
+    x = inst.x.to_numpy()
+    norm_sq = float(x @ x)
+    powers = np.empty(trials, dtype=np.float64)
+    position = 0
+    while position < trials:
+        n = min(4096, trials - position)
+        buckets = rng.integers(0, inst.k, size=(n, inst.d))
+        signs = rng.integers(0, 2, size=(n, inst.d)) * 2 - 1
+        sums = signed_bucket_sums(buckets, signs, x, inst.k)
+        values = np.full(n, -norm_sq)
+        for t in range(inst.k):
+            values += sums[:, t] ** 2
+        powers[position:position + n] = values ** (2 * m)
+        position += n
+    return float(powers.mean()), float(powers.std(ddof=1) / math.sqrt(trials))
+
+
+# (2k)^d patterns: 2 and 64 fit under min(trials, 4096) for most trial counts,
+# 4096 only from 4096 trials on, and 7776 never
+@pytest.mark.parametrize("trials", [2, 4095, 4096, 4097, 10000])
+@pytest.mark.parametrize("d, k, m", [(1, 1, 1), (3, 2, 2), (6, 2, 1), (5, 3, 3)])
+@pytest.mark.parametrize("x_kind", ["uniform", "random"])
+def test_monte_carlo_moment_matches_row_by_row_reference(d, k, m, trials, x_kind):
+    if x_kind == "uniform":
+        inst = ChaosInstance.uniform(d, k)
+    else:
+        rng = np.random.default_rng([d, k, trials])
+        inst = ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0)
+    got = monte_carlo_moment(inst, m, trials, seed=trials + d)
+    expected = reference_monte_carlo_moment(inst, m, trials, seed=trials + d)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+# (mc_mean, mc_se) at seed 0 for the benchmark's 14 moment cells at 10,000
+# trials, then two cells with more (bucket, sign) patterns than trials
+@pytest.mark.parametrize("d, k, m, trials, expected", [
+    (2, 2, 1, 10000, (0.49689999999999984, 0.005000153913022614)),
+    (2, 2, 2, 10000, (0.4968999999999996, 0.005000153913022613)),
+    (2, 3, 1, 10000, (0.33469999999999983, 0.004719090800334124)),
+    (2, 3, 2, 10000, (0.3346999999999997, 0.0047190908003341215)),
+    (3, 2, 1, 10000, (0.6620444444444449, 0.008522979350355701)),
+    (3, 2, 2, 10000, (1.164641975308644, 0.037879908223803146)),
+    (3, 3, 1, 10000, (0.4475111111111114, 0.006478019567027271)),
+    (3, 3, 2, 10000, (0.6198716049382726, 0.02687559236070348)),
+    (4, 2, 1, 10000, (0.7694, 0.013109902782061183)),
+    (4, 2, 2, 10000, (2.3105, 0.10570200455231035)),
+    (4, 3, 1, 10000, (0.50415, 0.00812979932800997)),
+    (4, 3, 2, 10000, (0.9150375, 0.054912520523332356)),
+    (4, 3, 3, 10000, (4.227384375, 0.4827960584833236)),
+    (6, 2, 2, 10000, (3.79216790123457, 0.24421262272635666)),
+    (6, 2, 1, 2000, (0.8033333333333335, 0.03617985999022432)),
+    (5, 3, 2, 10000, (1.1913932799999998, 0.08305953267669365)),
+])
+def test_monte_carlo_moment_golden_values(d, k, m, trials, expected):
+    got = monte_carlo_moment(ChaosInstance.uniform(d, k), m, trials, seed=0)
+    assert repr(got) == repr(expected)
+
+
 def ordered_expansion(inst: ChaosInstance, m: int) -> float:
     """The graph expansion summed with fsum over every ordered pair sequence."""
     pairs = [(a, b) for a in range(1, inst.d + 1) for b in range(a + 1, inst.d + 1)]
