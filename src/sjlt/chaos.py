@@ -245,25 +245,53 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
     return float(4 ** m) * math.fsum(terms)
 
 
+_MC_CHUNK = 4096
+
+
+def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, norm_sq: float,
+                  k: int, power: int) -> np.ndarray:
+    """Each row's chaos value to `power`: its k signed bucket sums (signs
+    2 * bit - 1) squared and added to -|x|^2 in bucket order."""
+    sums = signed_bucket_sums(buckets, sign_bits * 2 - 1, x, k)
+    values = np.full(len(buckets), -norm_sq)
+    for t in range(k):
+        values += sums[:, t] ** 2
+    return values ** power
+
+
 def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the 2m-th moment with its standard error."""
+    """Monte Carlo estimate of the 2m-th moment with its standard error.
+
+    Trials come in chunks of 4096. Each chunk draws rng.integers(0, k) for its
+    (n, d) buckets, then rng.integers(0, 2) for its (n, d) sign bits, from
+    default_rng(seed); this order fixes every reported byte. When the (2k)^d
+    (bucket, sign) patterns number at most min(trials, 4096), each pattern's
+    power is computed once and every trial looks its pattern up: a row's
+    value depends on that row alone, so the bytes are the same.
+    """
     if trials < 2:
         raise ValueError("need at least 2 trials")
+    d, k, power = inst.d, inst.k, 2 * m
     rng = np.random.default_rng(seed)
     x = inst.x.to_numpy()
     norm_sq = float(x @ x)
+    patterns = (2 * k) ** d
+    table = None
+    if patterns <= min(trials, _MC_CHUNK):
+        # digit i, in radix 2k, of pattern p is 2 * bucket_i + sign_bit_i
+        radix = (2 * k) ** np.arange(d)
+        digits = np.arange(patterns)[:, None] // radix % (2 * k)
+        table = _chaos_powers(digits // 2, digits % 2, x, norm_sq, k, power)
     powers = np.empty(trials, dtype=np.float64)
-    position = 0
-    while position < trials:
-        n = min(4096, trials - position)
-        buckets = rng.integers(0, inst.k, size=(n, inst.d))
-        signs = rng.integers(0, 2, size=(n, inst.d)) * 2 - 1
-        sums = signed_bucket_sums(buckets, signs, x, inst.k)
-        values = np.full(n, -norm_sq)
-        for t in range(inst.k):
-            values += sums[:, t] ** 2
-        powers[position:position + n] = values ** (2 * m)
-        position += n
+    for position in range(0, trials, _MC_CHUNK):
+        n = min(_MC_CHUNK, trials - position)
+        buckets = rng.integers(0, k, size=(n, d))
+        sign_bits = rng.integers(0, 2, size=(n, d))
+        if table is None:
+            # row by row: (2k)^d can dwarf any chunk (4^13 patterns at d = 13, k = 2)
+            powers[position:position + n] = _chaos_powers(buckets, sign_bits, x, norm_sq, k, power)
+        else:
+            powers[position:position + n] = table[(buckets * 2 + sign_bits) @ radix]
     mean = float(powers.mean())
     se = float(powers.std(ddof=1) / math.sqrt(trials))
     return mean, se
@@ -327,15 +355,19 @@ class MomentReport:
         "d", "k", "m", "exact", "graph_expansion", "mc_mean", "mc_se", "rhs_bound")
 
 
-def check_moment_report(d: int, k: int, m: int, C: float) -> None:
-    """Every refusal of moment_report's exact phases, from the sizes of its
-    cell alone, so a caller can refuse before the d-entry vector is built."""
+def check_moment_report(d: int, k: int, m: int, C: float, trials: int, seed: int) -> None:
+    """Every refusal of moment_report's phases, from its parameters alone, so
+    a caller can refuse before the d-entry vector is built."""
     for name, value in (("d", d), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
     _check_cap(C)
     if m < 1:
         raise ValueError("m must be positive")
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     check_assignment_budget(d, k)
     _check_sequence_budget(d, 2 * m)
     # moment_upper_bound's class_histograms(2m, m), vertex count by vertex count
@@ -347,9 +379,10 @@ def moment_report(inst: ChaosInstance, m: int, C: float,
                   trials: int, seed: int) -> MomentReport:
     """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound.
 
-    Every refusal the exact phases can raise comes before the Monte Carlo.
+    Every refusal of every phase, the Monte Carlo's trials and seed included,
+    comes before any phase runs.
     """
-    check_moment_report(inst.d, inst.k, m, C)
+    check_moment_report(inst.d, inst.k, m, C, trials, seed)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

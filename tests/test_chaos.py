@@ -300,8 +300,8 @@ def reference_monte_carlo_moment(inst: ChaosInstance, m: int, trials: int,
     return float(powers.mean()), float(powers.std(ddof=1) / math.sqrt(trials))
 
 
-# (2k)^d patterns: 2 and 64 fit under min(trials, 4096) for most trial counts,
-# 4096 only from 4096 trials on, and 7776 never
+# (2k)^d patterns against min(trials, 4096): 2 fit at every trial count, 64
+# at all but 2 trials, 4096 only from 4096 trials on, and 7776 never
 @pytest.mark.parametrize("trials", [2, 4095, 4096, 4097, 10000])
 @pytest.mark.parametrize("d, k, m", [(1, 1, 1), (3, 2, 2), (6, 2, 1), (5, 3, 3)])
 @pytest.mark.parametrize("x_kind", ["uniform", "random"])
@@ -595,6 +595,21 @@ def test_exact_phase_refusals_come_before_any_phase(monkeypatch, d, k, m, error,
         monkeypatch.setattr(sjlt.chaos, phase, unreachable)
     with pytest.raises(error) as excinfo:
         moment_report(ChaosInstance.uniform(d, k), m, float(d), trials=100, seed=0)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (1, 0, "need at least 2 trials"),
+    (100, -1, "seed must be non-negative, got -1"),
+])
+def test_monte_carlo_refusals_come_before_any_phase(monkeypatch, trials, seed, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a moment phase ran before its refusal")
+
+    for phase in ("monte_carlo_moment", "exact_moment", "graph_expansion_moment"):
+        monkeypatch.setattr(sjlt.chaos, phase, unreachable)
+    with pytest.raises(ValueError) as excinfo:
+        moment_report(ChaosInstance.uniform(3, 2), 1, 3.0, trials=trials, seed=seed)
     assert str(excinfo.value) == message
 
 

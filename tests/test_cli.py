@@ -431,6 +431,18 @@ def test_budget_refusals_name_sizes_by_formula(monkeypatch, capsys, argv, messag
     assert (code, out, err) == (1, "", f"error: budget-exceeded: {message}\n")
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", "1", "need at least 2 trials"),
+    ("--seed", "-1", "seed must be non-negative, got -1"),
+])
+def test_moment_report_refuses_bad_trials_and_seed_before_its_vector(monkeypatch, capsys,
+                                                                     flag, value, message):
+    _refuse_work(monkeypatch)
+    code, out, err = run(["moment-report", "--d", "3", "--k", "2", "--m", "1", flag, value,
+                          "--out", "-"], capsys)
+    assert (code, out, err) == (1, "", f"error: invalid-parameter: {message}\n")
+
+
 def test_moment_report_refuses_before_building_its_vector(monkeypatch, capsys):
     # a 20-million-entry uniform vector is never built for a refused cell
     _refuse_work(monkeypatch)
