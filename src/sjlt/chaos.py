@@ -259,6 +259,13 @@ def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, nor
     return values ** power
 
 
+def _check_draws(trials: int, seed: int) -> None:
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the 2m-th moment with its standard error.
 
@@ -269,8 +276,7 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
     power is computed once and every trial looks its pattern up: a row's
     value depends on that row alone, so the bytes are the same.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    _check_draws(trials, seed)
     d, k, power = inst.d, inst.k, 2 * m
     rng = np.random.default_rng(seed)
     x = inst.x.to_numpy()
@@ -364,10 +370,7 @@ def check_moment_report(d: int, k: int, m: int, C: float, trials: int, seed: int
     _check_cap(C)
     if m < 1:
         raise ValueError("m must be positive")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_draws(trials, seed)
     check_assignment_budget(d, k)
     _check_sequence_budget(d, 2 * m)
     # moment_upper_bound's class_histograms(2m, m), vertex count by vertex count

@@ -4,15 +4,15 @@ A sequence of 2m pairs over {1..d} induces a multigraph whose expected signed
 collision product is nonzero only when every vertex degree is even. The
 functions here construct those graphs and compute their component-wise
 weights. They count the sequence classes, grouped by vertex count and number
-of connected components, in closed form by exact integer recurrences. Class
-members are enumerated, as even-degree pair multisets weighted by their
-orderings, only to check their structure and as the counts' test oracle.
+of connected components, by exact integer recurrences over the nonzero
+connected counts. Class members, even-degree pair multisets weighted by their
+orderings and each found by the one pair that can close it, are enumerated
+only to check their structure and as the counts' test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -56,11 +56,11 @@ def build_multigraph(seq: PairSequence) -> Multigraph:
     Components are found as vertex bitmasks: each pair's two-bit mask absorbs
     every component mask it meets.
     """
-    degree: Counter[int] = Counter()
+    degree: dict[int, int] = {}
     masks: list[int] = []
     for a, b in seq.pairs:
-        degree[a] += 1
-        degree[b] += 1
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
         joined = (1 << a) | (1 << b)
         apart = []
         for mask in masks:
@@ -74,7 +74,7 @@ def build_multigraph(seq: PairSequence) -> Multigraph:
     components = tuple(frozenset(v for v in vertices if mask >> v & 1)
                        for mask in sorted(masks, key=lambda mask: mask & -mask))
     return Multigraph(vertices=frozenset(vertices), edges=tuple(seq.pairs),
-                      degree=dict(degree), components=components)
+                      degree=degree, components=components)
 
 
 def weight(graph: Multigraph, x: Sequence[float], k: int) -> float:
@@ -156,20 +156,28 @@ def check_class_budget(n: int, two_m: int) -> None:
 
 def even_pair_multisets(vertices, two_m: int):
     """Each multiset of two_m increasing pairs over the vertices whose multigraph
-    has only even degrees, once, as a sequence with its number of orderings
-    (every ordering has the same multigraph). The others weigh 0; a parity
-    bitmask of their pairs drops them before any sequence or graph is built."""
+    has only even degrees, once, in lexicographic order, as a sequence with its
+    number of orderings (every ordering has the same multigraph). The others
+    weigh 0: the parity bitmask of the first two_m - 1 pairs names the one pair
+    that can close an even multiset, so no other multiset is built."""
+    if two_m < 1 or two_m % 2:
+        raise ValueError("need an even, positive number of pairs")
     pairs = tuple(combinations(sorted(vertices), 2))
     masks = tuple((1 << a) ^ (1 << b) for a, b in pairs)
-    for chosen in combinations_with_replacement(range(len(pairs)), two_m):
+    closing = {mask: p for p, mask in enumerate(masks)}
+    for chosen in combinations_with_replacement(range(len(pairs)), two_m - 1):
         odd = 0
         for p in chosen:
             odd ^= masks[p]
-        if odd:
+        last = closing.get(odd)
+        # sorted multisets only: the closing pair comes no earlier than the rest
+        if last is None or last < chosen[-1]:
             continue
-        orderings = math.factorial(two_m)
-        for repeats in Counter(chosen).values():
-            orderings //= math.factorial(repeats)
+        chosen += (last,)
+        orderings, run = math.factorial(two_m), 1
+        for previous, p in zip(chosen, chosen[1:]):
+            run = run + 1 if p == previous else 1
+            orderings //= run
         yield orderings, PairSequence(tuple(pairs[p] for p in chosen))
 
 
@@ -178,7 +186,7 @@ def _census(vertices: tuple[int, ...], two_m: int):
     """Counts by component number plus each member multiset's orderings and
     components, over the multisets covering every vertex with even degrees."""
     check_class_budget(len(vertices), two_m)
-    counts: Counter[int] = Counter()
+    counts: dict[int, int] = {}
     members: list[tuple[int, tuple[frozenset[int], ...]]] = []
     every = sum(1 << v for v in vertices)
     for orderings, seq in even_pair_multisets(vertices, two_m):
@@ -189,9 +197,10 @@ def _census(vertices: tuple[int, ...], two_m: int):
         if covered != every:
             continue
         graph = build_multigraph(seq)
-        counts[len(graph.components)] += orderings
+        t = len(graph.components)
+        counts[t] = counts.get(t, 0) + orderings
         members.append((orderings, graph.components))
-    return dict(counts), tuple(members)
+    return counts, tuple(members)
 
 
 @dataclass(frozen=True)
@@ -206,45 +215,50 @@ class ClassCount:
             raise ValueError("classes with more than i/2 components cannot exist")
 
 
-def _split_first_component(conn, rest, n: int, length: int) -> int:
-    # Sequences of `length` pairs on {1..n}: the component of vertex 1, with a
-    # vertices and b pairs, counted by conn[a][b], the rest by rest[n - a][length - b].
-    return sum(math.comb(n - 1, a - 1) * math.comb(length, b)
-               * conn[a][b] * rest[n - a][length - b]
-               for a in range(1, n + 1) for b in range(length + 1))
-
-
 def _class_tables(n: int, two_m: int) -> dict[int, dict[int, int]]:
     """Sequences of two_m pairs covering {1..i} with even degrees, by component
     number, for every i <= n.
 
     Exact integer recurrences (the exponential formula over vertex and position
     labels): even[v][l] = 2^-v sum_s C(v,s) lambda_s^l counts even-degree
-    sequences on v vertices, where lambda_s = C(v-s,2) + C(s,2) - s(v-s) is the
-    pair sum of the sign character of an s-set; inclusion-exclusion keeps the
-    covering ones; splitting off the component of vertex 1 gives the connected
-    counts and then, one component at a time, the t-component counts. The
-    tables for n hold every smaller vertex count, so one pass serves all i.
-    Below three vertices there is at most the one pair (1, 2), whose 2m
-    copies form one even component: no tables of length up to 2m are built.
+    sequences on v vertices, where lambda_s = C(v-s,2) + C(s,2) - s(v-s) =
+    ((v-2s)^2 - v)/2 is the pair sum of the sign character of an s-set;
+    inclusion-exclusion keeps the covering ones; splitting off the component
+    of vertex 1 gives the connected counts and then, one component at a time,
+    the t-component counts. The splits run over the nonzero connected counts
+    alone: a connected even multigraph on a >= 3 vertices has at least a
+    pairs, so most are 0. The tables for n hold every smaller vertex count, so
+    one pass serves all i. Below three vertices there is at most the one pair
+    (1, 2), whose 2m copies form one even component: no tables are built.
     """
     if n <= 2:
         return {i: {1: 1} if i == 2 else {} for i in range(1, n + 1)}
     sizes, lengths = range(n + 1), range(two_m + 1)
-    even = [[sum(math.comb(v, s) * (math.comb(v - s, 2) + math.comb(s, 2) - s * (v - s)) ** l
-                 for s in range(v + 1)) >> v for l in lengths] for v in sizes]
-    cover = [[sum((-1) ** j * math.comb(v, j) * even[v - j][l] for j in range(v + 1))
+    binom = [[math.comb(x, y) for y in range(x + 1)] for x in range(max(n, two_m) + 1)]
+    even = [[sum(binom[v][s] * (((v - 2 * s) ** 2 - v) // 2) ** l for s in range(v + 1)) >> v
+             for l in lengths] for v in sizes]
+    cover = [[sum((-1) ** j * binom[v][j] * even[v - j][l] for j in range(v + 1))
               for l in lengths] for v in sizes]
-    conn = [[0] * len(lengths) for _ in sizes]
+    connected = []
+
+    def split(rest, v: int, l: int) -> int:
+        # Sequences of l pairs on {1..v}: the component of vertex 1, with a
+        # vertices and b pairs, counted by c, the rest by rest[v - a][l - b].
+        return sum(binom[v - 1][a - 1] * binom[l][b] * c * rest[v - a][l - b]
+                   for a, b, c in connected if a <= v and b <= l)
+
     for v in range(1, n + 1):
         for l in lengths:
-            # conn[v][l] is still 0 here, so the split counts exactly the
-            # sequences whose component of vertex 1 is not the whole graph
-            conn[v][l] = cover[v][l] - _split_first_component(conn, cover, v, l)
+            # (v, l) is not in `connected` yet, so the split counts exactly
+            # the sequences whose component of vertex 1 is not the whole graph
+            count = cover[v][l] - split(cover, v, l)
+            if count:
+                connected.append((v, l, count))
     layer = [[int(v == 0 and l == 0) for l in lengths] for v in sizes]
     histograms = {i: {} for i in range(1, n + 1)}
     for t in range(1, n // 2 + 1):
-        layer = [[_split_first_component(conn, layer, v, l) for l in lengths] for v in sizes]
+        # t even components need at least 2t vertices
+        layer = [[split(layer, v, l) if v >= 2 * t else 0 for l in lengths] for v in sizes]
         for i in range(2 * t, n + 1):
             if layer[i][two_m]:
                 histograms[i][t] = layer[i][two_m]

@@ -613,6 +613,16 @@ def test_monte_carlo_refusals_come_before_any_phase(monkeypatch, trials, seed, m
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("trials, seed, message", [
+    (1, 0, "need at least 2 trials"),
+    (100, -1, "seed must be non-negative, got -1"),
+])
+def test_monte_carlo_moment_refuses_its_draws_when_called_directly(trials, seed, message):
+    with pytest.raises(ValueError) as excinfo:
+        monte_carlo_moment(ChaosInstance.uniform(3, 2), 1, trials, seed)
+    assert str(excinfo.value) == message
+
+
 def test_moment_report_bundle():
     inst = ChaosInstance.uniform(2, 2)
     report = moment_report(inst, 1, 2.0, trials=2000, seed=1)

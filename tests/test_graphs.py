@@ -68,6 +68,12 @@ def test_build_hand_checked_instance():
     assert g.components == components_by_bfs(seq.pairs)
 
 
+def test_degrees_are_a_plain_dict_in_first_seen_order():
+    g = build_multigraph(PairSequence(((3, 5), (1, 3), (2, 5), (1, 2))))
+    assert type(g.degree) is dict
+    assert list(g.degree.items()) == [(3, 2), (5, 2), (1, 2), (2, 2)]
+
+
 def components_by_bfs(pairs) -> tuple[frozenset[int], ...]:
     """Independent component oracle: breadth-first search from each unseen
     vertex in increasing order, so components come sorted by smallest vertex."""
@@ -239,6 +245,43 @@ def test_power_budget_is_exact_at_every_size():
         check_power_budget(36, 2 * 10**7, 10**9, "sequences exceed the budget")
 
 
+def dense_class_tables(n: int, two_m: int) -> dict[int, dict[int, int]]:
+    """The recurrences of graphs._class_tables over every (vertices, pairs)
+    cell, zero or not, with a math.comb per binomial: the reference for the
+    version that splits over the nonzero connected counts alone."""
+    if n <= 2:
+        return {i: {1: 1} if i == 2 else {} for i in range(1, n + 1)}
+
+    def split_first_component(conn, rest, v, length):
+        return sum(math.comb(v - 1, a - 1) * math.comb(length, b)
+                   * conn[a][b] * rest[v - a][length - b]
+                   for a in range(1, v + 1) for b in range(length + 1))
+
+    sizes, lengths = range(n + 1), range(two_m + 1)
+    even = [[sum(math.comb(v, s) * (math.comb(v - s, 2) + math.comb(s, 2) - s * (v - s)) ** l
+                 for s in range(v + 1)) >> v for l in lengths] for v in sizes]
+    cover = [[sum((-1) ** j * math.comb(v, j) * even[v - j][l] for j in range(v + 1))
+              for l in lengths] for v in sizes]
+    conn = [[0] * len(lengths) for _ in sizes]
+    for v in range(1, n + 1):
+        for l in lengths:
+            conn[v][l] = cover[v][l] - split_first_component(conn, cover, v, l)
+    layer = [[int(v == 0 and l == 0) for l in lengths] for v in sizes]
+    histograms = {i: {} for i in range(1, n + 1)}
+    for t in range(1, n // 2 + 1):
+        layer = [[split_first_component(conn, layer, v, l) for l in lengths] for v in sizes]
+        for i in range(2 * t, n + 1):
+            if layer[i][two_m]:
+                histograms[i][t] = layer[i][two_m]
+    return histograms
+
+
+def test_sparse_class_tables_equal_the_dense_recurrence():
+    for n in range(1, 10):
+        for two_m in range(1, 11):
+            assert _class_tables(n, two_m) == dense_class_tables(n, two_m), (n, two_m)
+
+
 def test_one_pass_histograms_equal_the_single_ones():
     for m in (1, 2, 3):
         for n in range(1, 7):
@@ -332,21 +375,26 @@ def test_even_pair_multisets_are_the_even_multisets():
     for n in range(1, 6):
         for two_m in (2, 4, 6):
             pairs = list(combinations(range(1, n + 1), 2))
-            even = set()
+            even = []
             for chosen in combinations_with_replacement(pairs, two_m):
                 degree = Counter(v for pair in chosen for v in pair)
                 if all(c % 2 == 0 for c in degree.values()):
-                    even.add(chosen)
-            seen = set()
+                    even.append(chosen)
+            yielded = []
             total = 0
             for orderings, seq in even_pair_multisets(range(1, n + 1), two_m):
-                key = tuple(sorted(seq.pairs))
-                assert key not in seen
-                seen.add(key)
+                yielded.append(seq.pairs)
                 assert all(c % 2 == 0 for c in build_multigraph(seq).degree.values())
                 total += orderings
-            assert seen == even
+            # the brute filter's lexicographic order, each multiset sorted and once
+            assert yielded == even
             assert total == even_sequences_by_parity_walk(n, two_m)
+
+
+@pytest.mark.parametrize("two_m", [0, -1, 3])
+def test_even_pair_multisets_refuse_a_bad_pair_count(two_m):
+    with pytest.raises(ValueError, match="^need an even, positive number of pairs$"):
+        next(even_pair_multisets(range(1, 5), two_m))
 
 
 def even_compositions(total: int, parts: int):
