@@ -1,0 +1,162 @@
+"""The golden payload corpus: every `sjlt` call below, its exit code and a digest.
+
+Each line of tests/fixtures/payloads.txt holds one call, tab-separated: the
+argv, the exit code, the sha256 of the payload (the `--out` file when the call
+names one, else stdout) and, when the call wrote any, its stderr line.
+graph-count's elapsed_ms column is blanked before hashing: it is the one
+timing field of any report. `{dir}` in an argv stands for a fresh directory
+that holds the input files below; calls run in order there, so a `verify`
+call reads the report an earlier call wrote.
+
+tests/test_payloads.py compares the corpus with the calls it never rewrites.
+Rewrite it only when a payload is meant to change, and list the moved lines:
+
+    PYTHONPATH=src python tests/regen_payloads.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from sjlt.cli import main
+
+CORPUS = Path(__file__).resolve().parent / "fixtures" / "payloads.txt"
+
+
+def _input_files() -> dict[str, str]:
+    """The transform inputs. At d = 4096, epsilon 0.5, delta 1e-3 the spec has
+    c = 23 > degree 14, so a kernel chunk is 16384 // 14 = 1170 coordinates:
+    short.txt fits in one chunk and long.txt's 1500 nonzeros cross two."""
+    rng = np.random.default_rng(2010)
+    files = {}
+    for name, sizes in (("short.txt", (1, 3, 40)), ("long.txt", (700, 500, 300))):
+        lines = []
+        for nnz in sizes:
+            idx = np.sort(rng.choice(4096, size=nnz, replace=False))
+            val = rng.standard_normal(nnz)
+            entries = zip(idx.tolist(), val.tolist())
+            lines.append("4096;" + ",".join(f"{i}:{v!r}" for i, v in entries))
+        files[name] = "\n".join(lines) + "\n"
+    files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2 budget=1000000000\nm,i,t\n"
+    return files
+
+
+_SPEC = ["--epsilon", "0.25", "--delta", "0.05"]
+# k = 16 and degree 2: about half of the trials fail, so each trial's seeds show
+_LOOSE_SPEC = ["--epsilon", "0.5", "--delta", "0.5"]
+_TRANSFORM = ["transform", "--d", "4096", "--epsilon", "0.5", "--delta", "1e-3",
+              "--bucket-seed", "7", "--sign-seed", "1000000007"]
+# the 14 cells of the benchmark's oracles workload
+_ORACLE_CELLS = [(d, k, m) for d in (2, 3, 4) for k in (2, 3) for m in (1, 2)] \
+    + [(4, 3, 3), (6, 2, 2)]
+
+
+def calls() -> list[list[str]]:
+    out = []
+    for m in range(1, 5):
+        for i_max in range(1, 9):
+            out.append(["graph-count", "--m", str(m), "--i-max", str(i_max)])
+    out.append(["graph-count", "--m", "2", "--i-max", "4", "--out", "{dir}/g.csv"])
+    out.append(["graph-count", "--m", "3", "--i-max", "4", "--budget", "100"])
+    for n, (d, k, m) in enumerate(_ORACLE_CELLS):
+        out.append(["moment-report", "--d", str(d), "--k", str(k), "--m", str(m),
+                    "--seed", str(1000 + n)])
+    # 4^6 = 4096 (bucket, sign) patterns exceed 2000 trials: the row path;
+    # 4^3 = 64 patterns within 2000 trials: the pattern-table path
+    out.append(["moment-report", "--d", "6", "--k", "2", "--m", "1", "--trials", "2000",
+                "--seed", "5"])
+    out.append(["moment-report", "--d", "3", "--k", "2", "--m", "1", "--trials", "2000",
+                "--seed", "5", "--out", "{dir}/r.csv"])
+    # the cap C against max x_i^2 = 1/2: below it, at it (the default) and above it
+    for cap in ("1.5", "2", "10", "1e9"):
+        out.append(["moment-report", "--d", "2", "--k", "100", "--m", "2", "--C", cap])
+    out.append(["moment-report", "--d", "2", "--k", "100", "--m", "2"])
+    for seeds in (("3", "4"), ("3", str(3 + 2 ** 40))):
+        seed_flags = ["--bucket-seed", seeds[0], "--sign-seed", seeds[1]]
+        out.append(["distortion-bench", "--d", "64", *_LOOSE_SPEC, "--trials", "300",
+                    *seed_flags])
+        out.append(["tail-estimate", "--d", "16", *_SPEC, "--trials", "1000", *seed_flags])
+    out.append(["tail-estimate", "--d", "16", *_SPEC, "--trials", "1000",
+                "--bucket-seed", "3", "--sign-seed", "4", "--out", "{dir}/t.csv"])
+    for name in ("short", "long"):
+        out.append(_TRANSFORM + ["--in", f"{{dir}}/{name}.txt", "--out", f"{{dir}}/{name}.out"])
+    for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
+        out.append(["verify", f"{{dir}}/{name}"])
+    out.append(["--verify", "{dir}/short.out"])
+    # refusals: budgets, then invalid parameters
+    out += [
+        ["moment-report", "--d", "14", "--k", "2", "--m", "1"],
+        ["moment-report", "--d", "8", "--k", "1", "--m", "3"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "4"],
+        ["graph-count", "--m", "8000", "--i-max", "3"],
+        ["moment-report", "--d", "0", "--k", "2", "--m", "1"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "0"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--C", "nan"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--C", "-1"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--trials", "1"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--seed", "-1"],
+        ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--x", "spikes:2"],
+        ["graph-count", "--m", "0", "--i-max", "2"],
+        ["graph-count", "--m", "1", "--i-max", "0"],
+        ["graph-count", "--m", "1", "--i-max", "2", "--budget", "0"],
+        ["distortion-bench", "--d", "64", "--epsilon", "0", "--delta", "0.05",
+         "--bucket-seed", "3", "--sign-seed", "4"],
+        ["distortion-bench", "--d", "64", *_SPEC, "--bucket-seed", "3", "--sign-seed", "3"],
+        ["tail-estimate", "--d", "16", *_SPEC, "--trials", "999",
+         "--bucket-seed", "3", "--sign-seed", "4"],
+        ["tail-estimate", "--d", "16", *_SPEC, "--kappa-k", "inf",
+         "--bucket-seed", "3", "--sign-seed", "4"],
+        _TRANSFORM + ["--in", "{dir}/absent.txt", "--out", "{dir}/absent.out"],
+        ["transform", "--d", "4096", "--epsilon", "0.5", "--delta", "1e-3",
+         "--bucket-seed", "7", "--sign-seed", "7", "--in", "{dir}/short.txt",
+         "--out", "{dir}/refused.out"],
+    ]
+    return out
+
+
+def _payload(argv: list[str], stdout: str) -> bytes:
+    if "--out" in argv and argv[argv.index("--out") + 1] != "-":
+        path = Path(argv[argv.index("--out") + 1])
+        payload = path.read_text(encoding="ascii") if path.exists() else ""
+    else:
+        payload = stdout
+    if argv[0] == "graph-count":
+        lines = payload.splitlines(keepends=True)
+        payload = "".join(lines[:2] + [line.rsplit(",", 1)[0] + ",\n" for line in lines[2:]])
+    return payload.encode("ascii")
+
+
+def run_call(argv: list[str], workdir: Path) -> str:
+    """The corpus line of one call, run in this process in `workdir`."""
+    concrete = [arg.replace("{dir}", str(workdir)) for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        # AssumptionWarning is advisory and reaches stderr only outside pytest
+        warnings.simplefilter("ignore")
+        code = main(concrete)
+    fields = [" ".join(argv), str(code),
+              hashlib.sha256(_payload(concrete, stdout.getvalue())).hexdigest()]
+    error = stderr.getvalue().replace(str(workdir), "{dir}").rstrip("\n")
+    if error:
+        fields.append(error)
+    return "\t".join(fields)
+
+
+def corpus_lines() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, text in _input_files().items():
+            (workdir / name).write_text(text, encoding="ascii")
+        return [run_call(argv, workdir) for argv in calls()]
+
+
+if __name__ == "__main__":
+    CORPUS.write_text("\n".join(corpus_lines()) + "\n", encoding="ascii")
