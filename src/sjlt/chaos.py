@@ -47,26 +47,24 @@ _GRAPH_CACHE_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class ChaosInstance:
-    """A unit vector with an explicit infinity-norm cap, plus the bucket count."""
+    """A unit vector and the bucket count; the bound's cap C is checked against x."""
 
-    d: int
     k: int
     x: DenseVector
-    infinity_bound: float
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be positive")
-        if len(self.x) != self.d:
-            raise ValueError("x must have length d")
         if abs(self.x.norm() - 1.0) > 1e-12:
             raise ValueError("x must be a unit vector")
-        if max(abs(v) for v in self.x) > self.infinity_bound + 1e-12:
-            raise ValueError("x violates the infinity-norm cap")
+
+    @property
+    def d(self) -> int:
+        return len(self.x)
 
     @classmethod
     def uniform(cls, d: int, k: int) -> "ChaosInstance":
-        return cls(d=d, k=k, x=DenseVector.uniform(d), infinity_bound=1.0 / math.sqrt(d))
+        return cls(k=k, x=DenseVector.uniform(d))
 
 
 @dataclass(frozen=True)
@@ -223,19 +221,24 @@ def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:
         for orderings, graph in _iter_graphs(inst.d, 2 * m))
 
 
-def _check_cap(C: float) -> None:
+def _check_cap(C: float, x: DenseVector) -> None:
+    """Refuse a C the bound does not hold for: it needs every x_i^2 <= 1/C. The slack
+    admits C = d for uniform x, whose x_i^2 * d is <= 1 + 4.4e-16 for d <= 10^5."""
     if not (math.isfinite(C) and C > 0):
         raise ValueError("C must be finite and positive")
+    peak = max(v * v for v in x)
+    if peak * C > 1.0 + 1e-12:
+        raise ValueError(f"C={C!r} exceeds 1/max x_i^2 = {1.0 / peak!r}, the bound's cap")
 
 
 def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
     """Closed-form cap on the 2m-th moment from exact class counts.
 
-    Dominates exact_moment whenever every |x_i|^2 <= 1/C.
+    Dominates exact_moment when every |x_i|^2 <= 1/C; a larger C is refused.
     """
+    _check_cap(C, inst.x)
     if m < 1:
         raise ValueError("m must be positive")
-    _check_cap(C)
     terms = []
     histograms = class_histograms(2 * m, m)
     for i in range(1, 2 * m + 1):
@@ -361,13 +364,12 @@ class MomentReport:
         "d", "k", "m", "exact", "graph_expansion", "mc_mean", "mc_se", "rhs_bound")
 
 
-def check_moment_report(d: int, k: int, m: int, C: float, trials: int, seed: int) -> None:
-    """Every refusal of moment_report's phases, from its parameters alone, so
-    a caller can refuse before the d-entry vector is built."""
+def check_moment_report(d: int, k: int, m: int, trials: int, seed: int) -> None:
+    """Every refusal of moment_report's phases but the cap's, which needs the
+    vector, so a caller can refuse before the d-entry vector is built."""
     for name, value in (("d", d), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
-    _check_cap(C)
     if m < 1:
         raise ValueError("m must be positive")
     _check_draws(trials, seed)
@@ -382,10 +384,11 @@ def moment_report(inst: ChaosInstance, m: int, C: float,
                   trials: int, seed: int) -> MomentReport:
     """Bundle the exact oracles, the Monte Carlo estimate and the class-count bound.
 
-    Every refusal of every phase, the Monte Carlo's trials and seed included,
-    comes before any phase runs.
+    Every refusal of every phase, the Monte Carlo's trials and seed and the
+    bound's cap C included, comes before any phase runs.
     """
-    check_moment_report(inst.d, inst.k, m, C, trials, seed)
+    check_moment_report(inst.d, inst.k, m, trials, seed)
+    _check_cap(C, inst.x)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

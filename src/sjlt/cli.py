@@ -103,7 +103,7 @@ def cmd_moment_report(args) -> int:
     if args.x != "uniform":
         raise ValueError("only --x uniform is supported")
     cap = args.C if args.C is not None else float(args.d)
-    check_moment_report(args.d, args.k, args.m, cap, args.trials, args.seed)
+    check_moment_report(args.d, args.k, args.m, args.trials, args.seed)
     instance = ChaosInstance.uniform(args.d, args.k)
     report = moment_report(instance, args.m, cap, args.trials, args.seed)
     config = {"d": args.d, "k": args.k, "m": args.m, "x": args.x, "C": cap,

@@ -205,11 +205,9 @@ class TransformSpec:
     m: int
     k: int
     c: int
-    sparsity_gain: float
     bucket_seed: int
     sign_seed: int
     independence_degree: int
-    epsilon_assumption_ok: bool = True
 
     def __post_init__(self) -> None:
         if min(self.d, self.m, self.k, self.c, self.independence_degree) < 1:
@@ -268,16 +266,14 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
         raise ValueError("kappa constants too large: m, k or c is not finite") from None
     log_budget = math.log(1.0 / delta)
     threshold = math.inf if log_budget * log_budget == 0.0 else 1.0 / (log_budget * log_budget)
-    assumption_ok = epsilon <= threshold
-    if not assumption_ok:
+    if epsilon > threshold:
         warnings.warn(
             f"epsilon={epsilon:g} exceeds ln(1/delta)^-2={threshold:g}; "
             "the distortion guarantee weakens in this regime",
             AssumptionWarning, stacklevel=2)
     return TransformSpec(d=d, epsilon=float(epsilon), delta=float(delta), m=m, k=k, c=c,
-                         sparsity_gain=gain, bucket_seed=int(bucket_seed),
-                         sign_seed=int(sign_seed), independence_degree=2 * m,
-                         epsilon_assumption_ok=assumption_ok)
+                         bucket_seed=int(bucket_seed), sign_seed=int(sign_seed),
+                         independence_degree=2 * m)
 
 
 def bucket_generator(spec: TransformSpec) -> KWiseGenerator:

@@ -53,7 +53,7 @@ def test_criterion_1_moment_identity():
     worst = 0.0
     for cell_index, (d, k, m) in enumerate(GRID):
         for x in _cell_vectors(d, 1000 + cell_index):
-            inst = ChaosInstance(d=d, k=k, x=x, infinity_bound=1.0)
+            inst = ChaosInstance(k=k, x=x)
             exact = exact_moment(inst, m)
             expansion = graph_expansion_moment(inst, m)
             rel = abs(exact - expansion) / max(exact, expansion, 1e-300)
@@ -67,11 +67,14 @@ def test_criterion_2_moment_bound():
     for cell_index, (d, k, m) in enumerate(GRID):
         for x in _cell_vectors(d, 2000 + cell_index):
             cap = max(abs(v) for v in x)
-            inst = ChaosInstance(d=d, k=k, x=x, infinity_bound=cap)
+            inst = ChaosInstance(k=k, x=x)
             big_c = 1.0 / cap ** 2          # tightest C the vector satisfies
             bound = moment_upper_bound(inst, m, big_c)
             exact = exact_moment(inst, m)
             assert exact <= bound * (1.0 + 1e-12), (d, k, m, exact, bound)
+            # the bound holds only when every x_i^2 <= 1/C, so a larger C is refused
+            with pytest.raises(ValueError, match=r"exceeds 1/max x_i\^2"):
+                moment_upper_bound(inst, m, big_c * (1.0 + 1e-9))
     _passed(2, "class-count bound dominates every exact moment")
 
 
@@ -126,7 +129,7 @@ def test_criterion_6_tail_surrogate():
         inst = ChaosInstance.uniform(d, k)
         markov_bound = exact_moment(inst, 1) / epsilon ** 2
         spec = TransformSpec(d=d, epsilon=epsilon, delta=delta, m=1, k=k, c=1,
-                             sparsity_gain=1.0, bucket_seed=seeds[0], sign_seed=seeds[1],
+                             bucket_seed=seeds[0], sign_seed=seeds[1],
                              independence_degree=2)
         sampled = tail_estimate(spec, trials=4000, x=inst.x)
         se = math.sqrt(sampled.failure_rate * (1 - sampled.failure_rate) / sampled.trials)
@@ -155,8 +158,7 @@ COLLISION_FREE = [(4, 2, 4, 3), (6, 3, 8, 20), (8, 4, 8, 725)]
 def test_criterion_8_sparsity_and_scaling():
     for d, c, k, seed in COLLISION_FREE:
         spec = TransformSpec(d=d, epsilon=0.5, delta=0.5, m=1, k=k, c=c,
-                             sparsity_gain=1.0, bucket_seed=seed, sign_seed=seed + 1,
-                             independence_degree=6)
+                             bucket_seed=seed, sign_seed=seed + 1, independence_degree=6)
         M = materialize(spec)
         for col in range(d):
             nonzero = M[np.abs(M[:, col]) > 1e-15, col]

@@ -29,6 +29,7 @@ from sjlt.graphs import (
     BudgetExceededError,
     PairSequence,
     build_multigraph,
+    check_assignment_budget,
     sequence_expectation,
     weight,
 )
@@ -54,14 +55,14 @@ def unit_vector(rng: np.random.Generator, d: int) -> DenseVector:
 
 def tail_spec(d, k, c, epsilon, bucket_seed, sign_seed, degree) -> TransformSpec:
     # m and delta only label the tail report
-    return TransformSpec(d=d, epsilon=epsilon, delta=0.5, m=1, k=k, c=c, sparsity_gain=1.0,
+    return TransformSpec(d=d, epsilon=epsilon, delta=0.5, m=1, k=k, c=c,
                          bucket_seed=bucket_seed, sign_seed=sign_seed,
                          independence_degree=degree)
 
 
 def basis_instance(d: int, k: int) -> ChaosInstance:
     x = DenseVector((1.0,) + (0.0,) * (d - 1))
-    return ChaosInstance(d=d, k=k, x=x, infinity_bound=1.0)
+    return ChaosInstance(k=k, x=x)
 
 
 # ------------------------------------------------------------------ the value
@@ -95,9 +96,15 @@ def test_assignment_validation():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        ChaosInstance(d=2, k=2, x=DenseVector((1.0, 1.0)), infinity_bound=1.0)
-    with pytest.raises(ValueError):
-        ChaosInstance(d=2, k=2, x=DenseVector.uniform(2), infinity_bound=0.5)
+        ChaosInstance(k=2, x=DenseVector((1.0, 1.0)))
+    # d is read off x, never set beside it
+    x = DenseVector.uniform(5)
+    assert ChaosInstance(k=3, x=x).d == len(x) == 5
+    with pytest.raises(TypeError):
+        ChaosInstance(d=5, k=3, x=x)
+    # the cap lives on the bound: C = 4 asks x_i^2 <= 1/4 of a vector with x_i^2 = 1/2
+    with pytest.raises(ValueError, match=r"C=4\.0 exceeds 1/max x_i\^2"):
+        moment_upper_bound(ChaosInstance.uniform(2, 2), 1, 4.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,7 +112,7 @@ def test_instance_validation():
        k=st.integers(1, 4))
 def test_bucket_sum_identity(seed, d, k):
     rng = np.random.default_rng(seed)
-    inst = ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0)
+    inst = ChaosInstance(k=k, x=unit_vector(rng, d))
     buckets = rng.integers(0, k, size=d)
     signs = rng.integers(0, 2, size=d) * 2 - 1
     direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(signs)))
@@ -150,7 +157,7 @@ def test_oracle_agreement_random_instances():
         for k in (2, 3):
             for m in (1, 2):
                 for _ in range(4):
-                    inst = ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0)
+                    inst = ChaosInstance(k=k, x=unit_vector(rng, d))
                     a = exact_moment(inst, m)
                     b = graph_expansion_moment(inst, m)
                     assert abs(a - b) <= 1e-12 * max(a, b, 1e-30)
@@ -159,7 +166,7 @@ def test_oracle_agreement_random_instances():
 def test_first_moment_vanishes():
     rng = np.random.default_rng(5)
     for d, k in [(2, 2), (3, 2), (4, 3)]:
-        inst = ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0)
+        inst = ChaosInstance(k=k, x=unit_vector(rng, d))
         assert abs(_exact_power_moment(inst, 1)) <= 1e-12
 
 
@@ -168,10 +175,10 @@ def test_higher_odd_moments():
     # moments to zero beyond d = 2: a triangle of pairs has all even vertex
     # degrees and makes the third moment strictly positive
     rng = np.random.default_rng(5)
-    inst2 = ChaosInstance(d=2, k=2, x=unit_vector(rng, 2), infinity_bound=1.0)
+    inst2 = ChaosInstance(k=2, x=unit_vector(rng, 2))
     assert abs(_exact_power_moment(inst2, 3)) <= 1e-12
     x = unit_vector(rng, 3)
-    inst3 = ChaosInstance(d=3, k=2, x=x, infinity_bound=1.0)
+    inst3 = ChaosInstance(k=2, x=x)
     third = _exact_power_moment(inst3, 3)
     triangle_orderings = 6
     expected = 8.0 * triangle_orderings * (1.0 / 4.0) * math.prod(v * v for v in x)
@@ -185,7 +192,7 @@ def test_moment_invariant_under_coordinate_permutation():
     reference = None
     for perm in list(permutations(range(4)))[:8]:
         x = DenseVector(tuple(base[i] for i in perm))
-        inst = ChaosInstance(d=4, k=2, x=x, infinity_bound=1.0)
+        inst = ChaosInstance(k=2, x=x)
         value = exact_moment(inst, 1)
         if reference is None:
             reference = value
@@ -257,7 +264,7 @@ def awkward_unit_vectors(draw):
 @settings(max_examples=40, deadline=None)
 @given(x=awkward_unit_vectors(), k=st.integers(1, 3))
 def test_exact_power_moment_equals_brute_force_bit_for_bit(x, k):
-    inst = ChaosInstance(d=len(x), k=k, x=x, infinity_bound=1.0)
+    inst = ChaosInstance(k=k, x=x)
     powers = range(1, 7)
     expected = brute_force_power_moments(inst, powers)
     assert [_exact_power_moment(inst, p).hex() for p in powers] == [e.hex() for e in expected]
@@ -310,7 +317,7 @@ def test_monte_carlo_moment_matches_row_by_row_reference(d, k, m, trials, x_kind
         inst = ChaosInstance.uniform(d, k)
     else:
         rng = np.random.default_rng([d, k, trials])
-        inst = ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0)
+        inst = ChaosInstance(k=k, x=unit_vector(rng, d))
     got = monte_carlo_moment(inst, m, trials, seed=trials + d)
     expected = reference_monte_carlo_moment(inst, m, trials, seed=trials + d)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
@@ -354,7 +361,7 @@ def test_grouped_expansion_equals_ordered_sum_bit_for_bit():
     instances = [(ChaosInstance.uniform(d, k), m) for d, k, m in uniform_cells]
     rng = np.random.default_rng(41)
     for d, k, m in [(3, 2, 3), (4, 3, 2), (5, 2, 2), (6, 3, 1)]:
-        instances.append((ChaosInstance(d=d, k=k, x=unit_vector(rng, d), infinity_bound=1.0), m))
+        instances.append((ChaosInstance(k=k, x=unit_vector(rng, d)), m))
     for inst, m in instances:
         assert graph_expansion_moment(inst, m) == ordered_expansion(inst, m)
 
@@ -362,7 +369,7 @@ def test_grouped_expansion_equals_ordered_sum_bit_for_bit():
 def test_streamed_expansion_equals_cached(monkeypatch):
     rng = np.random.default_rng(43)
     instances = [(ChaosInstance.uniform(4, 2), 2), (ChaosInstance.uniform(3, 3), 3),
-                 (ChaosInstance(d=5, k=2, x=unit_vector(rng, 5), infinity_bound=1.0), 2)]
+                 (ChaosInstance(k=2, x=unit_vector(rng, 5)), 2)]
     cached = [graph_expansion_moment(inst, m) for inst, m in instances]
     monkeypatch.setattr(sjlt.chaos, "_GRAPH_CACHE_LIMIT", 0)
     sjlt.chaos._cached_graphs.cache_clear()
@@ -487,7 +494,7 @@ def test_exact_oracles_keep_their_pinned_bits():
     instances = {}
     for name, (k, entries) in PINNED_VECTORS.items():
         x = DenseVector(tuple(float.fromhex(e) for e in entries))
-        instances[name] = ChaosInstance(d=len(x), k=k, x=x, infinity_bound=1.0)
+        instances[name] = ChaosInstance(k=k, x=x)
     for name, m, exact, expansion in PINNED_VECTOR_MOMENTS:
         inst = instances[name]
         assert (exact_moment(inst, m).hex(), graph_expansion_moment(inst, m).hex()) == \
@@ -543,7 +550,7 @@ def test_moment_bound_dominates_exact_moment():
                 if np.max(np.abs(v)) <= cap * 1.75:
                     scaled_cap = float(np.max(np.abs(v)))
                     x = DenseVector(tuple(v.tolist()))
-            inst = ChaosInstance(d=d, k=k, x=x, infinity_bound=scaled_cap)
+            inst = ChaosInstance(k=k, x=x)
             big_c = 1.0 / scaled_cap ** 2
             bound = moment_upper_bound(inst, m, big_c)
             assert exact_moment(inst, m) <= bound * (1 + 1e-12)
@@ -556,9 +563,10 @@ def test_moment_bound_dominates_graph_expansion():
 
 
 def test_moment_bound_decreases_in_cap():
-    # every term carries C^-(2m-i) with i <= 2m, so a larger cap only shrinks it
+    # every term carries C^-(2m-i) with i <= 2m, so a larger cap only shrinks it;
+    # C = 4 is the largest that uniform(4, 2), x_i^2 = 1/4, admits
     inst = ChaosInstance.uniform(4, 2)
-    bounds = [moment_upper_bound(inst, 2, C) for C in (1.0, 2.0, 4.0, 8.0)]
+    bounds = [moment_upper_bound(inst, 2, C) for C in (1.0, 2.0, 3.0, 4.0)]
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     assert bounds[0] > bounds[-1]
 
@@ -576,6 +584,15 @@ def test_non_finite_cap_rejected_before_any_phase(monkeypatch, cap):
         monkeypatch.setattr(sjlt.chaos, phase, unreachable)
     with pytest.raises(ValueError, match="C must be finite"):
         moment_report(inst, 2, cap, trials=100, seed=0)
+
+
+def test_default_cap_accepted_for_every_budgeted_d():
+    # sjlt moment-report's default C = d; k = 1 lets the most d through the budget
+    with pytest.raises(BudgetExceededError):
+        check_assignment_budget(27, 1)
+    for d in range(1, 27):
+        check_assignment_budget(d, 1)
+        moment_upper_bound(ChaosInstance.uniform(d, 1), 1, float(d))
 
 
 @pytest.mark.parametrize("d, k, m, error, message", [
@@ -674,8 +691,7 @@ def test_tail_matches_distortion_ratio():
     # same seeds: the chaos value for the replicated vector equals ratio^2 - 1
     d = 64
     spec = TransformSpec(d=d, epsilon=0.25, delta=0.1, m=3, k=48, c=2,
-                         sparsity_gain=1.0, bucket_seed=5, sign_seed=6,
-                         independence_degree=6)
+                         bucket_seed=5, sign_seed=6, independence_degree=6)
     x = SparseVector.from_dense(DenseVector.uniform(d).values)
     ratio = distortion_trial(spec, x)
     replicated = duplicate_rescale(x.to_dense().to_numpy(), spec.c)
@@ -891,8 +907,7 @@ def test_trial_counts_do_not_depend_on_horner_block(monkeypatch, horner_block):
     # differences, while blocks of one trial take Horner.
     cases = [_dense_trial_case(d, kappa_c) for d, kappa_c in ((24, 0.1), (6, 2.0))]
     spike_spec = TransformSpec(d=64, epsilon=0.15, delta=0.5, m=1, k=37, c=9,
-                               sparsity_gain=1.0, bucket_seed=31337, sign_seed=4242,
-                               independence_degree=4)
+                               bucket_seed=31337, sign_seed=4242, independence_degree=4)
     spikes = SparseVector(64, ((5, 0.5), (6, -0.5), (20, 0.5), (63, 0.5)))
 
     def counts():

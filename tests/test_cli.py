@@ -324,6 +324,22 @@ def test_non_finite_cap_error_line(capsys, cap):
         assert err.startswith("error: invalid-parameter:")
 
 
+@pytest.mark.parametrize("cap", ["1e9", "10"])
+def test_cap_above_the_vector_rejected_before_any_phase(monkeypatch, capsys, cap):
+    # uniform x at d = 2 has x_i^2 = 1/2, so the bound holds only for C <= 2
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a moment phase ran before C was checked")
+
+    for phase in ("monte_carlo_moment", "exact_moment", "graph_expansion_moment",
+                  "moment_upper_bound"):
+        monkeypatch.setattr(sjlt.chaos, phase, unreachable)
+    code, out, err = run(["moment-report", "--d", "2", "--k", "100", "--m", "2", "--C", cap,
+                          "--out", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: invalid-parameter: C={float(cap)!r} exceeds 1/max x_i^2")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
     # d = 2^55 gives c = 531, so d * c exceeds 2^61 - 1 (and wraps uint64)

@@ -56,8 +56,7 @@ def dense_oracle(spec: TransformSpec, x: SparseVector) -> np.ndarray:
 
 def small_spec(d, k, c, bucket_seed, sign_seed, degree=4, epsilon=0.5, delta=0.5):
     return TransformSpec(d=d, epsilon=epsilon, delta=delta, m=1, k=k, c=c,
-                         sparsity_gain=1.0, bucket_seed=bucket_seed,
-                         sign_seed=sign_seed, independence_degree=degree)
+                         bucket_seed=bucket_seed, sign_seed=sign_seed, independence_degree=degree)
 
 
 # ---------------------------------------------------------------- parameters
@@ -65,7 +64,7 @@ def small_spec(d, k, c, bucket_seed, sign_seed, degree=4, epsilon=0.5, delta=0.5
 def test_derive_spec_trivial_example():
     spec = derive_spec(4, 0.5, 0.5, 1, 2, (1.0, 1.0, 1.0))
     assert (spec.m, spec.k, spec.c) == (1, 4, 2)
-    assert spec.sparsity_gain == 1.0
+    assert sparsity_gain(spec.m) == 1.0
     assert spec.independence_degree == 2
 
 
@@ -75,7 +74,7 @@ def test_derive_spec_recomputed_example():
         spec = derive_spec(4, 0.1, 0.01, 1, 2, (1.0, 1.0, 1.0))
     assert spec.m == 5
     assert spec.k == 500
-    assert abs(spec.sparsity_gain - math.log(5) / math.log(math.log(5))) < 1e-15
+    assert abs(sparsity_gain(spec.m) - math.log(5) / math.log(math.log(5))) < 1e-15
     assert spec.c == 22
 
 
@@ -84,7 +83,6 @@ def test_derive_spec_default_constants():
         spec = derive_spec(1024, 0.25, 0.05, 1, 2)
     assert (spec.m, spec.k, spec.c) == (3, 192, 1)
     assert spec.independence_degree == 6
-    assert not spec.epsilon_assumption_ok
 
 
 def test_derive_spec_rejects_bad_ranges():
@@ -114,8 +112,7 @@ def test_spec_rejects_non_positive_epsilon():
 
 
 def test_assumption_satisfied_records_no_warning(recwarn):
-    spec = derive_spec(16, 0.05, 0.5, 1, 2)
-    assert spec.epsilon_assumption_ok
+    derive_spec(16, 0.05, 0.5, 1, 2)
     assert not [w for w in recwarn if issubclass(w.category, AssumptionWarning)]
 
 
@@ -615,5 +612,4 @@ def test_bucket_generator_asserts_reduction_bias():
     # it, so no generator, apply or trial loop ever sees such a k
     with pytest.raises(ValueError, match="bucket reduction bias"):
         TransformSpec(d=2, epsilon=0.5, delta=0.5, m=1, k=2**45, c=1,
-                      sparsity_gain=1.0, bucket_seed=1, sign_seed=2,
-                      independence_degree=2)
+                      bucket_seed=1, sign_seed=2, independence_degree=2)
