@@ -87,6 +87,12 @@ def calls() -> list[list[str]]:
                 "--bucket-seed", "3", "--sign-seed", "4", "--out", "{dir}/t.csv"])
     for name in ("short", "long"):
         out.append(_TRANSFORM + ["--in", f"{{dir}}/{name}.txt", "--out", f"{{dir}}/{name}.out"])
+    # long.txt at degree 10 (c = 18, one chunk of 1638 coordinates) and at
+    # degree 28 (c = 107, three chunks of 585)
+    for degree, epsilon, delta in (("10", "0.25", "0.01"), ("28", "0.5", "1e-6")):
+        out.append(["transform", "--d", "4096", "--epsilon", epsilon, "--delta", delta,
+                    "--bucket-seed", "7", "--sign-seed", "1000000007",
+                    "--in", "{dir}/long.txt", "--out", f"{{dir}}/long{degree}.out"])
     for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])
