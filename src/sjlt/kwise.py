@@ -23,14 +23,21 @@ bit, by two routes:
   adds a coefficient column; between steps the accumulator is congruent to
   the partial value and below 2^61 + 8, and one min(acc, acc - p) at the end
   makes it canonical.
-- Forward differences along runs of L consecutive points: the Horner values
-  at a run's first r points seed a difference table, which then steps along
-  the run at r - 1 modular additions per point. The stepping needs no
-  coefficients, so the runs of every row share one table. L comes from the
-  points: the gcd of their maximal consecutive runs, cut at segment ends,
-  such as c for the replicas i*c .. i*c + c - 1 of scattered coordinates,
-  or, when every segment is one consecutive range, any divisor of the
-  segment length. One cost rule, `_difference_gain`, picks L or Horner.
+- Forward differences along runs of L consecutive points: a difference
+  table D[j] = Delta^j f(x0) at each run's start x0 steps along the run at
+  r - 1 modular additions per point. The stepping needs no coefficients, so
+  the runs of every row share one table. The table is seeded in one of two
+  ways. Calls with many runs per row, such as the one-row chunks of
+  `sjlt transform`, take the difference polynomials Delta^j f, computed once
+  per call in Python integers: one triangular Horner pass at x0 gives every
+  row, r (r - 1) / 2 products per run. Calls with few runs per row, such as
+  trial blocks with fresh coefficients in every row, take Horner values at
+  a run's first r points and difference them, r (r - 1) products per run.
+  L comes from the points: the gcd of their maximal consecutive runs, cut at
+  segment ends, such as c for the replicas i*c .. i*c + c - 1 of scattered
+  coordinates, or, when every segment is one consecutive range, any divisor
+  of the segment length. One cost rule, `_difference_gain` with
+  `_seed_products`, picks L or Horner and the seed.
 """
 
 from __future__ import annotations
@@ -246,21 +253,50 @@ _LOW29 = np.uint64((1 << 29) - 1)
 HORNER_BLOCK = 1 << 14
 
 
+def _mulmod_add(acc, b1, b0, wide, coefficient, a1, a0, mid, lo, s) -> None:
+    # acc = acc * x + coefficient, lazily reduced mod 2^61 - 1, in place, for
+    # x = b1 * 2^32 + b0 < p; `wide` is whether any b1 is nonzero. acc < 2^61
+    # + 8 before and after, so acc >> 32 <= 2^29. The 122-bit product folds
+    # via 2^61 = 1 (mod p), and the coefficient is added before one fold:
+    # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
+    #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
+    # so (s & p) + (s >> 61) <= 2^61 + 3. When every b1 is 0 the a0*b1 and
+    # a1*b1 products are skipped: then mid = a1*b0 < 2^61, the first two
+    # terms of s sum below 2^61, and s < 2^61 + (2^61 - 1) + 7 + (2^61 - 2)
+    # < 2^63, so (s & p) + (s >> 61) <= 2^61 + 2. a1 .. s are scratch of
+    # acc's shape; b1, b0 and the coefficient broadcast against it.
+    np.right_shift(acc, _U32, out=a1)
+    np.bitwise_and(acc, _LOW32, out=a0)
+    np.multiply(a1, b0, out=mid)
+    if wide:
+        np.multiply(a0, b1, out=s)
+        np.add(mid, s, out=mid)
+    np.multiply(a0, b0, out=lo)
+    np.right_shift(mid, _U29, out=s)
+    if wide:
+        np.multiply(a1, b1, out=a0)
+        np.left_shift(a0, _U3, out=a0)
+        np.add(s, a0, out=s)
+    np.bitwise_and(mid, _LOW29, out=a1)
+    np.left_shift(a1, _U32, out=a1)
+    np.add(s, a1, out=s)
+    np.bitwise_and(lo, _P61, out=a1)
+    np.add(s, a1, out=s)
+    np.right_shift(lo, _U61, out=a1)
+    np.add(s, a1, out=s)
+    np.add(s, coefficient, out=s)
+    np.bitwise_and(s, _P61, out=a1)
+    np.right_shift(s, _U61, out=s)
+    np.add(a1, s, out=acc)
+
+
 def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # Lazy Mersenne-61 Horner, block by block, one generator per row of the
     # (rows, r) uint64 `coefficients`; row j evaluates the j-th of `rows`
-    # equal consecutive segments of `idx`. Between steps acc may exceed p
-    # but stays below 2^61 + 8, so acc >> 32 <= 2^29. One step splits acc and
-    # idx < p into 32-bit halves, folds the 122-bit product via 2^61 = 1
-    # (mod p) and adds the coefficient column before a single fold:
-    # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
-    #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
-    # so (s & p) + (s >> 61) <= 2^61 + 3. A block whose points all lie below
-    # 2^32 has b1 = 0 and skips the a0*b1 and a1*b1 products: then
-    # mid = a1*b0 < 2^61, the first two terms of s sum below 2^61, and
-    # s < 2^61 + (2^61 - 1) + 7 + (2^61 - 2) < 2^63, so (s & p) + (s >> 61)
-    # <= 2^61 + 2 and the same invariant holds. acc < 2p at the end, and
-    # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
+    # equal consecutive segments of `idx`. Each step is one `_mulmod_add`;
+    # a block whose points all lie below 2^32 takes its narrow products.
+    # acc < 2p at the end, and min(acc, acc - p) (acc - p wraps when
+    # acc < p) makes it canonical.
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     rows = len(coefficients)
     points = idx.reshape(rows, -1)
@@ -274,67 +310,102 @@ def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for start in range(0, points.shape[1], width):
         x = points[:, start:start + width]
         acc = out[:, start:start + width]
-        b1, b0, a1, a0, mid, lo, s = (buffer[:, :x.shape[1]] for buffer in scratch)
+        b1, b0, *work = (buffer[:, :x.shape[1]] for buffer in scratch)
         acc[...] = coefficients[:, -1:]
         np.right_shift(x, _U32, out=b1)
         np.bitwise_and(x, _LOW32, out=b0)
         wide = b1.any()
         for coefficient in steps:
-            np.right_shift(acc, _U32, out=a1)
-            np.bitwise_and(acc, _LOW32, out=a0)
-            np.multiply(a1, b0, out=mid)
-            if wide:
-                np.multiply(a0, b1, out=s)
-                np.add(mid, s, out=mid)
-            np.multiply(a0, b0, out=lo)
-            np.right_shift(mid, _U29, out=s)
-            if wide:
-                np.multiply(a1, b1, out=a0)
-                np.left_shift(a0, _U3, out=a0)
-                np.add(s, a0, out=s)
-            np.bitwise_and(mid, _LOW29, out=a1)
-            np.left_shift(a1, _U32, out=a1)
-            np.add(s, a1, out=s)
-            np.bitwise_and(lo, _P61, out=a1)
-            np.add(s, a1, out=s)
-            np.right_shift(lo, _U61, out=a1)
-            np.add(s, a1, out=s)
-            np.add(s, coefficient, out=s)
-            np.bitwise_and(s, _P61, out=a1)
-            np.right_shift(s, _U61, out=s)
-            np.add(a1, s, out=acc)
-        np.subtract(acc, _P61, out=a1)
-        np.minimum(acc, a1, out=acc)
+            _mulmod_add(acc, b1, b0, wide, coefficient, *work)
+        np.subtract(acc, _P61, out=work[0])
+        np.minimum(acc, work[0], out=acc)
     return out.reshape(idx.shape)
+
+
+def _point_table(coefficients: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    # The (r, rows * n) difference table D[j] = Delta^j f(x0) at the (rows, n)
+    # run starts x0, columns row-major: Horner gives f(x0) .. f(x0 + r - 1),
+    # and r - 1 passes difference them in place. r (r - 1) products per run.
+    r = coefficients.shape[1]
+    seeds = _horner61(coefficients, x0[:, :, None] + np.arange(r, dtype=np.uint64))
+    table = seeds.reshape(-1, r).T.copy()
+    t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
+    u = np.empty_like(t)
+    for j in range(1, r):
+        # rows j.. become differences of rows j-1..: a + p - b lies in (0, 2p)
+        np.add(table[j:], _P61, out=t[j - 1:])
+        np.subtract(t[j - 1:], table[j - 1:-1], out=t[j - 1:])
+        np.subtract(t[j - 1:], _P61, out=u[j - 1:])
+        np.minimum(t[j - 1:], u[j - 1:], out=table[j:])
+    return table
+
+
+def _difference_coefficients(coefficients: np.ndarray) -> np.ndarray:
+    # Coefficient k of Delta^j f for each row's polynomial f, as the
+    # [k, j, row, 0] entry of an (r, r, rows, 1) uint64 array, zero above
+    # Delta^j f's degree r - 1 - j. Exact, in Python integers mod p:
+    # Delta g(x) = g(x + 1) - g(x), and the Taylor shift g(x + 1) takes
+    # additions only (h[k] += h[k + 1] for k = n - 2 .. i, for each i < n - 1).
+    rows, r = coefficients.shape
+    table = []
+    for f in coefficients.tolist():
+        g, polynomials = f, []
+        for j in range(r):
+            polynomials.append(g + [0] * j)
+            h, n = g[:], len(g)
+            for i in range(n - 1):
+                for k in range(n - 2, i - 1, -1):
+                    h[k] += h[k + 1]
+            g = [(a - b) % MERSENNE61 for a, b in zip(h, g[:-1])]
+        table.append(polynomials)
+    return np.array(table, dtype=np.uint64).transpose(2, 1, 0)[..., None].copy()
+
+
+def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    # The table of `_point_table` from `_difference_coefficients`: one
+    # triangular Horner pass over the (rows, n) run starts x0. Step i adds
+    # coefficient r - 1 - i to rows 0 .. i - 1 and starts row i at Delta^i f's
+    # leading coefficient, so row j takes r - 1 - j steps: r (r - 1) / 2
+    # products per run, and no differencing pass.
+    r = differences.shape[0]
+    table = np.empty((r,) + x0.shape, dtype=np.uint64)
+    b1, b0 = x0 >> _U32, x0 & _LOW32
+    wide = b1.any()
+    scratch = [np.empty((r - 1,) + x0.shape, dtype=np.uint64) for _ in range(5)]
+    table[0] = differences[r - 1, 0]
+    for i in range(1, r):
+        coefficient = differences[r - 1 - i]
+        _mulmod_add(table[:i], b1, b0, wide, coefficient[:i],
+                    *(buffer[:i] for buffer in scratch))
+        table[i] = coefficient[i]
+    np.minimum(table, table - _P61, out=table)
+    return table.reshape(r, -1)
 
 
 def _runs61(coefficients: np.ndarray, idx: np.ndarray, run: int) -> np.ndarray:
     # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4), for the
-    # (rows, r) `coefficients` and segments of `_horner61`. Horner gives
-    # f(x0) .. f(x0 + r - 1) of each run; their difference table
+    # (rows, r) `coefficients` and segments of `_horner61`. A run's table
     # D[j] = Delta^j f(x0) has a constant last row, and
     # Delta^j f(x + 1) = Delta^j f(x) + Delta^(j+1) f(x), so D[:-1] += D[1:]
     # (r - 1 additions mod p) steps every run by one point. The stepping uses
     # no coefficients, so the runs of all rows share one table, whose columns
     # are row-major (row, run). Entries stay canonical: a sum t < 2p, and
     # min(t, t - p) reduces it. A chunk's table holds at most HORNER_BLOCK
-    # entries, or one run per row.
+    # entries, or one run per row. `_seed_products` picks how the tables are
+    # seeded: by `_point_table`, or by `_difference_table` from one
+    # `_difference_coefficients` per call.
     rows, r = coefficients.shape
     starts = idx.reshape(rows, -1)[:, ::run]
     out = np.empty((rows, starts.shape[1], run), dtype=np.uint64)
     per_chunk = max(1, HORNER_BLOCK // (r * rows))
+    differences = (_difference_coefficients(coefficients)
+                   if _seed_products(rows, starts.size, r)[1] else None)
     for first in range(0, starts.shape[1], per_chunk):
         x0 = starts[:, first:first + per_chunk]
-        seeds = _horner61(coefficients, x0[:, :, None] + np.arange(r, dtype=np.uint64))
-        table = seeds.reshape(-1, r).T.copy()
+        table = (_point_table(coefficients, x0) if differences is None
+                 else _difference_table(differences, x0))
         t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
         u = np.empty_like(t)
-        for j in range(1, r):
-            # rows j.. become differences of rows j-1..: a + p - b lies in (0, 2p)
-            np.add(table[j:], _P61, out=t[j - 1:])
-            np.subtract(t[j - 1:], table[j - 1:-1], out=t[j - 1:])
-            np.subtract(t[j - 1:], _P61, out=u[j - 1:])
-            np.minimum(t[j - 1:], u[j - 1:], out=table[j:])
         steps = np.empty((run, table.shape[1]), dtype=np.uint64)
         steps[0] = table[0]
         for step in steps[1:]:
@@ -346,17 +417,33 @@ def _runs61(coefficients: np.ndarray, idx: np.ndarray, run: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _difference_gain(points: int, length: int, degree: int) -> int:
+def _seed_products(rows: int, runs: int, degree: int) -> tuple[int, bool]:
+    # Products that seed `runs` runs over `rows` rows, and whether the
+    # difference polynomials seed them. r Horner values cost r (r - 1) per
+    # run; the difference seed r (r - 1) / 2 per run, after a table of exact
+    # Python integers that costs about 64 r (r - 1) per row. Timed on the
+    # kernel, the two seeds break even at 64-128 runs per row at degrees
+    # 6-28 and 1-32 rows, so trial blocks (8-32 runs per row) keep r values.
+    point = runs * degree * (degree - 1)
+    difference = (runs // 2 + 64 * rows) * degree * (degree - 1)
+    return min(point, difference), difference < point
+
+
+def _difference_gain(points: int, length: int, degree: int, rows: int) -> int:
     # Horner products that forward differences over runs of `length` save,
-    # less the cost of their steps. They skip degree - 1 products at every
-    # point past the first `degree` of a run. Timed on the kernel, one step
-    # of the table costs about 384 products in numpy calls, however few runs
-    # a call holds, plus a sixth of a product per table entry. For runs of
-    # 115 at degree 14 the gain turns positive at 42 runs (measured
-    # break-even 30-100 runs), for runs of 531 at degree 28 at 19 (measured
-    # 16-32).
-    saved = (degree - 1) * (points - points // length * degree)
-    return saved - (degree - 1) * points // 6 - 384 * length
+    # less the cost of their seeds and steps, on `rows` equal segments.
+    # Horner takes degree - 1 products per point. Timed on the kernel, the
+    # seeds cost `_seed_products` plus about 20 numpy calls per coefficient
+    # and table chunk, 2560 (degree - 1) products, and one step of the table
+    # costs about 384 products in numpy calls plus a sixth of a product per
+    # table entry. For runs of 115 at degree 14 the gain turns positive at
+    # 73 runs (measured break-even 64-96 runs), for runs of 531 at degree 28
+    # at 25 (measured 19-24).
+    runs = points // length
+    chunks = -(-runs // rows // max(1, HORNER_BLOCK // (degree * rows)))
+    saved = (degree - 1) * points - _seed_products(rows, runs, degree)[0]
+    return (saved - (degree - 1) * points // 6 - 384 * length
+            - 2560 * (degree - 1) * chunks)
 
 
 def _divisors(n: int) -> list[int]:
@@ -369,7 +456,8 @@ def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
     # maximal runs of consecutive points, cut at segment ends, are tiled by
     # runs of their gcd, the unit. When every segment is one consecutive
     # range, any divisor of its length serves too, and the gain picks the
-    # best of them: near sqrt(r (r - 1) n / 384) for n points.
+    # best of them: near sqrt(s n / 384) for n points and s seed products
+    # per run.
     if not idx.size:
         return 0
     flat = idx.reshape(-1)
@@ -380,8 +468,8 @@ def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
     stops = np.flatnonzero(ends) + 1
     lengths = (_divisors(segment) if stops.size == rows
                else [int(np.gcd.reduce(np.diff(stops, prepend=0)))])
-    best = max(lengths, key=lambda length: _difference_gain(flat.size, length, degree))
-    return best if _difference_gain(flat.size, best, degree) > 0 else 0
+    best = max(lengths, key=lambda length: _difference_gain(flat.size, length, degree, rows))
+    return best if _difference_gain(flat.size, best, degree, rows) > 0 else 0
 
 
 def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:

@@ -483,29 +483,41 @@ def _replicas(coordinates, c):
 
 def test_path_rule_follows_the_measured_break_even():
     # c = 115 replicas at 14 coefficients, at scattered coordinates: Horner
-    # below 42 runs (one run is what a 1-nnz apply and column_structure
-    # hash), differences over runs of 115 from there; runs no longer than the
-    # degree and empty calls always take Horner
+    # below 73 runs (one run is what a 1-nnz apply and column_structure
+    # hash; measured break-even 64-96), differences over runs of 115 from
+    # there; empty calls and degree 1 always take Horner
     def scattered(runs, c):
         return _replicas(np.arange(runs) * 3, c)
 
-    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (0, 1, 25, 30, 41)] == [0] * 5
-    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (42, 100, 10**4)] == [115] * 3
-    assert kwise._run_length(scattered(19, 531), 1, 28) == 531
-    assert kwise._run_length(scattered(18, 531), 1, 28) == 0
-    assert kwise._run_length(scattered(10**4, 14), 1, 14) == 0
+    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (0, 1, 30, 41, 72)] == [0] * 5
+    assert [kwise._run_length(scattered(runs, 115), 1, 14) for runs in (73, 100, 10**4)] == [115] * 3
+    # runs of 531 at 28 (measured 19-24), of 107 at 28 (measured 48-64) and
+    # of 18 at 10 (measured 250-400)
+    assert kwise._run_length(scattered(25, 531), 1, 28) == 531
+    assert kwise._run_length(scattered(24, 531), 1, 28) == 0
+    assert kwise._run_length(scattered(67, 107), 1, 28) == 107
+    assert kwise._run_length(scattered(66, 107), 1, 28) == 0
+    assert kwise._run_length(scattered(397, 18), 1, 10) == 18
+    assert kwise._run_length(scattered(396, 18), 1, 10) == 0
+    # runs as short as the degree pay only with the difference seed: runs of
+    # 14 at 14 (8.3 ms against Horner's 8.7 ms for 10^4 runs), not of 10
+    # (7.7 ms against 6.8 ms)
+    assert kwise._run_length(scattered(10**4, 14), 1, 14) == 14
+    assert kwise._run_length(scattered(10**4, 10), 1, 14) == 0
     assert kwise._run_length(scattered(10**4, 1), 1, 1) == 0
     # adjacent coordinates merge into runs of 230 and 345; their unit is
     # still 115, and a divisor of the unit (23 at 30 runs) is never taken
-    merged = _replicas([0, 1, 5, 9, 10, 11] + list(range(20, 20 + 3 * 40, 3)), 115)
+    merged = _replicas([0, 1, 5, 9, 10, 11] + list(range(20, 20 + 3 * 80, 3)), 115)
     assert kwise._run_length(merged, 1, 14) == 115
     assert kwise._run_length(merged[:115 * 30], 1, 14) == 0
-    assert kwise._run_length(_replicas(np.arange(50) * 4, 230), 1, 14) == 230
+    # runs of 230 from 53 (measured 40-50)
+    assert kwise._run_length(_replicas(np.arange(53) * 4, 230), 1, 14) == 230
+    assert kwise._run_length(_replicas(np.arange(52) * 4, 230), 1, 14) == 0
     # the benchmark's transform files: 50 to 2000 nonzeros among d = 2^20
     rng = np.random.default_rng(11)
-    for nnz in (50, 51, 200, 2000):
+    for nnz, length in ((50, 0), (51, 0), (200, 115), (2000, 115)):
         coordinates = np.sort(rng.choice(2**20, size=nnz, replace=False))
-        assert kwise._run_length(_replicas(coordinates, 115), 1, 14) == 115
+        assert kwise._run_length(_replicas(coordinates, 115), 1, 14) == length
 
 
 def test_run_length_rule_follows_the_measured_optima():
@@ -605,6 +617,92 @@ def test_long_runs_match_horner_and_scalar(case, data):
                                        min_size=1, max_size=20)):
         g = block.row(position // segment)
         assert got[position] == eval_bucket(g, int(points[position]))
+
+
+@st.composite
+def difference_seed_cases(draw):
+    # (block, points, run): one or several rows of runs at degrees 1-32 (from
+    # degree 20 the difference-basis constants j! S(n, j) exceed 2^32), with
+    # every start within r * run of the top of the field (the wide products)
+    # or every point below 2^32 (the narrow ones)
+    degree = draw(st.integers(min_value=1, max_value=32))
+    run = draw(st.integers(min_value=1, max_value=300))
+    rows = draw(st.sampled_from([1, 2, 5]))
+    runs = draw(st.integers(min_value=1, max_value=6))
+    seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                          min_size=rows, max_size=rows))
+    block = generator_block(seeds, degree, draw(st.integers(min_value=1, max_value=5000)))
+    top = MERSENNE61 - run if draw(st.booleans()) else 2**32 - run
+    starts = draw(st.lists(st.integers(min_value=top - degree * run, max_value=top),
+                           min_size=rows * runs, max_size=rows * runs))
+    points = (np.array(starts, dtype=np.uint64)[:, None]
+              + np.arange(run, dtype=np.uint64)).reshape(-1)
+    return block, points, run
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=difference_seed_cases(), data=st.data())
+def test_difference_seed_matches_horner_and_scalar(case, data):
+    block, points, run = case
+    rows, degree = len(block), block.degree
+    horner = kwise._horner61(block.coefficients, points)
+    starts = points.reshape(rows, -1)[:, ::run]
+    differences = kwise._difference_coefficients(block.coefficients)
+    assert np.array_equal(kwise._difference_table(differences, starts),
+                          kwise._point_table(block.coefficients, starts))
+    # whichever seed the rule would pick, the runs take the difference seed
+    with patch.object(kwise, "_seed_products", lambda rows, runs, degree: (0, True)):
+        got = kwise._runs61(block.coefficients, points, run)
+    assert np.array_equal(got, horner)
+    segment = points.size // rows
+    for position in data.draw(st.lists(st.integers(min_value=0, max_value=points.size - 1),
+                                       min_size=1, max_size=20)):
+        g = block.row(position // segment)
+        assert int(got[position]) % block.range_size == eval_bucket(g, int(points[position]))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 14, 20, 28, 32])
+def test_difference_coefficients_are_the_difference_polynomials(degree):
+    # coefficient k of Delta^j f, checked against Delta^j f(x) =
+    # sum_i (-1)^(j-i) C(j, i) f(x + i) from Python-integer values of f at r
+    # points, which fix a polynomial of degree below r
+    block = generator_block([degree, 2**64 - degree, 12345], degree, 7)
+    table = kwise._difference_coefficients(block.coefficients)
+    assert table.shape == (degree, degree, 3, 1) and table.dtype == np.uint64
+    xs = [0, 1, MERSENNE61 - 1] + [(i * 0x9E3779B97F4A7C15) % MERSENNE61
+                                   for i in range(degree - 3)]
+
+    def value(coefficients, x):
+        return sum(c * pow(x, k, MERSENNE61) for k, c in enumerate(coefficients)) % MERSENNE61
+
+    for row, f in enumerate(block.coefficients.tolist()):
+        for j in range(degree):
+            polynomial = [int(table[k, j, row, 0]) for k in range(degree)]
+            assert polynomial[degree - j:] == [0] * j
+            for x in xs[:degree]:
+                expected = sum((-1) ** (j - i) * math.comb(j, i) * value(f, x + i)
+                               for i in range(j + 1)) % MERSENNE61
+                assert value(polynomial, x) == expected
+
+
+def test_seed_rule_takes_difference_polynomials_for_long_one_row_calls():
+    # a one-row transform chunk (1,170 runs of 115 at 14 coefficients) takes
+    # the difference seed; a trial block (32 rows of one 1024-point range at
+    # 6 coefficients, runs of 64) keeps Horner values at each run's r points
+    rng = np.random.default_rng(3)
+    chunk = _replicas(np.sort(rng.choice(2**20, size=1170, replace=False)), 115)
+    trial_block = np.tile(np.arange(1024, dtype=np.uint64), 32)
+    cases = [(new_generator(7, 14, 2800), chunk, 1, 115, True),
+             (generator_block(range(32), 6, 16), trial_block, 32, 64, False)]
+    for gen, points, rows, length, difference_seeded in cases:
+        assert kwise._run_length(points, rows, gen.degree) == length
+        assert kwise._seed_products(rows, points.size // length, gen.degree)[1] == difference_seeded
+        with patch.object(kwise, "_difference_table", wraps=kwise._difference_table) as seeded, \
+                patch.object(kwise, "_point_table", wraps=kwise._point_table) as pointed:
+            got = eval_bucket_batch(gen, points)
+        assert (seeded.called, pointed.called) == (difference_seeded, not difference_seeded)
+        assert np.array_equal(got, kwise._horner61(gen.coefficients, points)
+                              % np.uint64(gen.range_size))
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
