@@ -119,11 +119,15 @@ def cmd_graph_count(args) -> int:
         raise ValueError(f"i_max must be positive, got {args.i_max}")
     if args.budget < 1:
         raise ValueError(f"budget must be positive, got {args.budget}")
-    # every cell is checked before any is counted, in the order they run
+    # every cell is checked before any is counted, in the order they run,
+    # against the smaller cap, which names itself: a --budget below the class
+    # enumeration budget, else that budget
     for i in range(1, args.i_max + 1):
-        check_power_budget(i * (i - 1) // 2, 2 * args.m, args.budget,
-                           f"sequences at i={i} exceed the requested budget")
-        check_class_budget(i, 2 * args.m)
+        if args.budget < CLASS_ENUM_BUDGET:
+            check_power_budget(i * (i - 1) // 2, 2 * args.m, args.budget,
+                               f"sequences at i={i} exceed the requested budget")
+        else:
+            check_class_budget(i, 2 * args.m)
     # one pass of the tables holds every i; each row reports that pass's time
     started = time.perf_counter()
     histograms = class_histograms(args.i_max, args.m)

@@ -434,11 +434,14 @@ def _refuse_work(monkeypatch):
      "4^8000 assignments exceed the exact enumeration budget 100000000"),
     (["moment-report", "--d", "26", "--k", "1", "--m", "3000"],
      "325^6000 sequences exceed the enumeration budget 100000000"),
-    (["graph-count", "--m", "8000", "--i-max", "3"],
-     "3^16000 sequences at i=3 exceed the requested budget 1000000000"),
+    (["graph-count", "--m", "8000", "--i-max", "3", "--budget", "1000000"],
+     "3^16000 sequences at i=3 exceed the requested budget 1000000"),
     (["graph-count", "--m", "10", "--i-max", "4", "--budget", "1" + "0" * 30],
      "3^20 sequences exceed the class enumeration budget 1000000000"),
-], ids=["assignments", "sequences", "requested", "class"])
+    # a call that requests no budget is refused by the class budget, by name
+    (["graph-count", "--m", "4", "--i-max", "6"],
+     "15^8 sequences exceed the class enumeration budget 1000000000"),
+], ids=["assignments", "sequences", "requested", "class", "default"])
 def test_budget_refusals_name_sizes_by_formula(monkeypatch, capsys, argv, message):
     # sizes of thousands of digits (4^8000 has 4,817) are refused as
     # budget-exceeded with one short line, before any work starts
@@ -474,8 +477,14 @@ def test_graph_count_refuses_before_counting_any_cell(monkeypatch, capsys):
     _refuse_work(monkeypatch)
     code, out, err = run(["graph-count", "--m", "200", "--i-max", "3", "--out", "-"], capsys)
     assert (code, out) == (1, "")
-    assert err == ("error: budget-exceeded: 3^400 sequences at i=3 exceed the requested "
+    assert err == ("error: budget-exceeded: 3^400 sequences exceed the class enumeration "
                    "budget 1000000000\n")
+    # a smaller --budget refuses earlier cells, and names itself
+    code, out, err = run(["graph-count", "--m", "200", "--i-max", "3", "--budget", "1",
+                          "--out", "-"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: budget-exceeded: 3^400 sequences at i=3 exceed the requested "
+                   "budget 1\n")
 
 
 def test_usage_error(capsys):
