@@ -622,9 +622,9 @@ def test_long_runs_match_horner_and_scalar(case, data):
 @st.composite
 def difference_seed_cases(draw):
     # (block, points, run): one or several rows of runs at degrees 1-32 (from
-    # degree 20 the difference-basis constants j! S(n, j) exceed 2^32), with
-    # every start within r * run of the top of the field (the wide products)
-    # or every point below 2^32 (the narrow ones)
+    # degree 13 some coefficient C(n, k) j! S(n - k, j) of Delta^j x^n
+    # exceeds 2^32), with every start within r * run of the top of the field
+    # (the wide products) or every point below 2^32 (the narrow ones)
     degree = draw(st.integers(min_value=1, max_value=32))
     run = draw(st.integers(min_value=1, max_value=300))
     rows = draw(st.sampled_from([1, 2, 5]))
