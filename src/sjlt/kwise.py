@@ -346,7 +346,7 @@ def _difference_coefficients(coefficients: np.ndarray) -> np.ndarray:
     # Delta^j f's degree r - 1 - j. Exact, in Python integers mod p:
     # Delta g(x) = g(x + 1) - g(x), and the Taylor shift g(x + 1) takes
     # additions only (h[k] += h[k + 1] for k = n - 2 .. i, for each i < n - 1).
-    rows, r = coefficients.shape
+    r = coefficients.shape[1]
     table = []
     for f in coefficients.tolist():
         g, polynomials = f, []
