@@ -676,13 +676,27 @@ def test_difference_coefficients_are_the_difference_polynomials(degree):
         return sum(c * pow(x, k, MERSENNE61) for k, c in enumerate(coefficients)) % MERSENNE61
 
     for row, f in enumerate(block.coefficients.tolist()):
-        for j in range(degree):
-            polynomial = [int(table[k, j, row, 0]) for k in range(degree)]
+        polynomials = [[int(table[k, j, row, 0]) for k in range(degree)] for j in range(degree)]
+        for j, polynomial in enumerate(polynomials):
             assert polynomial[degree - j:] == [0] * j
-            for x in xs[:degree]:
-                expected = sum((-1) ** (j - i) * math.comb(j, i) * value(f, x + i)
+        for x in xs[:degree]:
+            values = [value(f, x + i) for i in range(degree)]
+            for j, polynomial in enumerate(polynomials):
+                expected = sum((-1) ** (j - i) * math.comb(j, i) * values[i]
                                for i in range(j + 1)) % MERSENNE61
                 assert value(polynomial, x) == expected
+
+
+def test_difference_seed_canonicalizes_lazy_sums():
+    # at x0 = 1 the lazy Horner sums of these polynomials end at exactly p,
+    # which the seed must give as 0, like every point stepped from it
+    for coefficients in ([MERSENNE61 - 1, 1], [MERSENNE61 - 3, 1, 2]):
+        gen = KWiseGenerator(DEFAULT_FIELD, coefficients, 1000)
+        points = np.arange(1, 41, dtype=np.uint64)
+        with patch.object(kwise, "_seed_products", lambda rows, runs, degree: (0, True)):
+            got = kwise._runs61(gen.coefficients, points, 40)
+        assert got[0] == 0
+        assert got.tolist() == kwise._horner61(gen.coefficients, points).tolist()
 
 
 def test_seed_rule_takes_difference_polynomials_for_long_one_row_calls():
