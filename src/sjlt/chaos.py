@@ -11,6 +11,7 @@ generators the transform actually uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -22,8 +23,8 @@ from .graphs import (
     Multigraph,
     build_multigraph,
     check_assignment_budget,
-    check_class_budget,
     check_power_budget,
+    check_table_budget,
     class_histograms,
     even_pair_multisets,
     weight,
@@ -235,17 +236,23 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
     """Closed-form cap on the 2m-th moment from exact class counts.
 
     Dominates exact_moment when every |x_i|^2 <= 1/C; a larger C is refused.
+    Past the float range the sum is exact, rounded once (inf beyond it).
     """
     _check_cap(C, inst.x)
     if m < 1:
         raise ValueError("m must be positive")
-    terms = []
     histograms = class_histograms(2 * m, m)
-    for i in range(1, 2 * m + 1):
-        for t, count in histograms[i].items():
-            terms.append(count / math.factorial(i)
-                         / float(inst.k) ** (i - t) / float(C) ** (2 * m - i))
-    return float(4 ** m) * math.fsum(terms)
+    cells = [(i, t, count) for i in range(1, 2 * m + 1) for t, count in histograms[i].items()]
+    try:
+        return float(4 ** m) * math.fsum(
+            count / math.factorial(i) / float(inst.k) ** (i - t) / float(C) ** (2 * m - i)
+            for i, t, count in cells)
+    except (OverflowError, ZeroDivisionError):
+        # imported only here: at module level it slowed tail-estimate calls by 5%
+        from fractions import Fraction
+        exact = 4 ** m * sum(Fraction(count, math.factorial(i) * inst.k ** (i - t))
+                             / Fraction(C) ** (2 * m - i) for i, t, count in cells)
+    return float(exact) if exact <= sys.float_info.max else math.inf
 
 
 _MC_CHUNK = 4096
@@ -366,7 +373,10 @@ class MomentReport:
 
 def check_moment_report(d: int, k: int, m: int, trials: int, seed: int) -> None:
     """Every refusal of moment_report's phases but the cap's, which needs the
-    vector, so a caller can refuse before the d-entry vector is built."""
+    vector, so a caller can refuse before the d-entry vector is built. Each
+    enumerated space has its own budget: the (2k)^d assignments, the
+    C(d,2)^2m sequences of the expansion and the 2m*(2m+1) entries of the
+    bound's class tables."""
     for name, value in (("d", d), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -375,9 +385,7 @@ def check_moment_report(d: int, k: int, m: int, trials: int, seed: int) -> None:
     _check_draws(trials, seed)
     check_assignment_budget(d, k)
     _check_sequence_budget(d, 2 * m)
-    # moment_upper_bound's class_histograms(2m, m), vertex count by vertex count
-    for i in range(1, 2 * m + 1):
-        check_class_budget(i, 2 * m)
+    check_table_budget(2 * m, 2 * m)
 
 
 def moment_report(inst: ChaosInstance, m: int, C: float,

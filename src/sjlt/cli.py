@@ -17,8 +17,7 @@ from pathlib import Path
 
 from .chaos import (ChaosInstance, MomentReport, TailReport, check_moment_report, moment_report,
                     tail_estimate)
-from .graphs import (CLASS_ENUM_BUDGET, BudgetExceededError, check_class_budget,
-                     check_power_budget, class_histograms)
+from .graphs import BudgetExceededError, class_histograms
 from .graphs import class_histogram  # not called here; the benchmark's tracer patches it by name
 from .transform import (
     DEFAULT_KAPPA,
@@ -117,24 +116,13 @@ def cmd_graph_count(args) -> int:
         raise ValueError(f"m must be positive, got {args.m}")
     if args.i_max < 1:
         raise ValueError(f"i_max must be positive, got {args.i_max}")
-    if args.budget < 1:
-        raise ValueError(f"budget must be positive, got {args.budget}")
-    # every cell is checked before any is counted, in the order they run,
-    # against the smaller cap, which names itself: a --budget below the class
-    # enumeration budget, else that budget
-    for i in range(1, args.i_max + 1):
-        if args.budget < CLASS_ENUM_BUDGET:
-            check_power_budget(i * (i - 1) // 2, 2 * args.m, args.budget,
-                               f"sequences at i={i} exceed the requested budget")
-        else:
-            check_class_budget(i, 2 * args.m)
     # one pass of the tables holds every i; each row reports that pass's time
     started = time.perf_counter()
     histograms = class_histograms(args.i_max, args.m)
     elapsed_ms = int(round((time.perf_counter() - started) * 1000.0))
     rows = [(args.m, i, t, histograms[i].get(t, 0), elapsed_ms)
             for i in range(1, args.i_max + 1) for t in range(1, i // 2 + 1)]
-    config = {"m": args.m, "i_max": args.i_max, "budget": args.budget}
+    config = {"m": args.m, "i_max": args.i_max}
     _write_report(args.out, "graph-count", config, _SCHEMAS["graph-count"], rows)
     return 0
 
@@ -222,8 +210,6 @@ def _moment_report_flags(parser: argparse.ArgumentParser) -> None:
 def _graph_count_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", type=int, required=True)
     parser.add_argument("--i-max", type=int, required=True)
-    parser.add_argument("--budget", type=int, default=CLASS_ENUM_BUDGET,
-                        help="refuse cells whose sequence space exceeds this")
     parser.add_argument("--out", default="-")
 
 

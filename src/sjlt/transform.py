@@ -253,6 +253,11 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    # past the float range, 1/epsilon^2 (in k) and 1/delta (in m) are refused by name
+    if epsilon * epsilon == 0.0 or math.isinf(1.0 / (epsilon * epsilon)):
+        raise ValueError(f"epsilon={epsilon!r} too small: 1/epsilon^2 exceeds the float range")
+    if math.isinf(1.0 / delta):
+        raise ValueError(f"delta={delta!r} too small: 1/delta exceeds the float range")
     kappa_m, kappa_k, kappa_c = constants
     if not all(math.isfinite(kappa) and kappa > 0 for kappa in constants):
         raise ValueError("kappa constants must be finite and positive")
@@ -263,7 +268,8 @@ def derive_spec(d: int, epsilon: float, delta: float, bucket_seed: int, sign_see
         c = math.ceil(kappa_c * (m / gain) ** 2 / epsilon)
     except OverflowError:
         # an infinite product reaches ceil, or the square overflows
-        raise ValueError("kappa constants too large: m, k or c is not finite") from None
+        raise ValueError(f"kappa constants too large for epsilon={epsilon!r}, "
+                         f"delta={delta!r}: m, k or c is not finite") from None
     log_budget = math.log(1.0 / delta)
     threshold = math.inf if log_budget * log_budget == 0.0 else 1.0 / (log_budget * log_budget)
     if epsilon > threshold:

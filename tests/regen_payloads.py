@@ -44,7 +44,7 @@ def _input_files() -> dict[str, str]:
             entries = zip(idx.tolist(), val.tolist())
             lines.append("4096;" + ",".join(f"{i}:{v!r}" for i, v in entries))
         files[name] = "\n".join(lines) + "\n"
-    files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2 budget=1000000000\nm,i,t\n"
+    files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2\nm,i,t\n"
     return files
 
 
@@ -64,7 +64,6 @@ def calls() -> list[list[str]]:
         for i_max in range(1, 9):
             out.append(["graph-count", "--m", str(m), "--i-max", str(i_max)])
     out.append(["graph-count", "--m", "2", "--i-max", "4", "--out", "{dir}/g.csv"])
-    out.append(["graph-count", "--m", "3", "--i-max", "4", "--budget", "100"])
     for n, (d, k, m) in enumerate(_ORACLE_CELLS):
         out.append(["moment-report", "--d", str(d), "--k", str(k), "--m", str(m),
                     "--seed", str(1000 + n)])
@@ -78,6 +77,8 @@ def calls() -> list[list[str]]:
     for cap in ("1.5", "2", "10", "1e9"):
         out.append(["moment-report", "--d", "2", "--k", "100", "--m", "2", "--C", cap])
     out.append(["moment-report", "--d", "2", "--k", "100", "--m", "2"])
+    # an admissible cap so small that its powers underflow: the bound is inf
+    out.append(["moment-report", "--d", "2", "--k", "2", "--m", "2", "--C", "1e-200"])
     for seeds in (("3", "4"), ("3", str(3 + 2 ** 40))):
         seed_flags = ["--bucket-seed", seeds[0], "--sign-seed", seeds[1]]
         out.append(["distortion-bench", "--d", "64", *_LOOSE_SPEC, "--trials", "300",
@@ -111,7 +112,6 @@ def calls() -> list[list[str]]:
         ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--x", "spikes:2"],
         ["graph-count", "--m", "0", "--i-max", "2"],
         ["graph-count", "--m", "1", "--i-max", "0"],
-        ["graph-count", "--m", "1", "--i-max", "2", "--budget", "0"],
         ["distortion-bench", "--d", "64", "--epsilon", "0", "--delta", "0.05",
          "--bucket-seed", "3", "--sign-seed", "4"],
         ["distortion-bench", "--d", "64", *_SPEC, "--bucket-seed", "3", "--sign-seed", "3"],
@@ -119,6 +119,10 @@ def calls() -> list[list[str]]:
          "--bucket-seed", "3", "--sign-seed", "4"],
         ["tail-estimate", "--d", "16", *_SPEC, "--kappa-k", "inf",
          "--bucket-seed", "3", "--sign-seed", "4"],
+        # k or m past the float range, refused by the parameter that puts it there
+        *(["distortion-bench", "--d", "4", "--epsilon", epsilon, "--delta", delta,
+           "--bucket-seed", "1", "--sign-seed", "2", "--trials", "2"]
+          for epsilon, delta in (("1e-200", "0.5"), ("1e-160", "0.5"), ("0.5", "5e-324"))),
         _TRANSFORM + ["--in", "{dir}/absent.txt", "--out", "{dir}/absent.out"],
         ["transform", "--d", "4096", "--epsilon", "0.5", "--delta", "1e-3",
          "--bucket-seed", "7", "--sign-seed", "7", "--in", "{dir}/short.txt",

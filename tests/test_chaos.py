@@ -30,6 +30,7 @@ from sjlt.graphs import (
     PairSequence,
     build_multigraph,
     check_assignment_budget,
+    check_table_budget,
     sequence_expectation,
     weight,
 )
@@ -531,11 +532,49 @@ def test_moment_bound_keeps_its_pinned_bits():
 
 
 def test_moment_bound_budget_names_the_first_refused_vertex_count():
-    # C(6,2)^8 is the first of the i = 1..8 histograms over the class budget
+    # the bound builds one (2m, 2m) class table: 44*(44+1) entries at m = 22
+    # fit the table budget, and m = 23 is the first refused, named by its 46
+    # vertices
+    check_table_budget(44, 44)
     with pytest.raises(BudgetExceededError) as excinfo:
-        moment_upper_bound(ChaosInstance.uniform(3, 2), 4, 3.0)
-    assert str(excinfo.value) == \
-        "15^8 sequences exceed the class enumeration budget 1000000000"
+        moment_upper_bound(ChaosInstance.uniform(3, 2), 23, 3.0)
+    assert str(excinfo.value) == "46*(46+1) class table entries exceed the table budget 2048"
+
+
+# (d, k, m) with its exact and expansion moments: 3^12 sequences, past the
+# census's budget, which the bound's tables do not use
+NEW_CELL_READING = ((3, 2, 6), 256.00722563746564, 256.00722563746575)
+
+
+def test_moment_bound_dominates_on_cells_beyond_the_census_budget():
+    # the paper's inequality at m >= 4, where C(8,2)^8 > 10^9 sequences
+    # exceed the census's budget but the bound's tables enumerate nothing
+    for d in (2, 3):
+        for k in (2, 3):
+            for m in range(4, 9):
+                inst = ChaosInstance.uniform(d, k)
+                exact, expansion = exact_moment(inst, m), graph_expansion_moment(inst, m)
+                assert abs(exact - expansion) <= 1e-12 * max(exact, expansion), (d, k, m)
+                assert exact <= moment_upper_bound(inst, m, float(d)) * (1 + 1e-12), (d, k, m)
+    (d, k, m), exact, expansion = NEW_CELL_READING
+    inst = ChaosInstance.uniform(d, k)
+    assert (exact_moment(inst, m), graph_expansion_moment(inst, m)) == (exact, expansion)
+    assert moment_upper_bound(inst, m, float(d)) == pytest.approx(3.4464351e10, rel=1e-6)
+
+
+@pytest.mark.parametrize("cap", [1e-200, 5e-324, 1e-100])
+def test_moment_bound_is_inf_past_the_float_range(cap):
+    # C^(2m-i) underflows to 0.0 for an admissible tiny cap: the exact sum
+    # exceeds the largest float, and inf is a true bound
+    assert moment_upper_bound(ChaosInstance.uniform(2, 2), 3, cap) == math.inf
+
+
+def test_moment_bound_stays_exact_when_a_power_of_k_overflows():
+    # k^(i-t) overflows a float at k = 10^200; the exact sum is finite, and
+    # for uniform x at d = 2 the moment is the collision probability 1/k
+    k = 10 ** 200
+    bound = moment_upper_bound(ChaosInstance.uniform(2, k), 3, 2.0)
+    assert math.isfinite(bound) and 1.0 / k <= bound
 
 
 def test_moment_bound_dominates_exact_moment():
@@ -601,8 +640,8 @@ def test_default_cap_accepted_for_every_budgeted_d():
     (3, 2, 0, ValueError, "m must be positive"),
     (8, 1, 3, BudgetExceededError,
      "28^6 sequences exceed the enumeration budget 100000000"),
-    (4, 2, 4, BudgetExceededError,
-     "15^8 sequences exceed the class enumeration budget 1000000000"),
+    (2, 2, 23, BudgetExceededError,
+     "46*(46+1) class table entries exceed the table budget 2048"),
 ])
 def test_exact_phase_refusals_come_before_any_phase(monkeypatch, d, k, m, error, message):
     def unreachable(*args, **kwargs):

@@ -314,6 +314,31 @@ def test_non_finite_kappa_error_line(capsys, kappa):
     assert err.startswith("error: invalid-parameter:")
 
 
+@pytest.mark.parametrize("epsilon, delta, message", [
+    ("1e-200", "0.5", "epsilon=1e-200 too small: 1/epsilon^2 exceeds the float range"),
+    ("1e-160", "0.5", "epsilon=1e-160 too small: 1/epsilon^2 exceeds the float range"),
+    ("0.5", "5e-324", "delta=5e-324 too small: 1/delta exceeds the float range"),
+])
+def test_tiny_epsilon_or_delta_error_line(capsys, epsilon, delta, message):
+    # epsilon^2 underflowing to 0 raised ZeroDivisionError, and a 1/epsilon^2
+    # or 1/delta past the float range was blamed on the kappa constants
+    for command in ("distortion-bench", "tail-estimate"):
+        code, out, err = run([command, "--d", "4", "--epsilon", epsilon, "--delta", delta,
+                              "--bucket-seed", "1", "--sign-seed", "2", "--trials", "2",
+                              "--out", "-"], capsys)
+        assert (code, out, err) == (1, "", f"error: invalid-parameter: {message}\n")
+
+
+@pytest.mark.parametrize("cap", ["1e-200", "5e-324"])
+def test_tiny_cap_gives_an_infinite_bound(capsys, cap):
+    # an admissible cap whose powers underflow: inf is a true bound, not a crash
+    code, out, err = run(["moment-report", "--d", "2", "--k", "2", "--m", "2", "--C", cap,
+                          "--trials", "100", "--out", "-"], capsys)
+    assert (code, err) == (0, "")
+    row = dict(zip(*(line.split(",") for line in out.splitlines()[1:])))
+    assert row["rhs_bound"] == "inf"
+
+
 @pytest.mark.parametrize("cap", ["nan", "inf", "-inf"])
 def test_non_finite_cap_error_line(capsys, cap):
     # d = 2 too: there nan ** 0 == 1 would have printed a plausible bound
@@ -369,7 +394,7 @@ def test_bucket_bias_refused_by_both_trial_commands(capsys):
 
 
 def test_non_positive_graph_count_m_error_line(capsys):
-    # m < 1 is refused before the budget check computes 0 ** (2m) for i = 1
+    # m < 1 is refused by graph-count itself, by name
     code, out, err = run(["graph-count", "--m", "-1", "--i-max", "2", "--out", "-"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: invalid-parameter:") and "m must be positive" in err
@@ -383,15 +408,6 @@ def test_non_positive_graph_count_i_max_error_line(capsys, i_max):
     assert err == f"error: invalid-parameter: i_max must be positive, got {i_max}\n"
 
 
-@pytest.mark.parametrize("budget", ["0", "-5"])
-def test_non_positive_graph_count_budget_error_line(capsys, budget):
-    # refused before any cell, not reported as i=1's 0 sequences exceeding it
-    code, out, err = run(["graph-count", "--m", "1", "--i-max", "3", "--budget", budget,
-                          "--out", "-"], capsys)
-    assert code == 1 and out == ""
-    assert err == f"error: invalid-parameter: budget must be positive, got {budget}\n"
-
-
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_non_positive_moment_report_d_error_line(capsys, d):
     code, out, err = run(["moment-report", "--d", d, "--k", "2", "--m", "1", "--out", "-"],
@@ -401,31 +417,46 @@ def test_non_positive_moment_report_d_error_line(capsys, d):
 
 
 def test_budget_exceeded_reported_not_crashed(capsys):
-    code, _, err = run(["graph-count", "--m", "10", "--i-max", "3", "--out", "-"], capsys)
+    code, _, err = run(["graph-count", "--m", "8000", "--i-max", "3", "--out", "-"], capsys)
     assert code == 1
     assert err.startswith("error: budget-exceeded:")
 
 
-def test_budget_flag_lowers_the_cap(capsys):
-    code, _, err = run(["graph-count", "--m", "2", "--i-max", "4",
-                        "--budget", "100", "--out", "-"], capsys)
-    assert code == 1
-    assert err.startswith("error: budget-exceeded:")
-    code, out_text, _ = run(["graph-count", "--m", "2", "--i-max", "3",
-                             "--budget", "100", "--out", "-"], capsys)
-    assert code == 0
-    assert "budget=100" in out_text.splitlines()[0]
+def test_graph_count_has_no_budget_flag(capsys):
+    # the closed form's one table budget is the only cap: --budget is unknown
+    with pytest.raises(SystemExit) as excinfo:
+        main(["graph-count", "--m", "2", "--i-max", "4", "--budget", "100"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
+    code, out_text, err = run(["graph-count", "--m", "2", "--i-max", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert out_text.splitlines()[0] == "# sjlt command=graph-count i_max=3 m=2"
+
+
+@pytest.mark.parametrize("m, i_max", [(1, 251), (2, 19), (9, 3), (10 ** 6, 2)])
+def test_graph_count_answers_every_cell_the_census_budget_admitted(capsys, m, i_max):
+    # the largest i_max the old per-cell C(i,2)^2m <= 10^9 check admitted at
+    # each m: the table budget refuses none of them
+    code, out, err = run(["graph-count", "--m", str(m), "--i-max", str(i_max)], capsys)
+    assert (code, err) == (0, "")
+    histograms = sjlt.graphs.class_histograms(i_max, m)
+    assert [line.split(",")[:4] for line in out.splitlines()[2:]] == [
+        [str(m), str(i), str(t), str(histograms[i].get(t, 0))]
+        for i in range(1, i_max + 1) for t in range(1, i // 2 + 1)]
+    if m == 1:
+        # two pairs cover i vertices with even degrees only as one pair twice
+        assert {i: h for i, h in histograms.items() if h} == {2: {1: 1}}
 
 
 def _refuse_work(monkeypatch):
-    # a graph-count cell or a moment-report vector that starts fails the test
+    # a class table or a moment-report vector that starts fails the test
     def unreachable(*args, **kwargs):
         raise AssertionError("work started before the budget refusal")
 
     class NoInstance:
         uniform = staticmethod(unreachable)
 
-    monkeypatch.setattr(sjlt.cli, "class_histograms", unreachable)
+    monkeypatch.setattr(sjlt.graphs, "_class_tables", unreachable)
     monkeypatch.setattr(sjlt.cli, "ChaosInstance", NoInstance)
 
 
@@ -434,14 +465,13 @@ def _refuse_work(monkeypatch):
      "4^8000 assignments exceed the exact enumeration budget 100000000"),
     (["moment-report", "--d", "26", "--k", "1", "--m", "3000"],
      "325^6000 sequences exceed the enumeration budget 100000000"),
-    (["graph-count", "--m", "8000", "--i-max", "3", "--budget", "1000000"],
-     "3^16000 sequences at i=3 exceed the requested budget 1000000"),
-    (["graph-count", "--m", "10", "--i-max", "4", "--budget", "1" + "0" * 30],
-     "3^20 sequences exceed the class enumeration budget 1000000000"),
-    # a call that requests no budget is refused by the class budget, by name
-    (["graph-count", "--m", "4", "--i-max", "6"],
-     "15^8 sequences exceed the class enumeration budget 1000000000"),
-], ids=["assignments", "sequences", "requested", "class", "default"])
+    # the bound's (2m, 2m) class table, past the last admitted m = 22
+    (["moment-report", "--d", "2", "--k", "2", "--m", "23"],
+     "46*(46+1) class table entries exceed the table budget 2048"),
+    # graph-count's tables, by the one budget it has
+    (["graph-count", "--m", "8000", "--i-max", "3"],
+     "3*(16000+1) class table entries exceed the table budget 2048"),
+], ids=["assignments", "sequences", "class", "default"])
 def test_budget_refusals_name_sizes_by_formula(monkeypatch, capsys, argv, message):
     # sizes of thousands of digits (4^8000 has 4,817) are refused as
     # budget-exceeded with one short line, before any work starts
@@ -473,18 +503,13 @@ def test_moment_report_refuses_before_building_its_vector(monkeypatch, capsys):
 
 
 def test_graph_count_refuses_before_counting_any_cell(monkeypatch, capsys):
-    # cells i = 1, 2 fit, i = 3 does not: no cell is counted
+    # 3*(682+1) = 2049 table entries at i_max = 3, m = 341: one over the budget,
+    # refused before any table is built
     _refuse_work(monkeypatch)
-    code, out, err = run(["graph-count", "--m", "200", "--i-max", "3", "--out", "-"], capsys)
+    code, out, err = run(["graph-count", "--m", "341", "--i-max", "3", "--out", "-"], capsys)
     assert (code, out) == (1, "")
-    assert err == ("error: budget-exceeded: 3^400 sequences exceed the class enumeration "
-                   "budget 1000000000\n")
-    # a smaller --budget refuses earlier cells, and names itself
-    code, out, err = run(["graph-count", "--m", "200", "--i-max", "3", "--budget", "1",
-                          "--out", "-"], capsys)
-    assert (code, out) == (1, "")
-    assert err == ("error: budget-exceeded: 3^400 sequences at i=3 exceed the requested "
-                   "budget 1\n")
+    assert err == ("error: budget-exceeded: 3*(682+1) class table entries exceed the table "
+                   "budget 2048\n")
 
 
 def test_usage_error(capsys):
@@ -514,7 +539,7 @@ VALID_ARGV = {
     "verify": ["verify", "absent.csv"],
 }
 PARSED_CASES = [["moment-report", "--d", "2", "--k", "2", "--m", "1", "--tri", "1000"],
-                ["graph-count", "--m", "1", "--i-max", "2", "--bu", "100"],
+                ["graph-count", "--m", "1", "--i-max", "2", "--ou", "-"],
                 ["--verify", "absent.csv"]]
 PARSER_CASES = [["-h"], [], ["bogus"], ["--bogus"], ["--verify"],
                 ["--bogus", "graph-count", "--m", "1", "--i-max", "2"],

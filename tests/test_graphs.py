@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjlt.graphs
 from sjlt.graphs import (
+    CLASS_ENUM_BUDGET,
     BudgetExceededError,
     ClassCount,
     Multigraph,
@@ -17,6 +19,7 @@ from sjlt.graphs import (
     build_multigraph,
     check_power_budget,
     check_structure,
+    check_table_budget,
     class_count,
     class_histogram,
     class_histograms,
@@ -225,8 +228,37 @@ def test_class_count_rejects_bad_arguments():
 
 
 def test_class_count_budget():
-    with pytest.raises(BudgetExceededError):
-        class_histogram(9, 3)   # 36^6 sequences
+    # the closed form's tables are budgeted, not the census's C(i,2)^2m
+    # sequences: 36^6 at (9, 3) are counted, 3*(2048+1) table entries are not
+    assert sum(class_histogram(9, 3).values()) == covering_sequences_by_parity_walk(9, 6)
+    with pytest.raises(BudgetExceededError,
+                       match=r"^3\*\(2048\+1\) class table entries exceed the table "
+                             r"budget 2048$"):
+        class_histogram(3, 1024)
+
+
+def test_table_budget_frontier():
+    # n*(2m+1) entries: 4*(511+1) = 2048 is admitted, 3*(682+1) = 2049 is not;
+    # below three vertices no table is built, so nothing is refused
+    check_table_budget(4, 511)
+    check_table_budget(44, 44)
+    for n in (1, 2):
+        check_table_budget(n, 10 ** 9)
+    for n, two_m in ((3, 682), (46, 46), (2049, 0)):
+        with pytest.raises(BudgetExceededError,
+                           match=rf"^{n}\*\({two_m}\+1\) class table entries "):
+            check_table_budget(n, two_m)
+
+
+def test_table_budget_refuses_before_any_table_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table was built before the budget refusal")
+
+    monkeypatch.setattr(sjlt.graphs, "_class_tables", unreachable)
+    for call in (lambda: class_histograms(3, 8000), lambda: class_histogram(46, 23),
+                 lambda: class_count(3, 1, 8000)):
+        with pytest.raises(BudgetExceededError):
+            call()
 
 
 def test_power_budget_is_exact_at_every_size():
@@ -292,14 +324,13 @@ def test_one_pass_histograms_equal_the_single_ones():
 
 
 @pytest.mark.parametrize("n, m, first", [(9, 3, 9), (7, 4, 6)])
-def test_one_pass_budget_names_the_first_refused_vertex_count(n, m, first):
-    with pytest.raises(BudgetExceededError) as single:
-        class_histogram(first, m)
-    with pytest.raises(BudgetExceededError) as one_pass:
-        class_histograms(n, m)
-    assert str(one_pass.value) == str(single.value) == (
-        f"{math.comb(first, 2)}^{2 * m} sequences exceed the class enumeration "
-        "budget 1000000000")
+def test_one_pass_answers_cells_beyond_the_census_budget(n, m, first):
+    # C(first,2)^2m sequences exceed the census's budget, which the closed
+    # form does not use: the one pass and the single histogram agree
+    assert math.comb(first, 2) ** (2 * m) > CLASS_ENUM_BUDGET
+    histograms = class_histograms(n, m)
+    assert histograms[first] == class_histogram(first, m)
+    assert sum(histograms[first].values()) == covering_sequences_by_parity_walk(first, 2 * m)
 
 
 def test_one_pass_histograms_reject_bad_arguments():

@@ -95,6 +95,11 @@ def test_derive_spec_rejects_bad_ranges():
                    (math.nan, 1.0, 1.0), (1.0, 1.0, 1e308)]:
         with pytest.raises(ValueError):
             derive_spec(4, 0.5, 0.5, 1, 2, kappas)
+    # k and m past the float range name epsilon and delta, not only the constants
+    for epsilon, delta, name in [(1e-200, 0.5, "epsilon"), (1e-160, 0.5, "epsilon"),
+                                 (0.5, 5e-324, "delta"), (1e-154, 0.5, "epsilon=")]:
+        with pytest.raises(ValueError, match=name):
+            derive_spec(4, epsilon, delta, 1, 2)
 
 
 def test_spec_rejects_replica_points_beyond_the_field():
