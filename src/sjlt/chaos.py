@@ -20,6 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from .graphs import (
+    BudgetExceededError,
     Multigraph,
     build_multigraph,
     check_assignment_budget,
@@ -257,6 +258,10 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
 
 _MC_CHUNK = 4096
 
+# bucket sums one Monte Carlo chunk holds (float64: 32 MB); a call over it was
+# measured at 161 MB peak RSS for 4096*4096 and 545 MB for 4096*16384
+MC_SUM_BUDGET = 1 << 22
+
 
 def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, norm_sq: float,
                   k: int, power: int) -> np.ndarray:
@@ -276,6 +281,14 @@ def _check_draws(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be non-negative, got {seed}")
 
 
+def _check_sum_budget(k: int, trials: int) -> None:
+    # a chunk, or the pattern table that replaces it, sums rows * k buckets
+    rows = min(trials, _MC_CHUNK)
+    if rows * k > MC_SUM_BUDGET:
+        raise BudgetExceededError(f"{rows}*{k} Monte Carlo bucket sums exceed the Monte Carlo "
+                                  f"budget {MC_SUM_BUDGET}")
+
+
 def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the 2m-th moment with its standard error.
 
@@ -284,9 +297,11 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
     default_rng(seed); this order fixes every reported byte. When the (2k)^d
     (bucket, sign) patterns number at most min(trials, 4096), each pattern's
     power is computed once and every trial looks its pattern up: a row's
-    value depends on that row alone, so the bytes are the same.
+    value depends on that row alone, so the bytes are the same. Either way
+    a chunk sums min(trials, 4096) * k buckets, refused above MC_SUM_BUDGET.
     """
     _check_draws(trials, seed)
+    _check_sum_budget(inst.k, trials)
     d, k, power = inst.d, inst.k, 2 * m
     rng = np.random.default_rng(seed)
     x = inst.x.to_numpy()
@@ -375,8 +390,9 @@ def check_moment_report(d: int, k: int, m: int, trials: int, seed: int) -> None:
     """Every refusal of moment_report's phases but the cap's, which needs the
     vector, so a caller can refuse before the d-entry vector is built. Each
     enumerated space has its own budget: the (2k)^d assignments, the
-    C(d,2)^2m sequences of the expansion and the 2m*(2m+1) entries of the
-    bound's class tables."""
+    C(d,2)^2m sequences of the expansion, the 2m*(2m+1) entries of the
+    bound's class tables and the min(trials, 4096)*k bucket sums of a Monte
+    Carlo chunk."""
     for name, value in (("d", d), ("k", k)):
         if value < 1:
             raise ValueError(f"{name} must be positive, got {value}")
@@ -386,6 +402,7 @@ def check_moment_report(d: int, k: int, m: int, trials: int, seed: int) -> None:
     check_assignment_budget(d, k)
     _check_sequence_budget(d, 2 * m)
     check_table_budget(2 * m, 2 * m)
+    _check_sum_budget(k, trials)
 
 
 def moment_report(inst: ChaosInstance, m: int, C: float,

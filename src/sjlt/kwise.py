@@ -26,10 +26,12 @@ bit, by two routes:
 - Forward differences along runs of L consecutive points: a difference
   table D[j] = Delta^j f(x0) at each run's start x0 steps along the run at
   r - 1 modular additions per point. The stepping needs no coefficients, so
-  the runs of every row share one table. The table is seeded in one of two
-  ways. Calls with many runs per row, such as the one-row chunks of
-  `sjlt transform`, take the difference polynomials Delta^j f, computed once
-  per call in Python integers: one triangular Horner pass at x0 gives every
+  the runs of every row share one table. It slides down one window array,
+  one row per step, in three numpy calls and no copy; the values it leaves
+  behind are the run's. The table is seeded in one of two ways. Calls with
+  many runs per row, such as the one-row chunks of `sjlt transform`, take
+  the difference polynomials Delta^j f, computed in Python integers once per
+  generator, which keeps them: one triangular Horner pass at x0 gives every
   row, r (r - 1) / 2 products per run. Calls with few runs per row, such as
   trial blocks with fresh coefficients in every row, take Horner values at
   a run's first r points and difference them, r (r - 1) products per run.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterator
 
@@ -125,7 +128,9 @@ class KWiseGenerator:
     """Immutable polynomial hashes of one field, degree and range, one per row
     of a read-only (rows, degree) uint64 coefficient matrix; a flat
     coefficient sequence is one generator. Evaluation is pure and thread-safe.
-    Generators compare by identity; compare their coefficients instead."""
+    Generators compare by identity; compare their coefficients instead.
+    Forward-difference runs seeded by the difference polynomials build them
+    once per generator, as `differences`."""
 
     field: PrimeField
     coefficients: np.ndarray
@@ -157,6 +162,13 @@ class KWiseGenerator:
     def row(self, j: int) -> KWiseGenerator:
         """The one-row generator of row j."""
         return KWiseGenerator(self.field, self.coefficients[j], self.range_size)
+
+    @cached_property
+    def differences(self) -> np.ndarray:
+        """Read-only `_difference_coefficients` of the rows, built on first use."""
+        table = _difference_coefficients(self.coefficients)
+        table.flags.writeable = False
+        return table
 
 
 def _stream_coefficients(seed: int, degree: int, p: int) -> list[int]:
@@ -382,38 +394,40 @@ def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return table.reshape(r, -1)
 
 
-def _runs61(coefficients: np.ndarray, idx: np.ndarray, run: int) -> np.ndarray:
+def _runs61(gen: KWiseGenerator, idx: np.ndarray, run: int) -> np.ndarray:
     # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4), for the
-    # (rows, r) `coefficients` and segments of `_horner61`. A run's table
-    # D[j] = Delta^j f(x0) has a constant last row, and
-    # Delta^j f(x + 1) = Delta^j f(x) + Delta^(j+1) f(x), so D[:-1] += D[1:]
-    # (r - 1 additions mod p) steps every run by one point. The stepping uses
-    # no coefficients, so the runs of all rows share one table, whose columns
-    # are row-major (row, run). Entries stay canonical: a sum t < 2p, and
-    # min(t, t - p) reduces it. A chunk's table holds at most HORNER_BLOCK
-    # entries, or one run per row. `_seed_products` picks how the tables are
-    # seeded: by `_point_table`, or by `_difference_table` from one
-    # `_difference_coefficients` per call.
+    # generator's coefficients and the segments of `_horner61`. A run's table
+    # D[j] = Delta^j f(x0) has a constant last row, and Delta^j f(x + 1) =
+    # Delta^j f(x) + Delta^(j+1) f(x) steps it by one point in r - 1 additions
+    # mod p, with no coefficients, so the runs of all rows share one table
+    # (columns row-major (row, run)). It slides down a (run + r - 1)-row window
+    # whose rows r.. hold the constant row from the start: step s adds rows
+    # s - 1 .. s + r - 3 into rows s .. s + r - 2, which leaves f(x0 + s - 1)
+    # in row s - 1, so the first run rows end as the run's values, with no
+    # copy. Entries stay canonical: a sum t < 2p, and min(t, t - p) reduces
+    # it. A chunk's table holds at most HORNER_BLOCK entries, or one run per
+    # row; `_seed_products` picks its seed, `_point_table` or
+    # `_difference_table` of the generator's `differences`.
+    coefficients = gen.coefficients
     rows, r = coefficients.shape
     starts = idx.reshape(rows, -1)[:, ::run]
     out = np.empty((rows, starts.shape[1], run), dtype=np.uint64)
     per_chunk = max(1, HORNER_BLOCK // (r * rows))
-    differences = (_difference_coefficients(coefficients)
-                   if _seed_products(rows, starts.size, r)[1] else None)
+    differenced = _seed_products(rows, starts.size, r)[1]
     for first in range(0, starts.shape[1], per_chunk):
         x0 = starts[:, first:first + per_chunk]
-        table = (_point_table(coefficients, x0) if differences is None
-                 else _difference_table(differences, x0))
+        table = (_difference_table(gen.differences, x0) if differenced
+                 else _point_table(coefficients, x0))
+        window = np.empty((run + r - 1, table.shape[1]), dtype=np.uint64)
+        window[:r] = table
+        window[r:] = table[-1]
         t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
         u = np.empty_like(t)
-        steps = np.empty((run, table.shape[1]), dtype=np.uint64)
-        steps[0] = table[0]
-        for step in steps[1:]:
-            np.add(table[:-1], table[1:], out=t)
+        for s in range(1, run):
+            np.add(window[s - 1:s + r - 2], window[s:s + r - 1], out=t)
             np.subtract(t, _P61, out=u)
-            np.minimum(t, u, out=table[:-1])
-            step[...] = table[0]
-        out[:, first:first + x0.shape[1]] = steps.T.reshape(rows, x0.shape[1], run)
+            np.minimum(t, u, out=window[s:s + r - 1])
+        out[:, first:first + x0.shape[1]] = window[:run].T.reshape(rows, x0.shape[1], run)
     return out.reshape(-1)
 
 
@@ -424,6 +438,8 @@ def _seed_products(rows: int, runs: int, degree: int) -> tuple[int, bool]:
     # Python integers that costs about 64 r (r - 1) per row. Timed on the
     # kernel, the two seeds break even at 64-128 runs per row at degrees
     # 6-28 and 1-32 rows, so trial blocks (8-32 runs per row) keep r values.
+    # The table is charged to every call, as it was timed, though a
+    # generator builds it once.
     point = runs * degree * (degree - 1)
     difference = (runs // 2 + 64 * rows) * degree * (degree - 1)
     return min(point, difference), difference < point
@@ -438,7 +454,9 @@ def _difference_gain(points: int, length: int, degree: int, rows: int) -> int:
     # costs about 384 products in numpy calls plus a sixth of a product per
     # table entry. For runs of 115 at degree 14 the gain turns positive at
     # 73 runs (measured break-even 64-96 runs), for runs of 531 at degree 28
-    # at 25 (measured 19-24).
+    # at 25 (measured 19-24). The step was timed when it took four numpy
+    # calls, a row copy besides the add, subtract and minimum that `_runs61`
+    # now makes; the rule is kept as timed, so those break-evens still hold.
     runs = points // length
     chunks = -(-runs // rows // max(1, HORNER_BLOCK // (degree * rows)))
     saved = (degree - 1) * points - _seed_products(rows, runs, degree)[0]
@@ -479,7 +497,8 @@ def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
     rows, the flat `points` split into n equal consecutive segments and row
     j evaluates segment j; a one-row generator takes points of any shape.
     Runs of consecutive points are found in the points and stepped by forward
-    differences where that pays.
+    differences where that pays. The caller's points are only read; the
+    kernel's fresh output is folded onto the range in place.
     """
     rows = len(gen)
     idx = np.asarray(points)
@@ -495,13 +514,19 @@ def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
                          for row, segment in zip(map(gen.row, range(rows)), idx.reshape(rows, -1))
                          for i in segment], dtype=np.int64).reshape(idx.shape)
     length = _run_length(idx, rows, gen.degree)
-    values = (_runs61(gen.coefficients, idx, length).reshape(idx.shape) if length
+    values = (_runs61(gen, idx, length).reshape(idx.shape) if length
               else _horner61(gen.coefficients, idx))
-    # v - (v // range) * range: numpy divides by a scalar without a hardware
-    # division per element, unlike v % range; the result is below range < 2^61
-    quotient = values // np.uint64(gen.range_size)
-    np.multiply(quotient, np.uint64(gen.range_size), out=quotient)
-    np.subtract(values, quotient, out=values)
+    # the kernel's fresh output folds in place: a power-of-two range by a
+    # mask, any other by v - (v // range) * range, as numpy divides by a
+    # scalar without a hardware division per element, unlike v % range; the
+    # result is below range < 2^61
+    range_size = np.uint64(gen.range_size)
+    if gen.range_size & (gen.range_size - 1) == 0:
+        np.bitwise_and(values, range_size - np.uint64(1), out=values)
+    else:
+        quotient = values // range_size
+        np.multiply(quotient, range_size, out=quotient)
+        np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
@@ -509,4 +534,7 @@ def eval_sign_batch(gen: KWiseGenerator, points) -> np.ndarray:
     """Vectorized eval_sign; `gen` and `points` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
-    return 1 - 2 * eval_bucket_batch(gen, points)
+    # bits b of a fresh array become 1 - 2b in place
+    signs = eval_bucket_batch(gen, points)
+    np.left_shift(signs, 1, out=signs)
+    return np.subtract(1, signs, out=signs)

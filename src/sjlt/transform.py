@@ -351,11 +351,16 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     return count
 
 
+def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
+    # replica r of coordinate i sits at flat point i*c + r
+    points = indices.astype(np.uint64)[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)
+    return points.reshape(-1)
+
+
 def _replicas(indices: np.ndarray, values: np.ndarray,
               c: int) -> tuple[np.ndarray, np.ndarray]:
-    # replica r of coordinate i sits at flat point i*c + r, carrying x_i unscaled
-    points = indices.astype(np.uint64)[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)
-    return points.reshape(-1), np.repeat(values, c)
+    # the replicas' flat points, each carrying its x_i unscaled
+    return _replica_points(indices, c), np.repeat(values, c)
 
 
 def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
@@ -369,8 +374,9 @@ def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
     (stacking the roles as trial_counter does gave no speed here and cost
     11% peak RSS), then adds sign * value at flat offset row * k + bucket
     with the unbuffered np.add.at, in point order, so each row has the bits
-    of a per-vector np.bincount. An overflowing sum stays inf, silently as
-    in bincount; apply_rows refuses it.
+    of a per-vector np.bincount. Points, offsets and sign * value are built
+    as (coordinates, c) broadcasts, with no per-replica repeat. An
+    overflowing sum stays inf, silently as in bincount; apply_rows refuses it.
     """
     sums = np.zeros(len(vectors) * k)
     if not vectors:
@@ -382,10 +388,13 @@ def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
     with np.errstate(over="ignore"):
         for start in range(0, indices.size, per_chunk):
             chunk = slice(start, start + per_chunk)
-            points, weights = _replicas(indices[chunk], values[chunk], c)
-            buckets = eval_bucket_batch(bucket_gen, points)
-            buckets += np.repeat(offsets[chunk], c)
-            np.add.at(sums, buckets, eval_sign_batch(sign_gen, points) * weights)
+            points = _replica_points(indices[chunk], c)
+            buckets = eval_bucket_batch(bucket_gen, points).reshape(-1, c)
+            buckets += offsets[chunk, None]
+            # ±1 as float64 first: an int64 * float64 broadcast casts row by row
+            weights = eval_sign_batch(sign_gen, points).astype(np.float64).reshape(-1, c)
+            weights *= values[chunk, None]
+            np.add.at(sums, buckets.reshape(-1), weights.reshape(-1))
     return sums.reshape(-1, k)
 
 

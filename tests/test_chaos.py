@@ -669,6 +669,44 @@ def test_monte_carlo_refusals_come_before_any_phase(monkeypatch, trials, seed, m
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("d, k, trials, refused", [
+    # every other budget passes d = 1, k = 5*10^7: its 4096-row chunk once
+    # asked numpy for 1.49 TiB of bucket sums
+    (1, 50_000_000, 10_000, "4096*50000000"),
+    (2, 1025, 10_000, "4096*1025"),
+    (2, 2098, 2000, "2000*2098"),
+    (2, 1024, 10_000, None),
+    (2, 2097, 2000, None),
+])
+def test_monte_carlo_bucket_sums_have_their_own_budget(monkeypatch, d, k, trials, refused):
+    # a chunk, or its pattern table, sums min(trials, 4096) * k buckets; the
+    # refusal comes before any phase, and a direct Monte Carlo call makes it too
+    assert sjlt.chaos.MC_SUM_BUDGET == 4096 * 1024
+    inst = ChaosInstance.uniform(d, k)
+    if refused is None:
+        sjlt.chaos.check_moment_report(d, k, 22, trials, 0)
+        return
+    message = f"{refused} Monte Carlo bucket sums exceed the Monte Carlo budget 4194304"
+    with pytest.raises(BudgetExceededError) as excinfo:
+        monte_carlo_moment(inst, 1, trials, seed=0)
+    assert str(excinfo.value) == message
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a moment phase ran before its refusal")
+
+    for phase in ("monte_carlo_moment", "exact_moment", "graph_expansion_moment"):
+        monkeypatch.setattr(sjlt.chaos, phase, unreachable)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        moment_report(inst, 22, 1.0, trials=trials, seed=0)
+    assert str(excinfo.value) == message
+
+
+def test_monte_carlo_runs_at_its_sum_budget():
+    # 4096 * 1024 bucket sums: the whole budget in one row-path chunk
+    mean, se = monte_carlo_moment(ChaosInstance.uniform(2, 1024), 1, 4096, seed=0)
+    assert math.isfinite(mean) and math.isfinite(se) and se >= 0.0
+
+
 @pytest.mark.parametrize("trials, seed, message", [
     (1, 0, "need at least 2 trials"),
     (100, -1, "seed must be non-negative, got -1"),

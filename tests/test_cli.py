@@ -471,7 +471,10 @@ def _refuse_work(monkeypatch):
     # graph-count's tables, by the one budget it has
     (["graph-count", "--m", "8000", "--i-max", "3"],
      "3*(16000+1) class table entries exceed the table budget 2048"),
-], ids=["assignments", "sequences", "class", "default"])
+    # every other budget passes; the Monte Carlo's chunk would sum 2*10^11 buckets
+    (["moment-report", "--d", "1", "--k", "50000000", "--m", "22"],
+     "4096*50000000 Monte Carlo bucket sums exceed the Monte Carlo budget 4194304"),
+], ids=["assignments", "sequences", "class", "default", "monte-carlo"])
 def test_budget_refusals_name_sizes_by_formula(monkeypatch, capsys, argv, message):
     # sizes of thousands of digits (4^8000 has 4,817) are refused as
     # budget-exceeded with one short line, before any work starts

@@ -246,7 +246,7 @@ def test_run_paths_match_scalar(case):
         return
     # both kernel paths over runs that tile the points, whichever the call picks
     for values in (kwise._horner61(gen.coefficients, points),
-                   kwise._runs61(gen.coefficients, points, run)):
+                   kwise._runs61(gen, points, run)):
         assert (values % np.uint64(gen.range_size)).tolist() == scalar
     # a run length that is no divisor of one range is the unit, never shorter
     unit, one_range = _maximal_run_unit(points, 1)
@@ -265,7 +265,7 @@ def test_runs_span_several_table_chunks(degree):
     points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
     scalar = [eval_bucket(g, int(i)) for i in points]
     assert eval_bucket_batch(g, points).tolist() == scalar
-    got = kwise._runs61(g.coefficients, points, run)
+    got = kwise._runs61(g, points, run)
     assert (got % np.uint64(1000)).tolist() == scalar
 
 
@@ -394,7 +394,7 @@ def test_generator_blocks_match_one_generator_calls(case):
     # both kernel paths, whichever one the call picks
     range_size = np.uint64(block.range_size)
     for values in (kwise._horner61(block.coefficients, points),
-                   kwise._runs61(block.coefficients, points, run)):
+                   kwise._runs61(block, points, run)):
         assert (values % range_size).tolist() == expected.tolist()
     # the scalar reference, on every point of short segments and a sample of long ones
     step = 1 if segments.shape[1] <= 200 else 97
@@ -612,7 +612,7 @@ def test_long_runs_match_horner_and_scalar(case, data):
     # every run length the rule may pick, not only the one it does pick
     for L in (kwise._divisors(segment) if one_range else [unit]):
         if degree < L <= 4096:
-            assert np.array_equal(kwise._runs61(block.coefficients, points, L), horner)
+            assert np.array_equal(kwise._runs61(block, points, L), horner)
     for position in data.draw(st.lists(st.integers(min_value=0, max_value=points.size - 1),
                                        min_size=1, max_size=20)):
         g = block.row(position // segment)
@@ -652,7 +652,7 @@ def test_difference_seed_matches_horner_and_scalar(case, data):
                           kwise._point_table(block.coefficients, starts))
     # whichever seed the rule would pick, the runs take the difference seed
     with patch.object(kwise, "_seed_products", lambda rows, runs, degree: (0, True)):
-        got = kwise._runs61(block.coefficients, points, run)
+        got = kwise._runs61(block, points, run)
     assert np.array_equal(got, horner)
     segment = points.size // rows
     for position in data.draw(st.lists(st.integers(min_value=0, max_value=points.size - 1),
@@ -694,9 +694,83 @@ def test_difference_seed_canonicalizes_lazy_sums():
         gen = KWiseGenerator(DEFAULT_FIELD, coefficients, 1000)
         points = np.arange(1, 41, dtype=np.uint64)
         with patch.object(kwise, "_seed_products", lambda rows, runs, degree: (0, True)):
-            got = kwise._runs61(gen.coefficients, points, 40)
+            got = kwise._runs61(gen, points, 40)
         assert got[0] == 0
         assert got.tolist() == kwise._horner61(gen.coefficients, points).tolist()
+
+
+@pytest.mark.parametrize("differenced", [False, True], ids=["point-seed", "difference-seed"])
+@pytest.mark.parametrize("degree", [1, 2, 6, 14])
+def test_window_steps_match_horner_at_short_runs(degree, differenced):
+    # runs of 1, 2, r - 1, r and r + 1 points: the window's pre-filled
+    # constant rows are read from the first step on, and a run shorter than
+    # r leaves part of its table unstepped. Three rows of more runs than one
+    # table chunk holds, with starts near p and a few small ones.
+    rows = 3
+    rng = np.random.default_rng(degree)
+    block = generator_block(rng.integers(0, 2**63, size=rows), degree, 1000)
+    runs = max(1, kwise.HORNER_BLOCK // (degree * rows)) + 2
+    seed_rule = lambda rows, runs, degree: (0, differenced)
+    for run in sorted({1, 2, degree - 1, degree, degree + 1} - {0}):
+        starts = MERSENNE61 - run - rng.integers(0, 8 * run * runs, size=rows * runs,
+                                                 dtype=np.uint64)
+        starts[::97] = rng.integers(0, 2**20, size=starts[::97].size, dtype=np.uint64)
+        points = (starts[:, None] + np.arange(run, dtype=np.uint64)).reshape(-1)
+        with patch.object(kwise, "_seed_products", seed_rule), \
+                patch.object(kwise, "_difference_table", wraps=kwise._difference_table) as seeded, \
+                patch.object(kwise, "_point_table", wraps=kwise._point_table) as pointed:
+            got = kwise._runs61(block, points, run)
+        assert (seeded.call_count, pointed.call_count) == ((2, 0) if differenced else (0, 2))
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, kwise._horner61(block.coefficients, points))
+
+
+def _path_cases():
+    # (generator maker, points, kernel path): scattered points take Horner, a
+    # trial block of 32 rows over one 1024-point range the point seed, and a
+    # one-row chunk of 200 replica runs of 115 the difference seed
+    rng = np.random.default_rng(12)
+    scattered = rng.integers(0, MERSENNE61, size=3000, dtype=np.uint64)
+    block = np.tile(np.arange(1024, dtype=np.uint64), 32)
+    chunk = _replicas(np.sort(rng.choice(2**40, size=200, replace=False)), 115)
+    return [
+        (lambda size: new_generator(3, 9, size), scattered, "horner"),
+        (lambda size: generator_block(range(40, 72), 6, size), block, "point"),
+        (lambda size: new_generator(4, 14, size), chunk, "difference"),
+    ]
+
+
+@pytest.mark.parametrize("make, points, path", _path_cases(), ids=["horner", "point", "difference"])
+def test_batch_evaluators_leave_points_alone(make, points, path):
+    # the kernel's output folds and maps to signs in place, never the caller's
+    # points: a contiguous uint64 array stays unchanged, a read-only one is
+    # taken, and ranges 1, 2, 4 and 2^20 give the scalar path's values
+    before = points.copy()
+    frozen = points.copy()
+    frozen.flags.writeable = False
+    rows = len(make(1))
+    segment = points.size // rows
+    positions = list(range(0, points.size, 211)) + [points.size - 1]
+    for size in (1, 2, 4, 2**20):
+        gen = make(size)
+        with patch.object(kwise, "_difference_table", wraps=kwise._difference_table) as seeded, \
+                patch.object(kwise, "_point_table", wraps=kwise._point_table) as pointed:
+            values = eval_bucket_batch(gen, points)
+        assert (path == "difference", path == "point") == (seeded.called, pointed.called)
+        assert np.array_equal(points, before)
+        assert np.array_equal(eval_bucket_batch(gen, frozen), values)
+        assert values.dtype == np.int64 and int(values.max()) < size
+        for position in positions:
+            row = gen.row(position // segment)
+            assert values[position] == eval_bucket(row, int(points[position]))
+        if size == 2:
+            signs = eval_sign_batch(gen, points)
+            assert np.array_equal(points, before)
+            assert np.array_equal(eval_sign_batch(gen, frozen), signs)
+            assert np.array_equal(signs, 1 - 2 * values)
+            for position in positions:
+                row = gen.row(position // segment)
+                assert signs[position] == eval_sign(row, int(points[position]))
 
 
 def test_seed_rule_takes_difference_polynomials_for_long_one_row_calls():

@@ -4,12 +4,15 @@ import math
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjlt.transform
+from sjlt import kwise
 from sjlt.kwise import (HORNER_BLOCK, KWiseGenerator, PrimeField, eval_bucket, eval_bucket_batch,
                         eval_sign, eval_sign_batch)
 from sjlt.transform import (
@@ -618,3 +621,35 @@ def test_bucket_generator_asserts_reduction_bias():
     with pytest.raises(ValueError, match="bucket reduction bias"):
         TransformSpec(d=2, epsilon=0.5, delta=0.5, m=1, k=2**45, c=1,
                       bucket_seed=1, sign_seed=2, independence_degree=2)
+
+
+def test_apply_rows_builds_difference_polynomials_once_per_generator():
+    # one file of 3 vectors, 3,750 nonzeros: 4 kernel chunks per role (1,170
+    # coordinates, the last 240), each difference-seeded, from 2 generators
+    spec = TransformSpec(d=2**20, epsilon=0.1, delta=1e-3, m=7, k=2800, c=115,
+                         bucket_seed=5, sign_seed=5 + 2**40, independence_degree=14)
+    rng = np.random.default_rng(8)
+    vectors = [SparseVector(spec.d, tuple(zip(
+        np.sort(rng.choice(spec.d, size=1250, replace=False)).tolist(),
+        rng.normal(size=1250).tolist()))) for _ in range(3)]
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    original = sjlt.transform.new_generator
+    with patch.object(sjlt.transform, "new_generator", recorded), \
+            patch.object(kwise, "_difference_coefficients",
+                         wraps=kwise._difference_coefficients) as built, \
+            patch.object(kwise, "_difference_table", wraps=kwise._difference_table) as seeded:
+        rows = apply_rows(spec, vectors)
+    assert built.call_count == 2 and seeded.call_count == 8
+    assert len(made) == 2
+    for gen in made:
+        table = gen.differences
+        assert not table.flags.writeable
+        assert np.array_equal(table, kwise._difference_coefficients(gen.coefficients))
+        assert gen.differences is table
+    for x, row in zip(vectors, rows):
+        assert np.array_equal(row, apply_with_generators(x, spec.c, spec.k, *made))
