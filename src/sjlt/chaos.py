@@ -38,6 +38,7 @@ from .transform import (
     TransformSpec,
     _trial_report,
     duplicate_rescale,
+    row_squares,
     signed_bucket_sums,
     trial_counter,
 )
@@ -266,12 +267,14 @@ MC_SUM_BUDGET = 1 << 22
 def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, norm_sq: float,
                   k: int, power: int) -> np.ndarray:
     """Each row's chaos value to `power`: its k signed bucket sums (signs
-    2 * bit - 1) squared and added to -|x|^2 in bucket order."""
-    sums = signed_bucket_sums(buckets, sign_bits * 2 - 1, x, k)
-    values = np.full(len(buckets), -norm_sq)
-    for t in range(k):
-        values += sums[:, t] ** 2
-    return values ** power
+    2 * bit - 1) squared and added to -|x|^2 in bucket order. Overwrites
+    both int64 arrays."""
+    # the shared bucket sums negate odd bits, these draws even ones
+    sums = signed_bucket_sums(buckets, np.bitwise_xor(sign_bits, 1, out=sign_bits), x, k)
+    # one sequential running sum per row: (-|x|^2 + s_0^2) + s_1^2 + ...
+    np.square(sums, out=sums)
+    sums[:, 0] -= norm_sq
+    return np.add.accumulate(sums, axis=1, out=sums)[:, -1] ** power
 
 
 def _check_draws(trials: int, seed: int) -> None:
@@ -364,8 +367,8 @@ def tail_estimate(spec: TransformSpec, trials: int, x: DenseVector | None = None
     points = np.arange(replicated.size, dtype=np.uint64)
     norm_sq = float(replicated @ replicated)
 
-    def hit(per_bucket: np.ndarray) -> bool:
-        return abs(float(per_bucket @ per_bucket) - norm_sq) >= spec.epsilon
+    def hit(sums: np.ndarray) -> np.ndarray:
+        return np.abs(row_squares(sums) - norm_sq) >= spec.epsilon
 
     hits = partitioned_count(trial_counter(spec, points, replicated, hit), trials)
     return _trial_report(TailReport, spec, trials, hits)

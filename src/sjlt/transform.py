@@ -297,56 +297,71 @@ def duplicate_rescale(values: np.ndarray, c: int) -> np.ndarray:
     return np.repeat(np.asarray(values, dtype=np.float64), c) / math.sqrt(c)
 
 
-def signed_bucket_sums(buckets: np.ndarray, signs: np.ndarray, weights: np.ndarray,
+def signed_bucket_sums(buckets: np.ndarray, sign_bits: np.ndarray, weights: np.ndarray,
                        k: int) -> np.ndarray:
-    """Per-bucket sums of sign * weight over points, added in point order.
+    """Per-bucket sums of the float64 weights over points, added in point
+    order; a weight enters negated where the low bit of `sign_bits` is 1.
 
-    A 2-D call sums each row into its own k buckets by offsetting row r's
-    buckets by r * k, so row r of the result equals the 1-D call on row r bit
-    for bit. The fixed order pins every projection's floating-point result.
+    Works in place and overwrites both int64 arrays. The low bit becomes the
+    weight's IEEE sign bit, bit for bit (1 - 2b) * w, and a 2-D call offsets
+    row r's buckets by r * k, so one bincount sums every row and row r of the
+    result equals the 1-D call on row r bit for bit. The fixed order pins
+    every projection's floating-point result.
     """
+    bits = sign_bits.view(np.uint64)
+    np.left_shift(bits, np.uint64(63), out=bits)
+    np.bitwise_xor(bits, np.asarray(weights, dtype=np.float64).view(np.uint64), out=bits)
+    rows = 1
     if buckets.ndim == 2:
         rows = len(buckets)
-        offset = buckets + np.arange(0, rows * k, k)[:, None]
-        values = (signs * weights).reshape(-1)
-        return signed_bucket_sums(offset.reshape(-1), 1, values, rows * k).reshape(rows, k)
-    return np.bincount(buckets, weights=signs * weights, minlength=k)
+        np.add(buckets, np.arange(0, rows * k, k)[:, None], out=buckets)
+    sums = np.bincount(buckets.reshape(-1), weights=bits.view(np.float64).reshape(-1),
+                       minlength=rows * k)
+    return sums.reshape(buckets.shape[:-1] + (k,))
+
+
+def row_squares(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot product with itself, bit for bit row @ row: a stacked
+    (1, k) @ (k, 1) matmul takes numpy's one vector dot per row."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
 
 
 def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
-                  hit: Callable[[np.ndarray], bool]) -> Callable[[int, int], int]:
+                  hit: Callable[[np.ndarray], np.ndarray]) -> Callable[[int, int], int]:
     """Count function over trial ranges, for `partitioned_count`.
 
     Trial t projects `weights` at the n flat uint64 field `points`, such as
     the replicas of a vector's nonzeros or one dense range (the kernel finds
     their consecutive runs), through fresh spec generators seeded
-    (bucket_seed + t, sign_seed + t) mod 2^64 and counts when `hit(sums)`
-    holds, so its outcome is fixed by its seeds alone. Trials go through the
-    kernel in blocks of m = max(1, HORNER_BLOCK // max(n, k)) trials. A block
-    expands its m bucket seeds and then its m sign seeds into one 2m-row
-    KWiseGenerator of range lcm(k, 2), whose values fix both v mod k and
-    v mod 2, and hashes both stacks of trial points in one kernel call. One
-    2-D `signed_bucket_sums` sums the block, and `hit` sees its rows in
-    trial order.
+    (bucket_seed + t, sign_seed + t) mod 2^64, so its outcome is fixed by its
+    seeds alone. Trials go through the kernel in blocks of
+    T = max(1, 2 * HORNER_BLOCK // max(n, k)) trials. A block expands its T
+    bucket seeds and then its T sign seeds into one 2T-row KWiseGenerator of
+    range lcm(k, 2), whose values fix both v mod k and v mod 2, and hashes
+    both stacks of trial points in one kernel call. The kernel's fresh output
+    is reduced and summed in place by one 2-D `signed_bucket_sums`, and
+    `hit` maps the block's (T, k) sums to one bool per trial, in trial order.
+    A block's arrays are released before the next block's kernel call.
     """
-    k, degree = spec.k, spec.independence_degree
-    # larger blocks were measured at +8% peak RSS for 32K points, +16% for 64K
-    rows = max(1, HORNER_BLOCK // max(points.size, k))
+    k, degree, n = spec.k, spec.independence_degree, points.size
+    # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
+    rows = max(1, 2 * HORNER_BLOCK // max(n, k))
     seeds = np.array((spec.bucket_seed, spec.sign_seed), dtype=np.uint64)[:, None]
-    # any prefix of 2m periods is the points of a 2m-row stack
+    range_size = math.lcm(k, 2)
+    # any prefix of 2T periods is the points of a 2T-row stack
     tiled = np.tile(points, 2 * rows)
 
+    def block_hits(first: int, stop: int) -> int:
+        trials = np.arange(first, stop, dtype=np.uint64)
+        block = generator_block(seeds + trials, degree, range_size)
+        buckets, sign_bits = eval_bucket_batch(block, tiled[:2 * trials.size * n]).reshape(
+            2, trials.size, n)
+        if k % 2:
+            np.remainder(buckets, k, out=buckets)
+        return int(np.count_nonzero(hit(signed_bucket_sums(buckets, sign_bits, weights, k))))
+
     def count(start: int, stop: int) -> int:
-        hits = 0
-        for first in range(start, stop, rows):
-            trials = np.arange(first, min(first + rows, stop), dtype=np.uint64)
-            block = generator_block(seeds + trials, degree, math.lcm(k, 2))
-            values = eval_bucket_batch(block, tiled[:2 * trials.size * points.size])
-            buckets, signs = values.reshape(2, trials.size, -1)
-            sums = signed_bucket_sums(buckets if k % 2 == 0 else buckets % k,
-                                      1 - 2 * (signs & 1), weights, k)
-            hits += sum(hit(row) for row in sums)
-        return hits
+        return sum(block_hits(first, min(first + rows, stop)) for first in range(start, stop, rows))
 
     return count
 
@@ -526,11 +541,10 @@ def distortion_bench(spec: TransformSpec, trials: int,
     scale = math.sqrt(spec.c)
     low_bound, high_bound = 1.0 - spec.epsilon, 1.0 + spec.epsilon
 
-    def fails(sums: np.ndarray) -> bool:
-        # the same arithmetic as distortion_trial, so counts match it trial by trial
-        y = sums / scale
-        ratio = float(np.sqrt(y @ y)) / norm
-        return ratio < low_bound or ratio > high_bound
+    def fails(sums: np.ndarray) -> np.ndarray:
+        # distortion_trial's arithmetic row by row, so counts match it trial by trial
+        ratios = np.sqrt(row_squares(np.divide(sums, scale, out=sums))) / norm
+        return (ratios < low_bound) | (ratios > high_bound)
 
     failures = partitioned_count(trial_counter(spec, points, weights, fails), trials)
     return _trial_report(DistortionReport, spec, trials, failures)

@@ -115,10 +115,10 @@ def test_bucket_sum_identity(seed, d, k):
     rng = np.random.default_rng(seed)
     inst = ChaosInstance(k=k, x=unit_vector(rng, d))
     buckets = rng.integers(0, k, size=d)
-    signs = rng.integers(0, 2, size=d) * 2 - 1
-    direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(signs)))
+    sign_bits = rng.integers(0, 2, size=d)
+    direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(1 - 2 * sign_bits)))
     x = inst.x.to_numpy()
-    per_bucket = signed_bucket_sums(buckets, signs, x, k)
+    per_bucket = signed_bucket_sums(buckets, sign_bits, x, k)
     fast = float(per_bucket @ per_bucket) - float(x @ x)
     assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -299,7 +299,10 @@ def reference_monte_carlo_moment(inst: ChaosInstance, m: int, trials: int,
         n = min(4096, trials - position)
         buckets = rng.integers(0, inst.k, size=(n, inst.d))
         signs = rng.integers(0, 2, size=(n, inst.d)) * 2 - 1
-        sums = signed_bucket_sums(buckets, signs, x, inst.k)
+        # row r's buckets offset by r * k, summed by one bincount
+        offset = buckets + np.arange(0, n * inst.k, inst.k)[:, None]
+        sums = np.bincount(offset.reshape(-1), weights=(signs * x).reshape(-1),
+                           minlength=n * inst.k).reshape(n, inst.k)
         values = np.full(n, -norm_sq)
         for t in range(inst.k):
             values += sums[:, t] ** 2
@@ -309,9 +312,10 @@ def reference_monte_carlo_moment(inst: ChaosInstance, m: int, trials: int,
 
 
 # (2k)^d patterns against min(trials, 4096): 2 fit at every trial count, 64
-# at all but 2 trials, 4096 only from 4096 trials on, and 7776 never
+# at all but 2 trials, 4096 only from 4096 trials on, and 7776 never; at
+# k = 40 each row's running sum of squares spans 40 columns
 @pytest.mark.parametrize("trials", [2, 4095, 4096, 4097, 10000])
-@pytest.mark.parametrize("d, k, m", [(1, 1, 1), (3, 2, 2), (6, 2, 1), (5, 3, 3)])
+@pytest.mark.parametrize("d, k, m", [(1, 1, 1), (3, 2, 2), (6, 2, 1), (5, 3, 3), (12, 40, 1)])
 @pytest.mark.parametrize("x_kind", ["uniform", "random"])
 def test_monte_carlo_moment_matches_row_by_row_reference(d, k, m, trials, x_kind):
     if x_kind == "uniform":
@@ -782,6 +786,11 @@ def test_tail_matches_distortion_ratio():
     assert value == pytest.approx(ratio ** 2 - 1.0, rel=0, abs=1e-12)
 
 
+def _block_trials(n, k):
+    # trials per kernel call for n points per trial
+    return max(1, 2 * HORNER_BLOCK // max(n, k))
+
+
 def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
     # one trial written out with explicit generators and a plain bincount
     buckets = eval_bucket_batch(new_generator(bucket_seed, degree, k), flat)
@@ -808,9 +817,6 @@ def test_trial_loops_match_per_trial_reference():
     indices = np.array([i for i, _ in sparse.entries], dtype=np.uint64)
     bucket_seed, sign_seed = 1234, 98765
 
-    def block_rows(n, k):
-        return max(1, HORNER_BLOCK // max(n, k))
-
     # kappa_c = 0.2 gives c = 2 < degree 10; 2.0 gives c = 18 > degree 10
     for constants, expected_c in (((1.0, 0.11, 0.2), 2), ((1.0, 0.11, 2.0), 18)):
         spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
@@ -818,7 +824,7 @@ def test_trial_loops_match_per_trial_reference():
         assert (c, spec.independence_degree, k % 2) == (expected_c, 10, 1)
         flat = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
         replicated = np.repeat([v for _, v in sparse.entries], c)
-        rows = block_rows(flat.size, k)
+        rows = _block_trials(flat.size, k)
         fails = []
         for t in range(2 * rows + 3):
             y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
@@ -840,7 +846,7 @@ def test_trial_loops_match_per_trial_reference():
         def hit(per_bucket):
             return abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
 
-        rows = block_rows(points.size, k)
+        rows = _block_trials(points.size, k)
         hits = [hit(_reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
                                            points, replicated))
                 for t in range(max(1000, 2 * rows + 3) + 1)]
@@ -849,7 +855,7 @@ def test_trial_loops_match_per_trial_reference():
             report = tail_estimate(spec, trials, x=x)
             assert report.hits == sum(hits[:trials])
         # below the estimator's 1000-trial floor, through its trial loop directly
-        count = trial_counter(spec, points, replicated, hit)
+        count = trial_counter(spec, points, replicated, lambda sums: [hit(s) for s in sums])
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             assert count(0, trials) == sum(hits[:trials])
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
@@ -869,14 +875,15 @@ def test_stacked_block_reduction_matches_per_trial_reference(k):
     indices = np.array([0, 3, 4, 11, 29, 39], dtype=np.uint64)
     points = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
     weights = np.random.default_rng(k).standard_normal(points.size)
-    rows = max(1, HORNER_BLOCK // max(points.size, k))
+    rows = _block_trials(points.size, k)
     reference = [_reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
                                         points, weights)
                  for t in range(2 * rows + 4)]
     for trials in (rows - 1, rows + 1, 2 * rows + 3):
         for start in (0, 1):
             seen = []
-            count = trial_counter(spec, points, weights, lambda s: seen.append(s) or True)
+            count = trial_counter(spec, points, weights,
+                                  lambda sums: seen.extend(sums) or [True] * len(sums))
             assert count(start, start + trials) == trials
             assert np.array(seen).tobytes() == np.array(reference[start:start + trials]).tobytes()
 
@@ -901,7 +908,7 @@ def test_trial_block_is_one_kernel_call(monkeypatch):
     monkeypatch.setattr(sjlt.transform, "eval_sign_batch", refused)
     x, sparse, spec = _dense_trial_case(24, 0.1)
     n = spec.d * spec.c
-    rows = max(1, HORNER_BLOCK // max(n, spec.k))
+    rows = _block_trials(n, spec.k)
     for trials, run in ((2 * rows + 3, lambda t: distortion_bench(spec, t, x=sparse)),
                         (rows + 1, lambda t: _tail_counter(spec, x)(5, 5 + t))):
         calls.clear()
@@ -946,7 +953,7 @@ def _tail_counter(spec, x):
     norm_sq = float(replicated @ replicated)
     points = np.arange(replicated.size, dtype=np.uint64)
     return trial_counter(spec, points, replicated,
-                         lambda s: abs(float(s @ s) - norm_sq) >= spec.epsilon)
+                         lambda sums: [abs(float(s @ s) - norm_sq) >= spec.epsilon for s in sums])
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -959,7 +966,7 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
     x, sparse, spec = _dense_trial_case(d, kappa_c)
     c, k, degree = spec.c, spec.k, spec.independence_degree
     assert (c, degree, sparse.nnz) == (expected_c, 10, d)
-    rows = max(1, HORNER_BLOCK // max(d * c, k))
+    rows = _block_trials(d * c, k)
     # a full block stacks 2 * rows segments: its bucket rows, then its sign rows
     block = np.tile(np.arange(d * c, dtype=np.uint64), 2 * rows)
     assert kwise._run_length(block, 2 * rows, degree) > max(c, degree)

@@ -34,6 +34,7 @@ from sjlt.transform import (
     format_sparse_vector,
     materialize,
     parse_sparse_vector,
+    row_squares,
     sign_generator,
     signed_bucket_sums,
     sparsity_gain,
@@ -593,20 +594,97 @@ def test_distortion_rejects_zero_vector():
        k=st.one_of(st.integers(1, 5), st.integers(6, 99)))
 def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
     # row r of a 2-D call starts r * k floats in, unaligned for odd k; the
-    # trial loops take its squared norm as a view
+    # trial loops take its squared norms with row_squares. Only the low bit
+    # of a sign value counts, as in the kernel's values below 2^61.
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, k, size=(rows, points))
-    signs = rng.integers(0, 2, size=(rows, points)) * 2 - 1
+    sign_bits = rng.integers(0, 2**61, size=(rows, points))
     for weights in (rng.standard_normal((rows, points)), rng.standard_normal(points)):
-        batched = signed_bucket_sums(buckets, signs, weights, k)
+        batched = signed_bucket_sums(buckets.copy(), sign_bits.copy(), weights, k)
         assert batched.shape == (rows, k)
+        squares = row_squares(batched)
         for r in range(rows):
             row_weights = weights[r] if weights.ndim == 2 else weights
-            single = np.bincount(buckets[r], weights=signs[r] * row_weights, minlength=k)
+            signs = 1 - 2 * (sign_bits[r] & 1)
+            single = np.bincount(buckets[r], weights=signs * row_weights, minlength=k)
             assert batched[r].tobytes() == single.tobytes()
-            assert (batched[r] @ batched[r]).tobytes() == (single @ single).tobytes()
-            assert signed_bucket_sums(buckets[r], signs[r], row_weights, k).tobytes() \
-                == single.tobytes()
+            assert squares[r].tobytes() == (single @ single).tobytes()
+            assert signed_bucket_sums(buckets[r].copy(), sign_bits[r].copy(), row_weights,
+                                      k).tobytes() == single.tobytes()
+
+
+def test_sign_bits_negate_weights_bit_for_bit():
+    # the sign bits become the signed weights' float64 bits in place: the
+    # IEEE sign bit XOR the low bit is (1 - 2b) * w bit for bit, signed
+    # zeros, subnormals, negative weights and the extremes included
+    tiny = np.finfo(np.float64).smallest_subnormal
+    weights = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2e-308, -1.5, 0.1,
+                        np.finfo(np.float64).max, -np.finfo(np.float64).max])
+    rng = np.random.default_rng(3)
+    for low_bits in (np.zeros(weights.size, dtype=np.int64), np.ones(weights.size, dtype=np.int64),
+                     rng.integers(0, 2, size=weights.size)):
+        sign_bits = low_bits + 2 * rng.integers(0, 2**60, size=weights.size)
+        expected = (1 - 2 * low_bits) * weights
+        signed_bucket_sums(np.zeros(weights.size, dtype=np.int64), sign_bits, weights, 1)
+        assert sign_bits.view(np.float64).tobytes() == expected.tobytes()
+        stacked = np.tile(low_bits, (3, 1))
+        signed_bucket_sums(np.zeros(stacked.shape, dtype=np.int64), stacked, weights, 1)
+        assert stacked.view(np.float64).tobytes() == np.tile(expected, 3).tobytes()
+
+
+def test_row_squares_match_row_dot_bit_for_bit():
+    # seeded shapes up to a trial block's, odd k (unaligned rows), zero rows,
+    # and scales from subnormal products to overflow
+    rng = np.random.default_rng(2025)
+    shapes = [(0, 5), (1, 1), (3, 4096)] + [
+        (int(rng.integers(1, 130)), int(rng.integers(1, 4097))) for _ in range(150)]
+    for rows, k in shapes:
+        sums = rng.standard_normal((rows, k)) * 2.0 ** rng.integers(-560, 520, size=(rows, 1))
+        sums[rng.random(rows) < 0.1] = 0.0
+        with np.errstate(over="ignore"):
+            expected = np.array([row @ row for row in sums], dtype=np.float64)
+            assert row_squares(sums).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_trial_block_memory_holds_no_temporaries(monkeypatch):
+    # Each kernel call of a trial block starts with nothing of the previous
+    # block alive, and between the kernel's return and the block's hits the
+    # memory rises by no more than the (T, k) bucket sums: the kernel's
+    # output is reduced and summed in place, so no per-point temporary (an
+    # int64 sign array, a sign * weight product) is made. Criterion 5's
+    # setting: 2 * 32 trials of 1024 points per kernel call.
+    spec = derive_spec(1024, 0.25, 0.05, 1, 2**40)
+    points = np.arange(spec.d * spec.c, dtype=np.uint64)
+    weights = np.full(points.size, 1.0 / 32.0)
+    trials = max(1, 2 * HORNER_BLOCK // max(points.size, spec.k))
+    block_bytes = 2 * trials * points.size * 8
+    sums_bytes = trials * spec.k * 8
+    original = sjlt.transform.eval_bucket_batch
+    held, rises = [], []
+
+    def traced(gen, flat):
+        held.append(tracemalloc.get_traced_memory()[0])
+        values = original(gen, flat)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return values
+
+    def hit(sums):
+        rises.append(tracemalloc.get_traced_memory()[1] - held[-1])
+        return [False] * len(sums)
+
+    monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", traced)
+    count = sjlt.transform.trial_counter(spec, points, weights, hit)
+    tracemalloc.start()
+    try:
+        assert count(0, 3 * trials) == 0
+    finally:
+        tracemalloc.stop()
+    starts = held[0::2]
+    assert len(starts) == 3
+    assert max(starts) - starts[0] < block_bytes // 8
+    assert max(rises) < sums_bytes + block_bytes // 8
 
 
 def test_duplicate_rescale_layout():
