@@ -44,6 +44,12 @@ def _input_files() -> dict[str, str]:
             entries = zip(idx.tolist(), val.tolist())
             lines.append("4096;" + ",".join(f"{i}:{v!r}" for i, v in entries))
         files[name] = "\n".join(lines) + "\n"
+    # at d = 2^30 (c = 23, degree 14) the replicas of coordinate 93368854
+    # straddle 2^31, those of 186737709 and beyond lie above 2^32, and d - 1
+    # is the last coordinate
+    wide = (93368853, 93368854, 93368855, 186737709, 186737710, 536870912, 2 ** 30 - 1)
+    entries = zip(wide, rng.standard_normal(len(wide)).tolist())
+    files["wide.txt"] = f"{2 ** 30};" + ",".join(f"{i}:{v!r}" for i, v in entries) + "\n"
     files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2\nm,i,t\n"
     return files
 
@@ -94,6 +100,10 @@ def calls() -> list[list[str]]:
         out.append(["transform", "--d", "4096", "--epsilon", epsilon, "--delta", delta,
                     "--bucket-seed", "7", "--sign-seed", "1000000007",
                     "--in", "{dir}/long.txt", "--out", f"{{dir}}/long{degree}.out"])
+    # points below 2^31, across 2^31 and 2^32, and near d * c = 23 * 2^30
+    out.append(["transform", "--d", str(2 ** 30), "--epsilon", "0.5", "--delta", "1e-3",
+                "--bucket-seed", "7", "--sign-seed", "1000000007",
+                "--in", "{dir}/wide.txt", "--out", "{dir}/wide.out"])
     for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])
