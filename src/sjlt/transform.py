@@ -464,24 +464,6 @@ def column_structure(spec: TransformSpec, column: int) -> list[tuple[int, int]]:
                     eval_sign_batch(sign_generator(spec), points).tolist()))
 
 
-def apply_dense_baseline(kind: str, seed: int, k: int, x: SparseVector) -> DenseVector:
-    """Classic dense projection baseline: y = A x / sqrt(k) with i.i.d. entries."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    rng = np.random.default_rng(seed)
-    if kind == "rademacher":
-        matrix = rng.integers(0, 2, size=(k, x.dim)).astype(np.float64) * 2.0 - 1.0
-    elif kind == "gaussian":
-        matrix = rng.standard_normal((k, x.dim))
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    dense = np.zeros(x.dim)
-    indices, values = x._arrays
-    dense[indices] = values
-    y = matrix @ dense / math.sqrt(k)
-    return DenseVector(tuple(float(v) for v in y))
-
-
 def _distortion_norm(spec: TransformSpec, x: SparseVector) -> float:
     norm = x.norm()
     if norm == 0.0:

@@ -22,7 +22,6 @@ from sjlt.transform import (
     TransformSpec,
     _replicas,
     apply,
-    apply_dense_baseline,
     apply_rows,
     apply_with_generators,
     bucket_generator,
@@ -534,37 +533,6 @@ def test_mean_squared_norm_exhaustive_tiny_field():
         rep_sq = sum(v * v for v in replicas)
         predicted = rep_sq / c + (rep_sum ** 2 - rep_sq) * float(pair_sign_bias) * float(collide) / c
         assert abs(total / combos - predicted) <= 1e-12
-
-
-# ------------------------------------------------------------------ baselines
-
-def test_baseline_zero_vector():
-    x = SparseVector(dim=4, entries=())
-    for kind in ("rademacher", "gaussian"):
-        y = apply_dense_baseline(kind, seed=3, k=8, x=x)
-        assert all(v == 0.0 for v in y)
-
-
-def test_baseline_single_coordinate():
-    x = SparseVector(dim=4, entries=((0, 0.7),))
-    y = apply_dense_baseline("rademacher", seed=3, k=1, x=x)
-    assert abs(y[0]) == pytest.approx(0.7)
-
-
-def test_baseline_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        apply_dense_baseline("uniform", seed=0, k=2, x=SparseVector(dim=2, entries=((0, 1.0),)))
-
-
-def test_baseline_mean_squared_ratio_near_one():
-    x = SparseVector.from_dense([0.5, -0.5, 0.5, 0.5])
-    ratios = []
-    for seed in range(10**4):
-        y = apply_dense_baseline("rademacher", seed=seed, k=8, x=x)
-        ratios.append(sum(v * v for v in y) / 1.0)
-    mean = float(np.mean(ratios))
-    se = float(np.std(ratios, ddof=1) / math.sqrt(len(ratios)))
-    assert abs(mean - 1.0) <= 3.0 * se
 
 
 # ------------------------------------------------------------------ distortion
