@@ -19,10 +19,14 @@ in Python integers, and are the reference. On the Mersenne field 2^61 - 1
 the batch evaluators are exact and give the scalar path's values bit for
 bit, by two routes:
 
-- Horner in blocks of HORNER_BLOCK points with lazy reduction: each step
-  adds a coefficient column; between steps the accumulator is congruent to
-  the partial value and below 2^61 + 8, and one min(acc, acc - p) at the end
-  makes it canonical.
+- Horner in blocks of HORNER_BLOCK points, each step adding a coefficient
+  column, in one of two forms that one max over the block picks. Points all
+  below 2^31 take an unreduced 10-call step: any 64-bit accumulator times
+  such a point, split at bit 32 and folded via 2^61 = 1 (mod p), plus a
+  coefficient stays below 2^64, and one fold at the end leaves it below
+  2^61 + 7. Any other block takes a 21-call step that folds after every
+  product, which keeps the accumulator below 2^61 + 8. One min(acc, acc - p)
+  at the end makes it canonical.
 - Forward differences along runs of L consecutive points: a difference
   table D[j] = Delta^j f(x0) at each run's start x0 steps along the run at
   r - 1 modular additions per point. The stepping needs no coefficients, so
@@ -258,6 +262,8 @@ _U3 = np.uint64(3)
 _P61 = np.uint64(MERSENNE61)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
+# points below this take `_mul_add_unreduced`
+_NARROW = 1 << 31
 
 # Points per cache block: a block's points, results and seven scratch
 # buffers (nine 16K-lane uint64 arrays, 1.1 MB) stay in cache across all of
@@ -265,30 +271,25 @@ _LOW29 = np.uint64((1 << 29) - 1)
 HORNER_BLOCK = 1 << 14
 
 
-def _mulmod_add(acc, b1, b0, wide, coefficient, a1, a0, mid, lo, s) -> None:
+def _mulmod_add(acc, b1, b0, coefficient, a1, a0, mid, lo, s) -> None:
     # acc = acc * x + coefficient, lazily reduced mod 2^61 - 1, in place, for
-    # x = b1 * 2^32 + b0 < p; `wide` is whether any b1 is nonzero. acc < 2^61
-    # + 8 before and after, so acc >> 32 <= 2^29. The 122-bit product folds
-    # via 2^61 = 1 (mod p), and the coefficient is added before one fold:
+    # any x = b1 * 2^32 + b0 < p. acc < 2^61 + 8 before and after, so
+    # acc >> 32 <= 2^29. The 122-bit product folds via 2^61 = 1 (mod p), and
+    # the coefficient is added before one fold:
     # s = 8*a1*b1 + (mid >> 29) + ((mid & (2^29-1)) << 32) + (lo & p)
     #     + (lo >> 61) + coefficient < 4 * 2^61 + 2^33 + 8 < 2^64,
-    # so (s & p) + (s >> 61) <= 2^61 + 3. When every b1 is 0 the a0*b1 and
-    # a1*b1 products are skipped: then mid = a1*b0 < 2^61, the first two
-    # terms of s sum below 2^61, and s < 2^61 + (2^61 - 1) + 7 + (2^61 - 2)
-    # < 2^63, so (s & p) + (s >> 61) <= 2^61 + 2. a1 .. s are scratch of
-    # acc's shape; b1, b0 and the coefficient broadcast against it.
+    # so (s & p) + (s >> 61) <= 2^61 + 3. 21 numpy calls. a1 .. s are
+    # scratch of acc's shape; b1, b0 and the coefficient broadcast against it.
     np.right_shift(acc, _U32, out=a1)
     np.bitwise_and(acc, _LOW32, out=a0)
     np.multiply(a1, b0, out=mid)
-    if wide:
-        np.multiply(a0, b1, out=s)
-        np.add(mid, s, out=mid)
+    np.multiply(a0, b1, out=s)
+    np.add(mid, s, out=mid)
     np.multiply(a0, b0, out=lo)
     np.right_shift(mid, _U29, out=s)
-    if wide:
-        np.multiply(a1, b1, out=a0)
-        np.left_shift(a0, _U3, out=a0)
-        np.add(s, a0, out=s)
+    np.multiply(a1, b1, out=a0)
+    np.left_shift(a0, _U3, out=a0)
+    np.add(s, a0, out=s)
     np.bitwise_and(mid, _LOW29, out=a1)
     np.left_shift(a1, _U32, out=a1)
     np.add(s, a1, out=s)
@@ -302,13 +303,44 @@ def _mulmod_add(acc, b1, b0, wide, coefficient, a1, a0, mid, lo, s) -> None:
     np.add(a1, s, out=acc)
 
 
+def _mul_add_unreduced(acc, x, coefficient, mid, high) -> None:
+    # acc = acc * x + coefficient mod 2^61 - 1, in place and unreduced, for
+    # x < 2^31 and any 64-bit acc. With mid = (acc >> 32) * x and
+    # lo = (acc & (2^32 - 1)) * x, both below 2^63, acc * x = mid * 2^32 + lo
+    # and 2^61 = 1 (mod p) give
+    # (mid >> 29) + ((mid & (2^29-1)) << 32) + lo + coefficient
+    #     < 2^34 + 2^61 + 2^63 + 2^61 < 2^64,
+    # so no step folds; `_fold61` makes the last one congruent and below
+    # 2^61 + 7. 10 numpy calls. mid and high are scratch of acc's shape; x
+    # and the coefficient broadcast against it.
+    np.right_shift(acc, _U32, out=mid)
+    np.multiply(mid, x, out=mid)
+    np.bitwise_and(acc, _LOW32, out=acc)
+    np.multiply(acc, x, out=acc)
+    np.add(acc, coefficient, out=acc)
+    np.right_shift(mid, _U29, out=high)
+    np.add(acc, high, out=acc)
+    np.bitwise_and(mid, _LOW29, out=mid)
+    np.left_shift(mid, _U32, out=mid)
+    np.add(acc, mid, out=acc)
+
+
+def _fold61(acc, scratch) -> None:
+    # acc = (acc & p) + (acc >> 61) in place: congruent mod p, and at most
+    # 2^61 - 1 + 7 = 2^61 + 6 for any 64-bit acc
+    np.bitwise_and(acc, _P61, out=scratch)
+    np.right_shift(acc, _U61, out=acc)
+    np.add(acc, scratch, out=acc)
+
+
 def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    # Lazy Mersenne-61 Horner, block by block, one generator per row of the
+    # Mersenne-61 Horner, block by block, one generator per row of the
     # (rows, r) uint64 `coefficients`; row j evaluates the j-th of `rows`
-    # equal consecutive segments of `idx`. Each step is one `_mulmod_add`;
-    # a block whose points all lie below 2^32 takes its narrow products.
-    # acc < 2p at the end, and min(acc, acc - p) (acc - p wraps when
-    # acc < p) makes it canonical.
+    # equal consecutive segments of `idx`. A block whose points all lie
+    # below 2^31 (one max decides) steps by `_mul_add_unreduced` and folds
+    # once; any other block splits its points into 32-bit halves and steps
+    # by `_mulmod_add`. Either way acc < 2p at the end, and
+    # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     rows = len(coefficients)
     points = idx.reshape(rows, -1)
@@ -322,13 +354,18 @@ def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
     for start in range(0, points.shape[1], width):
         x = points[:, start:start + width]
         acc = out[:, start:start + width]
-        b1, b0, *work = (buffer[:, :x.shape[1]] for buffer in scratch)
+        work = [buffer[:, :x.shape[1]] for buffer in scratch]
         acc[...] = coefficients[:, -1:]
-        np.right_shift(x, _U32, out=b1)
-        np.bitwise_and(x, _LOW32, out=b0)
-        wide = b1.any()
-        for coefficient in steps:
-            _mulmod_add(acc, b1, b0, wide, coefficient, *work)
+        if x.max() < _NARROW:
+            for coefficient in steps:
+                _mul_add_unreduced(acc, x, coefficient, *work[:2])
+            _fold61(acc, work[0])
+        else:
+            b1, b0, *wide = work
+            np.right_shift(x, _U32, out=b1)
+            np.bitwise_and(x, _LOW32, out=b0)
+            for coefficient in steps:
+                _mulmod_add(acc, b1, b0, coefficient, *wide)
         np.subtract(acc, _P61, out=work[0])
         np.minimum(acc, work[0], out=acc)
     return out.reshape(idx.shape)
@@ -378,19 +415,32 @@ def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
     # triangular Horner pass over the (rows, n) run starts x0. Step i adds
     # coefficient r - 1 - i to rows 0 .. i - 1 and starts row i at Delta^i f's
     # leading coefficient, so row j takes r - 1 - j steps: r (r - 1) / 2
-    # products per run, and no differencing pass.
+    # products per run, and no differencing pass. Starts all below 2^31 (one
+    # max decides for the call) step by `_mul_add_unreduced` and fold once,
+    # others by `_mulmod_add`. The steps multiply by a contiguous copy of
+    # x0: `_runs61` passes a strided view of every run's first point, and
+    # multiplying by that view at every step cost the narrow step its gain.
     r = differences.shape[0]
     table = np.empty((r,) + x0.shape, dtype=np.uint64)
-    b1, b0 = x0 >> _U32, x0 & _LOW32
-    wide = b1.any()
-    scratch = [np.empty((r - 1,) + x0.shape, dtype=np.uint64) for _ in range(5)]
+    narrow = x0.max() < _NARROW
+    if narrow:
+        x0 = np.ascontiguousarray(x0)
+    else:
+        x0 = (x0 >> _U32, x0 & _LOW32)
+    scratch = [np.empty_like(table) for _ in range(2 if narrow else 5)]
     table[0] = differences[r - 1, 0]
     for i in range(1, r):
         coefficient = differences[r - 1 - i]
-        _mulmod_add(table[:i], b1, b0, wide, coefficient[:i],
-                    *(buffer[:i] for buffer in scratch))
+        work = [buffer[:i] for buffer in scratch]
+        if narrow:
+            _mul_add_unreduced(table[:i], x0, coefficient[:i], *work)
+        else:
+            _mulmod_add(table[:i], *x0, coefficient[:i], *work)
         table[i] = coefficient[i]
-    np.minimum(table, table - _P61, out=table)
+    if narrow:
+        _fold61(table, scratch[0])
+    np.subtract(table, _P61, out=scratch[0])
+    np.minimum(table, scratch[0], out=table)
     return table.reshape(r, -1)
 
 
@@ -439,7 +489,9 @@ def _seed_products(rows: int, runs: int, degree: int) -> tuple[int, bool]:
     # kernel, the two seeds break even at 64-128 runs per row at degrees
     # 6-28 and 1-32 rows, so trial blocks (8-32 runs per row) keep r values.
     # The table is charged to every call, as it was timed, though a
-    # generator builds it once.
+    # generator builds it once. Both seeds were timed when every Horner
+    # product below 2^32 took a 16-call step; points below 2^31 now take a
+    # 10-call one, and the rule is kept as timed.
     point = runs * degree * (degree - 1)
     difference = (runs // 2 + 64 * rows) * degree * (degree - 1)
     return min(point, difference), difference < point
@@ -456,7 +508,9 @@ def _difference_gain(points: int, length: int, degree: int, rows: int) -> int:
     # 73 runs (measured break-even 64-96 runs), for runs of 531 at degree 28
     # at 25 (measured 19-24). The step was timed when it took four numpy
     # calls, a row copy besides the add, subtract and minimum that `_runs61`
-    # now makes; the rule is kept as timed, so those break-evens still hold.
+    # now makes, and every Horner product below 2^32 took a 16-call step,
+    # where points below 2^31 now take a 10-call one; the rule is kept as
+    # timed.
     runs = points // length
     chunks = -(-runs // rows // max(1, HORNER_BLOCK // (degree * rows)))
     saved = (degree - 1) * points - _seed_products(rows, runs, degree)[0]

@@ -179,7 +179,7 @@ def test_mersenne_mulmod_kernel(a, b):
 
 def test_mersenne_mulmod_edge_values():
     p = MERSENNE61
-    edge = [0, 1, 2, p - 1, p - 2, 2**32 - 1, 2**32, 2**60, 2**60 + 12345]
+    edge = [0, 1, 2, p - 1, p - 2, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**60, 2**60 + 12345]
     for a in edge:
         for b in edge:
             got = kwise._horner61([(0, a)], np.array([b], dtype=np.uint64))
@@ -281,56 +281,96 @@ def test_non_integer_points_rejected():
     assert eval_sign_batch(g, np.array([1, 2])).tolist() == [eval_sign(g, 1), eval_sign(g, 2)]
 
 
-ADVERSARIAL = [MERSENNE61 - 1, MERSENNE61 - 2, 2**32 - 1, 2**32, 2**60]
+ADVERSARIAL = [MERSENNE61 - 1, MERSENNE61 - 2, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**60]
 
 
-def _lazy_accumulators(coefficients, x):
-    # the kernel's arithmetic in Python integers: the accumulator after each step
-    acc, seen = coefficients[-1], []
+def _lazy_accumulators(coefficients, x, narrow):
+    # the kernel's arithmetic in Python integers, in a block that takes the
+    # unreduced narrow step (every point below 2^31) or the wide one: the
+    # accumulator it hands to the final min(acc, acc - p)
+    acc = coefficients[-1]
     b1, b0 = x >> 32, x & 0xFFFFFFFF
     for c in reversed(coefficients[:-1]):
         a1, a0 = acc >> 32, acc & 0xFFFFFFFF
-        mid, lo = a1 * b0 + a0 * b1, a0 * b0
-        s = (8 * a1 * b1 + (mid >> 29) + ((mid & (2**29 - 1)) << 32)
-             + (lo & MERSENNE61) + (lo >> 61) + c)
-        # a point below 2^32 takes the narrow step, whose bound is 2^63
-        assert s < (2**63 if b1 == 0 else 2**64)
-        acc = (s & MERSENNE61) + (s >> 61)
-        seen.append(acc)
-    return seen
+        if narrow:
+            mid, lo = a1 * x, a0 * x
+            assert mid < 2**63 and lo < 2**63
+            acc = (mid >> 29) + ((mid & (2**29 - 1)) << 32) + lo + c
+            assert acc < 2**64
+        else:
+            mid, lo = a1 * b0 + a0 * b1, a0 * b0
+            s = (8 * a1 * b1 + (mid >> 29) + ((mid & (2**29 - 1)) << 32)
+                 + (lo & MERSENNE61) + (lo >> 61) + c)
+            # below 2^63 when b1 = 0, as the a0*b1 and a1*b1 products vanish
+            assert s < (2**63 if b1 == 0 else 2**64)
+            acc = (s & MERSENNE61) + (s >> 61)
+            assert acc < 2**61 + 8
+    if narrow:
+        acc = (acc & MERSENNE61) + (acc >> 61)
+    assert acc < 2**61 + 8
+    return acc
+
+
+def _value(coefficients, x):
+    value = 0
+    for c in reversed(coefficients):
+        value = (value * x + c) % MERSENNE61
+    return value
 
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_horner_adversarial_values(degree):
-    # edge coefficients and points; some drive the unreduced accumulator past p
+    # edge coefficients and points; some drive the accumulator's end past p.
+    # A block of every point takes the wide step; blocks of one point each
+    # take the narrow step at 2^31 - 1
     p = MERSENNE61
     peak = 0
     points = np.array(ADVERSARIAL, dtype=np.uint64)
     for coefficients in product(ADVERSARIAL, repeat=degree):
-        got = kwise._horner61([coefficients], points).tolist()
-        for x, value in zip(ADVERSARIAL, got):
-            expected = 0
-            for c in reversed(coefficients):
-                expected = (expected * x + c) % p
-            assert value == expected
-            peak = max(peak, *_lazy_accumulators(coefficients, x))
+        together = kwise._horner61([coefficients], points).tolist()
+        with patch.object(kwise, "HORNER_BLOCK", 1):
+            alone = kwise._horner61([coefficients], points).tolist()
+        for x, value, single in zip(ADVERSARIAL, together, alone):
+            expected = _value(coefficients, x)
+            assert value == single == expected
+            for narrow in {False, x < 2**31}:
+                end = _lazy_accumulators(coefficients, x, narrow)
+                assert end % p == expected
+                peak = max(peak, end)
     assert p <= peak < 2**61 + 8
+
+
+def test_unreduced_step_fits_at_its_worst_case():
+    # the largest 64-bit accumulator, narrow point and coefficient: the
+    # unreduced sum stays below 2^64, congruent to acc * x + c, and the
+    # kernel's step gives it exactly. (The bound is safe, not tight: the sum
+    # would fit for points up to about 3 * 2^30.)
+    p = MERSENNE61
+    acc, x, c = 2**64 - 1, 2**31 - 1, p - 1
+    mid, lo = (acc >> 32) * x, (acc & 0xFFFFFFFF) * x
+    s = (mid >> 29) + ((mid & (2**29 - 1)) << 32) + lo + c
+    assert s < 2**64
+    assert s % p == (acc * x + c) % p
+    got = np.array([acc], dtype=np.uint64)
+    kwise._mul_add_unreduced(got, np.uint64(x), np.uint64(c), *np.empty((2, 1), dtype=np.uint64))
+    assert int(got[0]) == s
 
 
 @st.composite
 def narrow_and_wide_points(draw):
-    # coefficients near p or anywhere; points below 2^32 (the narrow step),
-    # at or above it, and the edge pair 2^32 - 1, 2^32
+    # coefficients near p or anywhere; points below 2^31 (the narrow step),
+    # at or above it, and the edge pairs 2^31 - 1, 2^31 and 2^32 - 1, 2^32
     p = MERSENNE61
-    degree = draw(st.integers(min_value=1, max_value=12))
+    degree = draw(st.integers(min_value=1, max_value=32))
     coefficient = st.one_of(st.integers(min_value=p - 64, max_value=p - 1),
                             st.integers(min_value=0, max_value=p - 1))
-    narrow = st.one_of(st.sampled_from([0, 1, 2**32 - 1]),
-                       st.integers(min_value=0, max_value=2**32 - 1))
-    wide = st.one_of(st.sampled_from([2**32, p - 1]), st.integers(min_value=2**32, max_value=p - 1))
+    narrow = st.one_of(st.sampled_from([0, 1, 2**31 - 1]),
+                       st.integers(min_value=0, max_value=2**31 - 1))
+    wide = st.one_of(st.sampled_from([2**31, 2**32 - 1, 2**32, p - 1]),
+                     st.integers(min_value=2**31, max_value=p - 1))
     runs = draw(st.lists(st.lists(st.one_of(narrow, wide), min_size=1, max_size=12)
                          | st.lists(narrow, min_size=1, max_size=12), min_size=1, max_size=4))
-    points = [x for run in runs for x in run] + [2**32 - 1, 2**32]
+    points = [x for run in runs for x in run] + [2**31 - 1, 2**31, 2**32 - 1, 2**32]
     return (draw(st.lists(coefficient, min_size=degree, max_size=degree)), points,
             draw(st.integers(min_value=1, max_value=16)))
 
@@ -338,14 +378,19 @@ def narrow_and_wide_points(draw):
 @settings(max_examples=80, deadline=None)
 @given(case=narrow_and_wide_points())
 def test_narrow_horner_blocks_match_scalar(case):
-    # blocks of `width` points: some lie below 2^32 and skip the high products
+    # blocks of `width` points: those whose points all lie below 2^31 take
+    # the unreduced narrow step, one call per coefficient after the first
     coefficients, points, width = case
     gen = KWiseGenerator(DEFAULT_FIELD, tuple(coefficients), MERSENNE61)
-    with patch.object(kwise, "HORNER_BLOCK", width):
+    with patch.object(kwise, "HORNER_BLOCK", width), \
+            patch.object(kwise, "_mul_add_unreduced", wraps=kwise._mul_add_unreduced) as step:
         got = kwise._horner61([coefficients], np.array(points, dtype=np.uint64))
     assert got.tolist() == [eval_bucket(gen, x) for x in points]
-    for x in points:
-        assert max(_lazy_accumulators(coefficients, x), default=0) < 2**61 + 8
+    narrow_blocks = sum(max(points[i:i + width]) < 2**31 for i in range(0, len(points), width))
+    assert step.call_count == narrow_blocks * (len(coefficients) - 1)
+    for x, value in zip(points, got.tolist()):
+        for narrow in {False, x < 2**31}:
+            assert _lazy_accumulators(coefficients, x, narrow) % MERSENNE61 == value
     ranged = KWiseGenerator(DEFAULT_FIELD, tuple(coefficients), 1000)
     assert eval_bucket_batch(ranged, points).tolist() == [eval_bucket(ranged, x) for x in points]
 
@@ -624,7 +669,7 @@ def difference_seed_cases(draw):
     # (block, points, run): one or several rows of runs at degrees 1-32 (from
     # degree 13 some coefficient C(n, k) j! S(n - k, j) of Delta^j x^n
     # exceeds 2^32), with every start within r * run of the top of the field
-    # (the wide products) or every point below 2^32 (the narrow ones)
+    # or of 2^32 (the wide step), or every point below 2^31 (the narrow one)
     degree = draw(st.integers(min_value=1, max_value=32))
     run = draw(st.integers(min_value=1, max_value=300))
     rows = draw(st.sampled_from([1, 2, 5]))
@@ -632,7 +677,7 @@ def difference_seed_cases(draw):
     seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
                           min_size=rows, max_size=rows))
     block = generator_block(seeds, degree, draw(st.integers(min_value=1, max_value=5000)))
-    top = MERSENNE61 - run if draw(st.booleans()) else 2**32 - run
+    top = draw(st.sampled_from([MERSENNE61, 2**32, 2**31])) - run
     starts = draw(st.lists(st.integers(min_value=top - degree * run, max_value=top),
                            min_size=rows * runs, max_size=rows * runs))
     points = (np.array(starts, dtype=np.uint64)[:, None]
