@@ -50,6 +50,13 @@ def _input_files() -> dict[str, str]:
     wide = (93368853, 93368854, 93368855, 186737709, 186737710, 536870912, 2 ** 30 - 1)
     entries = zip(wide, rng.standard_normal(len(wide)).tolist())
     files["wide.txt"] = f"{2 ** 30};" + ",".join(f"{i}:{v!r}" for i, v in entries) + "\n"
+    # what int() and float() accept around the separators: spaces and a tab,
+    # signs, digit underscores and exponents, then an empty vector, a blank
+    # line and a CRLF line ending
+    files["odd.txt"] = (" 4096 ; 3 : 1.5 , +17:-2e0,\t1_0_0 :1E-3 , 4095: +2.5 \n"
+                        "4096;\n"
+                        "\n"
+                        "4096;0:1_0.5,2 : -0.25\r\n")
     files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2\nm,i,t\n"
     return files
 
@@ -104,6 +111,7 @@ def calls() -> list[list[str]]:
     out.append(["transform", "--d", str(2 ** 30), "--epsilon", "0.5", "--delta", "1e-3",
                 "--bucket-seed", "7", "--sign-seed", "1000000007",
                 "--in", "{dir}/wide.txt", "--out", "{dir}/wide.out"])
+    out.append(_TRANSFORM + ["--in", "{dir}/odd.txt", "--out", "{dir}/odd.out"])
     for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])
@@ -137,6 +145,8 @@ def calls() -> list[list[str]]:
         ["transform", "--d", "4096", "--epsilon", "0.5", "--delta", "1e-3",
          "--bucket-seed", "7", "--sign-seed", "7", "--in", "{dir}/short.txt",
          "--out", "{dir}/refused.out"],
+        # an output in a directory that does not exist
+        _TRANSFORM + ["--in", "{dir}/short.txt", "--out", "{dir}/absent/x.out"],
     ]
     return out
 
