@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -70,54 +70,100 @@ class DenseVector:
         return cls((1.0 / math.sqrt(d),) * d)
 
 
-@dataclass(frozen=True)
 class SparseVector:
     """Index/value pairs with strictly increasing indices and no stored zeros.
 
-    `_arrays` holds the indices (int64; object when one lies outside int64)
-    and the float64 values as read-only arrays, the form every numpy user takes.
+    A vector keeps only its checked arrays, `_arrays`: the indices (int64;
+    object when one lies outside int64) and the float64 values, both
+    read-only, the form every numpy user takes. `parse_sparse_vector` and
+    `from_dense` build them with no per-entry Python objects. `entries`, the
+    (index, value) pairs as Python ints and floats, is derived from the
+    arrays when first read and kept; equality, hashing and the repr use it.
     """
 
-    dim: int
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, entries) -> None:
+        if dim < 1:
             raise ValueError("dim must be positive")
-        entries = tuple((int(i), float(v)) for i, v in self.entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_arrays", _checked_arrays(self.dim, entries))
+        self._keep(dim, *_entry_arrays(entries))
+
+    @classmethod
+    def _from_arrays(cls, dim: int, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
+        # the constructor's checks, on arrays the vector then keeps uncopied
+        if dim < 1:
+            raise ValueError("dim must be positive")
+        vector = cls.__new__(cls)
+        vector._keep(dim, indices, values)
+        return vector
+
+    def _keep(self, dim: int, indices: np.ndarray, values: np.ndarray) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_arrays", _checked_arrays(dim, indices, values))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        indices, values = self._arrays
+        return tuple(zip(indices.tolist(), values.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.entries) == (other.dim, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.entries))
+
+    def __repr__(self) -> str:
+        return f"SparseVector(dim={self.dim!r}, entries={self.entries!r})"
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self._arrays[1])
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for _, v in self.entries))
+        return math.sqrt(math.fsum(v * v for v in self._arrays[1].tolist()))
 
     def to_dense(self) -> DenseVector:
-        out = [0.0] * self.dim
-        for i, v in self.entries:
-            out[i] = v
-        return DenseVector(tuple(out))
+        out = np.zeros(self.dim)
+        out[self._arrays[0]] = self._arrays[1]
+        return DenseVector(out.tolist())
 
     @classmethod
     def from_dense(cls, values) -> "SparseVector":
-        vals = [float(v) for v in values]
-        return cls(dim=len(vals), entries=tuple((i, v) for i, v in enumerate(vals) if v != 0.0))
+        dense = np.fromiter(map(float, values), dtype=np.float64)
+        # -0.0 == 0 is dropped; NaN is nonzero, so it is kept and refused
+        indices = np.flatnonzero(dense)
+        return cls._from_arrays(dense.size, indices, dense[indices])
 
 
-def _checked_arrays(dim: int,
-                    entries: tuple[tuple[int, float], ...]) -> tuple[np.ndarray, np.ndarray]:
-    # Refuses the first bad entry with its first failing check, in the order
-    # range, order, zero, finiteness. Separate arrays: a float64 detour would
-    # round indices above 2^53.
-    n = len(entries)
+def _index_array(indices: list[int]) -> np.ndarray:
+    # int64, or object past int64: a float64 detour would round indices above 2^53
     try:
-        index_array = np.fromiter(map(itemgetter(0), entries), dtype=np.int64, count=n)
+        return np.array(indices, dtype=np.int64)
     except OverflowError:
-        index_array = np.array([i for i, _ in entries], dtype=object)
-    value_array = np.fromiter(map(itemgetter(1), entries), dtype=np.float64, count=n)
+        return np.array(indices, dtype=object)
+
+
+def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+    """The (indices, values) arrays of (index, value) pairs, each pair read
+    as int and float in order."""
+    indices, values = [], []
+    for i, v in entries:
+        indices.append(int(i))
+        values.append(float(v))
+    return _index_array(indices), np.array(values, dtype=np.float64)
+
+
+def _checked_arrays(dim: int, index_array: np.ndarray,
+                    value_array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Refuses the first bad entry with its first failing check, in the order
+    # range, order, zero, finiteness.
+    n = len(value_array)
     failed = np.zeros((4, n), dtype=bool)
     failed[0] = (index_array < 0) | (index_array >= dim)
     failed[1, 1:] = index_array[1:] <= index_array[:-1]
@@ -125,7 +171,7 @@ def _checked_arrays(dim: int,
     failed[3] = ~np.isfinite(value_array)
     if failed.any():
         j = int(failed.any(axis=0).argmax())
-        raise ValueError((f"index {entries[j][0]} out of range for dim {dim}",
+        raise ValueError((f"index {int(index_array[j])} out of range for dim {dim}",
                           "indices must be strictly increasing",
                           "stored zeros are not allowed",
                           "values must be finite")[int(failed[:, j].argmax())])
@@ -145,29 +191,31 @@ def _parse_entry(item: str) -> tuple[int, float]:
     return int(index_text), float(value_text)
 
 
-def _parse_entries(body: str) -> tuple[tuple[int, float], ...]:
+def _parse_arrays(body: str) -> tuple[np.ndarray, np.ndarray]:
     tokens = body.replace(",", ":").split(":")
     try:
         # the tokens alternate index and value text when the separators alternate
         if body.encode().translate(None, _NOT_SEPARATORS) == b":," * body.count(",") + b":":
-            return tuple(zip(map(int, tokens[0::2]), map(float, tokens[1::2])))
+            return (_index_array(list(map(int, tokens[0::2]))),
+                    np.array(list(map(float, tokens[1::2])), dtype=np.float64))
     except ValueError:
         pass
     # some entry is bad: read entry by entry to raise the first one's error
-    return tuple(map(_parse_entry, body.split(",")))
+    return _entry_arrays(map(_parse_entry, body.split(",")))
 
 
 def parse_sparse_vector(line: str) -> SparseVector:
     """Parse one `dim;idx:val,idx:val,...` line.
 
     Every entry is read before the dimension, and each entry as `_parse_entry`
-    reads it, so a bad line raises the error of its first bad entry.
+    reads it, so a bad line raises the error of its first bad entry. The
+    tokens go straight into the vector's arrays, with no per-entry tuple.
     """
     head, sep, body = line.strip().partition(";")
     if not sep:
         raise ValueError(f"missing ';' in sparse vector line: {line!r}")
-    entries = _parse_entries(body) if body else ()
-    return SparseVector(dim=int(head), entries=entries)
+    arrays = _parse_arrays(body) if body else _entry_arrays(())
+    return SparseVector._from_arrays(int(head), *arrays)
 
 
 def format_sparse_vector(x: SparseVector) -> str:

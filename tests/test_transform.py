@@ -20,6 +20,7 @@ from sjlt.transform import (
     DenseVector,
     SparseVector,
     TransformSpec,
+    _parse_entry,
     _replicas,
     apply,
     apply_rows,
@@ -219,6 +220,71 @@ def test_parse_accepts_what_int_and_float_accept():
     huge = parse_sparse_vector("99999999999999999999999;99999999999999999999:1.0")
     assert huge.dim == 99999999999999999999999
     assert huge.entries == ((99999999999999999999, 1.0),)
+
+
+_INDEX_TEXT = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.sampled_from(["+2", "1_0", " 5 ", "-0", "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775809", "99999999999999999999", "x", "", "1.5", "nan"]))
+_VALUE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1", "-2e0", "1E-3", "+3", "1_0", " 2.5 ", "0", "-0", "0.0", "nan", "inf",
+                     "-inf", "1e999", "x", ""]))
+# an entry with its ':', without it, or with one too many
+_ENTRY_TEXT = st.one_of(
+    st.builds("{}:{}".format, _INDEX_TEXT, _VALUE_TEXT),
+    _INDEX_TEXT,
+    st.builds("{}:{}:{}".format, _INDEX_TEXT, _VALUE_TEXT, _VALUE_TEXT))
+_HEAD_TEXT = st.sampled_from(["12", " 12 ", "1", "0", "-3", "x", "99999999999999999999999"])
+# valid lines as well, which the mixed ones rarely are
+_VALID_BODY = st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                                 st.floats(allow_nan=False, allow_infinity=False)
+                                 .filter(bool)), unique_by=lambda e: e[0]).map(
+    lambda entries: ",".join(f"{i}:{v!r}" for i, v in sorted(entries)))
+
+
+def _outcome(read):
+    try:
+        x = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return x.dim, x.entries, [(a.dtype, a.tolist()) for a in x._arrays]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_HEAD_TEXT, st.one_of(_VALID_BODY, st.lists(_ENTRY_TEXT, max_size=5).map(",".join)))
+def test_parse_equals_entry_by_entry_reading(head, body):
+    line = f"{head};{body}"
+
+    def entry_by_entry():
+        # entries before the dimension, as parse_sparse_vector documents
+        stripped_head, _, stripped_body = line.strip().partition(";")
+        entries = tuple(map(_parse_entry, stripped_body.split(","))) if stripped_body else ()
+        return SparseVector(int(stripped_head), entries)
+
+    assert _outcome(lambda: parse_sparse_vector(line)) == _outcome(entry_by_entry)
+
+
+def test_from_dense_drops_zeros_and_refuses_nan():
+    x = SparseVector.from_dense([0.0, -0.0, 2.5, 0.0, -1.0])
+    assert x == SparseVector(dim=5, entries=((2, 2.5), (4, -1.0)))
+    assert [a.dtype for a in x._arrays] == [np.int64, np.float64]
+    assert x.norm() == math.sqrt(2.5 ** 2 + 1.0) and x.to_dense().values == (0, 0, 2.5, 0, -1)
+    for bad, message in (([1.0, math.nan], "values must be finite"),
+                         ([-0.0, math.inf], "values must be finite"), ([], "dim must be positive")):
+        with pytest.raises(ValueError, match=message):
+            SparseVector.from_dense(bad)
+
+
+def test_sparse_vector_is_immutable_and_hashes_by_its_entries():
+    x = parse_sparse_vector("6;1:0.5,4:-2")
+    with pytest.raises(AttributeError):
+        x.dim = 7
+    with pytest.raises(AttributeError):
+        x.entries = ()
+    assert not any(a.flags.writeable for a in x._arrays)
+    assert hash(x) == hash(SparseVector(6, [(1, 0.5), (4, -2.0)]))
+    assert repr(x) == "SparseVector(dim=6, entries=((1, 0.5), (4, -2.0)))"
 
 
 @settings(max_examples=80, deadline=None)
