@@ -281,7 +281,9 @@ def main(argv=None) -> int:
     except _VerifyError as exc:
         return _fail("verify-failed", str(exc))
     except FileNotFoundError as exc:
-        return _fail("missing-input", str(exc))
+        # an --out in a missing directory is an output problem, not a missing input
+        output = exc.filename is not None and exc.filename == getattr(args, "out", None)
+        return _fail("io-error" if output else "missing-input", str(exc))
     except BudgetExceededError as exc:
         return _fail("budget-exceeded", str(exc))
     except ValueError as exc:

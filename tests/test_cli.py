@@ -276,6 +276,23 @@ def test_missing_input_error_line(tmp_path, capsys):
     assert err.startswith("error: missing-input:")
 
 
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_output_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    infile = tmp_path / "v.txt"
+    infile.write_text("4;0:1.0\n")
+    out = tmp_path / "absent" / "y.txt"
+    message = f"[Errno 2] No such file or directory: '{out}'"
+    code, _, err = _transform(infile, out, capsys, d=4, epsilon="0.5", delta="0.5")
+    assert (code, err) == (1, f"error: io-error: {message}\n")
+    code, _, err = run(["graph-count", "--m", "1", "--i-max", "2", "--out", str(out)], capsys)
+    assert (code, err) == (1, f"error: io-error: {message}\n")
+    # a missing input is still named as one, whatever the output
+    code, _, err = _transform(tmp_path / "absent.txt", out, capsys, d=4, epsilon="0.5",
+                              delta="0.5")
+    assert code == 1
+    assert err.startswith("error: missing-input:")
+
+
 def test_invalid_parameter_error_line(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0\n")
