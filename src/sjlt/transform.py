@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class SparseVector:
     arrays when first read and kept; equality, hashing and the repr use it.
     """
 
-    def __init__(self, dim: int, entries) -> None:
+    def __init__(self, dim: int, entries: Iterable[tuple[int, float]]) -> None:
         if dim < 1:
             raise ValueError("dim must be positive")
         self._keep(dim, *_entry_arrays(entries))
@@ -149,7 +149,7 @@ def _index_array(indices: list[int]) -> np.ndarray:
         return np.array(indices, dtype=object)
 
 
-def _entry_arrays(entries) -> tuple[np.ndarray, np.ndarray]:
+def _entry_arrays(entries: Iterable[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
     """The (indices, values) arrays of (index, value) pairs, each pair read
     as int and float in order."""
     indices, values = [], []
