@@ -57,6 +57,17 @@ def _input_files() -> dict[str, str]:
                         "4096;\n"
                         "\n"
                         "4096;0:1_0.5,2 : -0.25\r\n")
+    # at d = 64, epsilon = delta = 0.5 (k = 16, c = 4, sqrt(c) = 2) every
+    # branch of the writer: exponent notation below 1e-4 and from 1e17 on,
+    # the decade edges of fixed notation, integer-valued and negative
+    # outputs, empty buckets and an all-zero row
+    files["edges.txt"] = ("64;0:6,5:-10,9:0.5\n"
+                          "64;3:3e-5\n"
+                          "64;11:2e-4\n"
+                          "64;7:1e-300\n"
+                          "64;8:-1e300\n"
+                          "64;12:3e16,13:3e17\n"
+                          "64;\n")
     files["corrupt.csv"] = "# sjlt command=graph-count m=1 i_max=2\nm,i,t\n"
     return files
 
@@ -112,6 +123,8 @@ def calls() -> list[list[str]]:
                 "--bucket-seed", "7", "--sign-seed", "1000000007",
                 "--in", "{dir}/wide.txt", "--out", "{dir}/wide.out"])
     out.append(_TRANSFORM + ["--in", "{dir}/odd.txt", "--out", "{dir}/odd.out"])
+    out.append(["transform", "--d", "64", *_LOOSE_SPEC, "--bucket-seed", "7",
+                "--sign-seed", "1000000007", "--in", "{dir}/edges.txt", "--out", "{dir}/edges.out"])
     for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])
