@@ -1,5 +1,6 @@
 """Transform tests against a dense-materialization oracle plus the file formats."""
 
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -318,6 +319,118 @@ def test_written_rows_are_the_formatted_vectors(tmp_path):
     assert lines[0].startswith("-0,0.33333333333333331,")
     write_dense_vectors(path, np.zeros((0, 6)))
     assert path.read_bytes() == b""
+
+
+def _written(rows) -> str:
+    stream = io.StringIO()
+    write_dense_vectors(stream, rows)
+    return stream.getvalue()
+
+
+def _printf(rows) -> str:
+    # the reference: f"{v:.17g}" one value at a time, non-finite values included
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in np.asarray(rows).tolist())
+
+
+def _assert_written_exactly(values) -> None:
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    for width in (1, 7, 2800):
+        rows = np.resize(values, (-(-values.size // width), width))
+        assert _written(rows) == _printf(rows)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2 ** 64 - 1), min_size=1, max_size=12))
+def test_written_text_is_printf_for_every_bit_pattern(patterns):
+    # every finite double, +-0, +-inf and nan, from its raw 64-bit pattern
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _written(values[None, :]) == _printf(values[None, :])
+    assert _written(values[:, None]) == _printf(values[:, None])
+
+
+def test_written_text_is_printf_on_a_million_random_patterns():
+    # random sign and mantissa bits in the binades 2^-16 .. 2^59, across both
+    # edges of fixed notation; the line template is the old writer's, which
+    # gives f"{v:.17g}" byte for byte at a third of its cost
+    rng = np.random.default_rng(2010)
+    size = (1000, 1000)
+    patterns = (rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+                | rng.integers(1023 - 16, 1023 + 59, size=size, dtype=np.uint64) << np.uint64(52)
+                | rng.integers(0, 2 ** 52, size=size, dtype=np.uint64))
+    rows = patterns.view(np.float64)
+    line = ",".join(["%.17g"] * size[1]) + "\n"
+    assert _written(rows) == "".join(line % tuple(row) for row in rows.tolist())
+    # and raw patterns over every exponent
+    rows = rng.integers(0, 2 ** 64, size=(20, 1000), dtype=np.uint64).view(np.float64)
+    assert _written(rows) == _printf(rows)
+
+
+def _neighbours(values, steps: int = 3) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    out = [values]
+    up = down = values
+    for _ in range(steps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    both = np.concatenate(out)
+    return np.concatenate([both, -both])
+
+
+def test_written_text_is_printf_at_powers_of_ten_and_notation_edges():
+    powers = [float(f"1e{e}") for e in range(-330, 309)]
+    _assert_written_exactly(_neighbours(powers, steps=1))
+    # where "%.17g" switches between fixed and exponent notation
+    _assert_written_exactly(_neighbours([1e-5, 1e-4, 1e16, 1e17], steps=64))
+
+
+def test_written_text_is_printf_where_rounding_reaches_the_next_decade():
+    # 9.99...95 (18 digits) and its neighbours round up to 10^(X+1) or stay below
+    nines = [float(f"9.9999999999999999{tail}e{e}") for e in range(-8, 20) for tail in "4569"]
+    _assert_written_exactly(_neighbours(nines, steps=4))
+
+
+def _ties(rng, count: int) -> np.ndarray:
+    # x = odd / 2^(17 - X) has 17 - X fraction digits, the last a 5, so
+    # (X + 1) + (17 - X) = 18 significant digits: a tie at the 17th
+    ties = []
+    for x in range(-4, 16):
+        j = 17 - x
+        low, high = math.ceil(10.0 ** x * 2 ** j), min(10.0 ** (x + 1), 2.0 ** (53 - j)) * 2 ** j
+        odd = rng.integers(low // 2, int(high) // 2, size=count) * 2 + 1
+        ties.append(np.ldexp(odd.astype(np.float64), -j))
+    return np.concatenate(ties)
+
+
+def test_written_text_is_printf_on_ties_and_near_ties():
+    ties = _ties(np.random.default_rng(7), 50)
+    for x in ties[::97].tolist():
+        digits = format(Fraction(x).numerator * 10 ** 30 // Fraction(x).denominator, "d")
+        assert len(digits.rstrip("0")) == 18 and digits.rstrip("0")[-1] == "5"
+    assert {"1000000000000000.2", "1000000000000000.8"} <= set(
+        _written(np.array([[1e15 + 0.25, 1e15 + 0.75]])).strip().split(","))
+    _assert_written_exactly(_neighbours(ties, steps=2))
+
+
+def test_written_text_is_printf_on_subnormals_zeros_and_rows():
+    rng = np.random.default_rng(11)
+    subnormals = rng.integers(1, 2 ** 52, size=4000, dtype=np.uint64).view(np.float64)
+    _assert_written_exactly(np.concatenate([subnormals, [5e-324, 2.2250738585072009e-308]]))
+    for rows in (np.zeros((3, 2800)), -np.zeros((2, 5)), np.zeros((0, 4)), np.zeros((2, 0)),
+                 rng.standard_normal((5, 2800)), rng.standard_normal((4000, 1))):
+        assert _written(rows) == _printf(rows)
+
+
+def test_fixed_notation_takes_the_exact_vectorized_digits():
+    # away from the decade edges every fixed-notation value takes the vectorized
+    # path, with exactly the decade and 17 digits that "%.17e" gives
+    rng = np.random.default_rng(3)
+    values = 10.0 ** rng.uniform(-4.0, 17.0, size=20000)
+    values = values[np.abs(np.log10(values) - np.round(np.log10(values))) > 1e-12]
+    i, d, fast = sjlt.transform._significands(values)
+    assert fast.all()
+    mantissas, exponents = zip(*(f"{v:.16e}".split("e") for v in values.tolist()))
+    assert d.tolist() == [int(m.replace(".", "")) for m in mantissas]
+    assert (i - 5).tolist() == [int(e) for e in exponents]
 
 
 # ---------------------------------------------------------------- apply paths
