@@ -82,7 +82,8 @@ def cmd_transform(args) -> int:
     spec = derive_spec(args.d, args.epsilon, args.delta, args.bucket_seed,
                        args.sign_seed, _kappas(args))
     vectors = read_sparse_vectors(args.infile)
-    write_dense_vectors(args.out, apply_rows(spec, vectors))
+    rows = apply_rows(spec, vectors)
+    write_dense_vectors(sys.stdout if args.out == "-" else args.out, rows)
     return 0
 
 

@@ -125,6 +125,8 @@ def calls() -> list[list[str]]:
     out.append(_TRANSFORM + ["--in", "{dir}/odd.txt", "--out", "{dir}/odd.out"])
     out.append(["transform", "--d", "64", *_LOOSE_SPEC, "--bucket-seed", "7",
                 "--sign-seed", "1000000007", "--in", "{dir}/edges.txt", "--out", "{dir}/edges.out"])
+    # --out - writes to stdout: the payload of short.out again
+    out.append(_TRANSFORM + ["--in", "{dir}/short.txt", "--out", "-"])
     for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])

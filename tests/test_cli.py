@@ -293,6 +293,21 @@ def test_output_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
     assert err.startswith("error: missing-input:")
 
 
+def test_transform_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
+    # --out - is stdout for transform as for every report command, not a file named "-"
+    monkeypatch.chdir(tmp_path)
+    infile = tmp_path / "v.txt"
+    infile.write_text("8;0:1.0,3:-2.5\n8;7:0.5\n8;\n")
+    code, _, err = _transform(infile, tmp_path / "y.txt", capsys, d=8, epsilon="0.5",
+                              delta="0.5")
+    assert (code, err) == (0, "")
+    code, out, err = _transform(infile, "-", capsys, d=8, epsilon="0.5", delta="0.5")
+    assert (code, err) == (0, "")
+    assert out == (tmp_path / "y.txt").read_text(encoding="ascii")
+    assert len(out.splitlines()) == 3
+    assert not (tmp_path / "-").exists()
+
+
 def test_invalid_parameter_error_line(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0\n")
