@@ -41,6 +41,7 @@ from .transform import (
     row_squares,
     signed_bucket_sums,
     trial_counter,
+    uniform_values,
 )
 
 SEQUENCE_ENUM_BUDGET = 10 ** 8
@@ -359,11 +360,10 @@ def tail_estimate(spec: TransformSpec, trials: int, x: DenseVector | None = None
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    if x is None:
-        x = DenseVector.uniform(spec.d)
-    if len(x) != spec.d:
+    if x is not None and len(x) != spec.d:
         raise ValueError(f"vector dimension {len(x)} does not match spec dimension {spec.d}")
-    replicated = duplicate_rescale(x.to_numpy(), spec.c)
+    values = uniform_values(spec.d) if x is None else x.to_numpy()
+    replicated = duplicate_rescale(values, spec.c)
     points = np.arange(replicated.size, dtype=np.uint64)
     norm_sq = float(replicated @ replicated)
 

@@ -70,6 +70,11 @@ class DenseVector:
         return cls((1.0 / math.sqrt(d),) * d)
 
 
+def uniform_values(d: int) -> np.ndarray:
+    """DenseVector.uniform(d)'s entries bit for bit, as an array built without the d-tuple."""
+    return np.full(d, 1.0 / math.sqrt(d))
+
+
 class SparseVector:
     """Index/value pairs with strictly increasing indices and no stored zeros.
 
@@ -723,7 +728,7 @@ def distortion_bench(spec: TransformSpec, trials: int,
     if trials < 1:
         raise ValueError("trials must be positive")
     if x is None:
-        x = SparseVector.from_dense(DenseVector.uniform(spec.d))
+        x = SparseVector._from_arrays(spec.d, np.arange(spec.d), uniform_values(spec.d))
     norm = _distortion_norm(spec, x)
     points, weights = _replicas(*x._arrays, spec.c)
     scale = math.sqrt(spec.c)

@@ -45,6 +45,7 @@ from sjlt.transform import (
     duplicate_rescale,
     signed_bucket_sums,
     trial_counter,
+    uniform_values,
 )
 
 
@@ -859,6 +860,17 @@ def test_trial_loops_match_per_trial_reference():
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             assert count(0, trials) == sum(hits[:trials])
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
+
+
+@pytest.mark.parametrize("d", [1, 3, 64, 1000])
+def test_default_vector_is_the_uniform_unit_vector(d):
+    # the default is built from arrays, with DenseVector.uniform's floats bit for bit
+    uniform = DenseVector.uniform(d)
+    assert uniform_values(d).tolist() == list(uniform.values)
+    spec = tail_spec(d, 16, 4, 0.5, 3, 4 + 2 ** 40, 2)
+    assert distortion_bench(spec, 300) == distortion_bench(
+        spec, 300, x=SparseVector.from_dense(uniform))
+    assert tail_estimate(spec, 1000) == tail_estimate(spec, 1000, x=uniform)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 12])
