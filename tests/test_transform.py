@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sjlt.text
 import sjlt.transform
 from sjlt import kwise
 from sjlt.kwise import (HORNER_BLOCK, KWiseGenerator, PrimeField, eval_bucket, eval_bucket_batch,
@@ -426,7 +427,7 @@ def test_fixed_notation_takes_the_exact_vectorized_digits():
     rng = np.random.default_rng(3)
     values = 10.0 ** rng.uniform(-4.0, 17.0, size=20000)
     values = values[np.abs(np.log10(values) - np.round(np.log10(values))) > 1e-12]
-    i, d, fast = sjlt.transform._significands(values)
+    i, d, fast = sjlt.text._significands(values)
     assert fast.all()
     mantissas, exponents = zip(*(f"{v:.16e}".split("e") for v in values.tolist()))
     assert d.tolist() == [int(m.replace(".", "")) for m in mantissas]
