@@ -392,7 +392,7 @@ def test_written_text_is_printf_where_rounding_reaches_the_next_decade():
 
 def _ties(rng, count: int) -> np.ndarray:
     # x = odd / 2^(17 - X) has 17 - X fraction digits, the last a 5, so
-    # (X + 1) + (17 - X) = 18 significant digits: a tie at the 17th
+    # (X + 1) + (17 - X) = 18 significant digits: a tie for 17 digits
     ties = []
     for x in range(-4, 16):
         j = 17 - x
@@ -423,7 +423,7 @@ def test_written_text_is_printf_on_subnormals_zeros_and_rows():
 
 def test_fixed_notation_takes_the_exact_vectorized_digits():
     # away from the decade edges every fixed-notation value takes the vectorized
-    # path, with exactly the decade and 17 digits that "%.17e" gives
+    # path, with exactly the decade and the 17 digits of f"{v:.16e}"
     rng = np.random.default_rng(3)
     values = 10.0 ** rng.uniform(-4.0, 17.0, size=20000)
     values = values[np.abs(np.log10(values) - np.round(np.log10(values))) > 1e-12]
