@@ -44,6 +44,15 @@ bit, by two routes:
   coordinates, or, when every segment is one consecutive range, any divisor
   of the segment length. One cost rule, `_difference_gain` with
   `_seed_products`, picks L or Horner and the seed.
+
+A batch call allocates its arrays, or, given a `work` array of at least
+`work_size` uint64 words, takes every one of them from it: the output first,
+then, in turn over the same words, the scan's run ends, the kernel's tables,
+window and scratch, and the fold quotient. The arithmetic is the same either
+way. The values such a call returns are a view of `work`, valid until its
+next use, so the caller owns the work array and shares it with no other
+thread; a caller that hashes block after block, such as a trial loop, maps
+no fresh pages for any block after the first.
 """
 
 from __future__ import annotations
@@ -131,8 +140,9 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
 class KWiseGenerator:
     """Immutable polynomial hashes of one field, degree and range, one per row
     of a read-only (rows, degree) uint64 coefficient matrix; a flat
-    coefficient sequence is one generator. Evaluation is pure and thread-safe.
-    Generators compare by identity; compare their coefficients instead.
+    coefficient sequence is one generator. Evaluation only reads the
+    generator, so threads may share it, each with its own work array, if
+    any. Generators compare by identity; compare their coefficients instead.
     Forward-difference runs seeded by the difference polynomials build them
     once per generator, as `differences`."""
 
@@ -333,7 +343,21 @@ def _fold61(acc, scratch) -> None:
     np.add(acc, scratch, out=acc)
 
 
-def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _take(work: np.ndarray | None, shape: tuple[int, ...], offset: int = 0) -> np.ndarray:
+    # a fresh uint64 array of `shape`, or the view of `work` that starts
+    # `offset` words in
+    if work is None:
+        return np.empty(shape, dtype=np.uint64)
+    return work[offset:offset + math.prod(shape)].reshape(shape)
+
+
+def _rest(work: np.ndarray | None, offset: int) -> np.ndarray | None:
+    # the words of `work` from `offset` on, for a callee's arrays
+    return None if work is None else work[offset:]
+
+
+def _horner61(coefficients: np.ndarray, idx: np.ndarray,
+              work: np.ndarray | None = None) -> np.ndarray:
     # Mersenne-61 Horner, block by block, one generator per row of the
     # (rows, r) uint64 `coefficients`; row j evaluates the j-th of `rows`
     # equal consecutive segments of `idx`. A block whose points all lie
@@ -341,45 +365,57 @@ def _horner61(coefficients: np.ndarray, idx: np.ndarray) -> np.ndarray:
     # once; any other block splits its points into 32-bit halves and steps
     # by `_mulmod_add`. Either way acc < 2p at the end, and
     # min(acc, acc - p) (acc - p wraps when acc < p) makes it canonical.
+    # `work` holds the output, then the seven scratch blocks.
     coefficients = np.asarray(coefficients, dtype=np.uint64)
     rows = len(coefficients)
     points = idx.reshape(rows, -1)
-    out = np.empty(points.shape, dtype=np.uint64)
+    out = _take(work, points.shape)
     width = max(1, HORNER_BLOCK // rows)
-    scratch = [np.empty((rows, min(points.shape[1], width)), dtype=np.uint64)
-               for _ in range(7)]
+    shape = (rows, min(points.shape[1], width))
+    scratch = [_take(work, shape, out.size + j * math.prod(shape)) for j in range(7)]
     # coefficients r - 2 .. 0 as (rows, 1) columns; one row takes numpy
     # scalars, which numpy adds faster than a broadcast (1, 1) column
     steps = coefficients.T[-2::-1, :, None] if rows > 1 else coefficients[0, -2::-1]
     for start in range(0, points.shape[1], width):
         x = points[:, start:start + width]
         acc = out[:, start:start + width]
-        work = [buffer[:, :x.shape[1]] for buffer in scratch]
+        lanes = [buffer[:, :x.shape[1]] for buffer in scratch]
         acc[...] = coefficients[:, -1:]
         if x.max() < _NARROW:
             for coefficient in steps:
-                _mul_add_unreduced(acc, x, coefficient, *work[:2])
-            _fold61(acc, work[0])
+                _mul_add_unreduced(acc, x, coefficient, *lanes[:2])
+            _fold61(acc, lanes[0])
         else:
-            b1, b0, *wide = work
+            b1, b0, *wide = lanes
             np.right_shift(x, _U32, out=b1)
             np.bitwise_and(x, _LOW32, out=b0)
             for coefficient in steps:
                 _mulmod_add(acc, b1, b0, coefficient, *wide)
-        np.subtract(acc, _P61, out=work[0])
-        np.minimum(acc, work[0], out=acc)
+        np.subtract(acc, _P61, out=lanes[0])
+        np.minimum(acc, lanes[0], out=acc)
     return out.reshape(idx.shape)
 
 
-def _point_table(coefficients: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _point_table(coefficients: np.ndarray, x0: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
     # The (r, rows * n) difference table D[j] = Delta^j f(x0) at the (rows, n)
     # run starts x0, columns row-major: Horner gives f(x0) .. f(x0 + r - 1),
     # and r - 1 passes difference them in place. r (r - 1) products per run.
+    # `work` holds the table, then the points x0 + j and Horner's arrays,
+    # whose words the two difference buffers take once the table is copied.
+    # One add per j: a broadcast add of x0[:, :, None] and arange(r) costs
+    # numpy two iterator buffers of up to 64 KB each.
     r = coefficients.shape[1]
-    seeds = _horner61(coefficients, x0[:, :, None] + np.arange(r, dtype=np.uint64))
-    table = seeds.reshape(-1, r).T.copy()
-    t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
-    u = np.empty_like(t)
+    size = r * x0.size
+    points = _take(work, x0.shape + (r,), size)
+    for j in range(r):
+        np.add(x0, np.uint64(j), out=points[:, :, j])
+    seeds = _horner61(coefficients, points, _rest(work, 2 * size))
+    del points  # fresh points are freed before the table is allocated
+    table = _take(work, (r, x0.size))
+    np.copyto(table, seeds.reshape(-1, r).T)
+    t = _take(work, (r - 1, x0.size), size)
+    u = _take(work, t.shape, size + t.size)
     for j in range(1, r):
         # rows j.. become differences of rows j-1..: a + p - b lies in (0, 2p)
         np.add(table[j:], _P61, out=t[j - 1:])
@@ -410,7 +446,8 @@ def _difference_coefficients(coefficients: np.ndarray) -> np.ndarray:
     return np.array(table, dtype=np.uint64).transpose(2, 1, 0)[..., None].copy()
 
 
-def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
+def _difference_table(differences: np.ndarray, x0: np.ndarray,
+                      work: np.ndarray | None = None) -> np.ndarray:
     # The table of `_point_table` from `_difference_coefficients`: one
     # triangular Horner pass over the (rows, n) run starts x0. Step i adds
     # coefficient r - 1 - i to rows 0 .. i - 1 and starts row i at Delta^i f's
@@ -420,22 +457,26 @@ def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
     # others by `_mulmod_add`. The steps multiply by a contiguous copy of
     # x0: `_runs61` passes a strided view of every run's first point, and
     # multiplying by that view at every step cost the narrow step its gain.
+    # `work` holds the table, the two halves of x0 and five scratch tables.
     r = differences.shape[0]
-    table = np.empty((r,) + x0.shape, dtype=np.uint64)
+    table = _take(work, (r,) + x0.shape)
     narrow = x0.max() < _NARROW
+    halves = [_take(work, x0.shape, table.size + j * x0.size) for j in range(1 if narrow else 2)]
+    scratch = [_take(work, table.shape, table.size + 2 * x0.size + j * table.size)
+               for j in range(2 if narrow else 5)]
     if narrow:
-        x0 = np.ascontiguousarray(x0)
+        np.copyto(halves[0], x0)
     else:
-        x0 = (x0 >> _U32, x0 & _LOW32)
-    scratch = [np.empty_like(table) for _ in range(2 if narrow else 5)]
+        np.right_shift(x0, _U32, out=halves[0])
+        np.bitwise_and(x0, _LOW32, out=halves[1])
     table[0] = differences[r - 1, 0]
     for i in range(1, r):
         coefficient = differences[r - 1 - i]
-        work = [buffer[:i] for buffer in scratch]
+        lanes = [buffer[:i] for buffer in scratch]
         if narrow:
-            _mul_add_unreduced(table[:i], x0, coefficient[:i], *work)
+            _mul_add_unreduced(table[:i], *halves, coefficient[:i], *lanes)
         else:
-            _mulmod_add(table[:i], *x0, coefficient[:i], *work)
+            _mulmod_add(table[:i], *halves, coefficient[:i], *lanes)
         table[i] = coefficient[i]
     if narrow:
         _fold61(table, scratch[0])
@@ -444,7 +485,8 @@ def _difference_table(differences: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return table.reshape(r, -1)
 
 
-def _runs61(gen: KWiseGenerator, idx: np.ndarray, run: int) -> np.ndarray:
+def _runs61(gen: KWiseGenerator, idx: np.ndarray, run: int,
+            work: np.ndarray | None = None) -> np.ndarray:
     # Forward differences along runs (Knuth, TAOCP vol. 2, 4.6.4), for the
     # generator's coefficients and the segments of `_horner61`. A run's table
     # D[j] = Delta^j f(x0) has a constant last row, and Delta^j f(x + 1) =
@@ -457,22 +499,26 @@ def _runs61(gen: KWiseGenerator, idx: np.ndarray, run: int) -> np.ndarray:
     # copy. Entries stay canonical: a sum t < 2p, and min(t, t - p) reduces
     # it. A chunk's table holds at most HORNER_BLOCK entries, or one run per
     # row; `_seed_products` picks its seed, `_point_table` or
-    # `_difference_table` of the generator's `differences`.
+    # `_difference_table` of the generator's `differences`. `work` holds the
+    # output, then each chunk's table, then the window over the seed's
+    # arrays, which are dead once the table is built, then the two step
+    # buffers.
     coefficients = gen.coefficients
     rows, r = coefficients.shape
     starts = idx.reshape(rows, -1)[:, ::run]
-    out = np.empty((rows, starts.shape[1], run), dtype=np.uint64)
+    out = _take(work, (rows, starts.shape[1], run))
+    chunk = _rest(work, out.size)
     per_chunk = max(1, HORNER_BLOCK // (r * rows))
     differenced = _seed_products(rows, starts.size, r)[1]
     for first in range(0, starts.shape[1], per_chunk):
         x0 = starts[:, first:first + per_chunk]
-        table = (_difference_table(gen.differences, x0) if differenced
-                 else _point_table(coefficients, x0))
-        window = np.empty((run + r - 1, table.shape[1]), dtype=np.uint64)
+        table = (_difference_table(gen.differences, x0, chunk) if differenced
+                 else _point_table(coefficients, x0, chunk))
+        window = _take(chunk, (run + r - 1, table.shape[1]), table.size)
         window[:r] = table
         window[r:] = table[-1]
-        t = np.empty((r - 1, table.shape[1]), dtype=np.uint64)
-        u = np.empty_like(t)
+        t = _take(chunk, (r - 1, table.shape[1]), table.size + window.size)
+        u = _take(chunk, t.shape, table.size + window.size + t.size)
         for s in range(1, run):
             np.add(window[s - 1:s + r - 2], window[s:s + r - 1], out=t)
             np.subtract(t, _P61, out=u)
@@ -523,19 +569,24 @@ def _divisors(n: int) -> list[int]:
     return small + [n // q for q in reversed(small) if q * q != n]
 
 
-def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
+def _run_length(idx: np.ndarray, rows: int, degree: int,
+                work: np.ndarray | None = None) -> int:
     # Forward differences' run length for these points, or 0 for Horner. The
     # maximal runs of consecutive points, cut at segment ends, are tiled by
     # runs of their gcd, the unit. When every segment is one consecutive
     # range, any divisor of its length serves too, and the gain picks the
     # best of them: near sqrt(s n / 384) for n points and s seed products
-    # per run.
+    # per run. `work` holds the n - 1 gaps between points in its first words
+    # and the n end flags, as bytes, from word n on.
     if not idx.size:
         return 0
     flat = idx.reshape(-1)
     segment = flat.size // rows
-    ends = np.ones(flat.size, dtype=bool)
-    np.not_equal(np.diff(flat), 1, out=ends[:-1])
+    gaps = np.subtract(flat[1:], flat[:-1], out=_take(work, (flat.size - 1,)))
+    ends = (np.empty(flat.size, dtype=bool) if work is None
+            else work[flat.size:].view(np.bool_)[:flat.size])
+    np.not_equal(gaps, 1, out=ends[:-1])
+    # the last point ends the last segment
     ends[segment - 1::segment] = True
     stops = np.flatnonzero(ends) + 1
     lengths = (_divisors(segment) if stops.size == rows
@@ -544,7 +595,40 @@ def _run_length(idx: np.ndarray, rows: int, degree: int) -> int:
     return best if _difference_gain(flat.size, best, degree, rows) > 0 else 0
 
 
-def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
+def _work_words(rows: int, size: int, degree: int, length: int) -> int:
+    # uint64 words of `work` for `size` points on `rows` rows at `degree`,
+    # stepped in runs of `length` (0: Horner): the output, then the largest
+    # of the arrays that take the words after it in turn, which are the
+    # scan's end flags, the kernel's own and the fold quotient. A chunk of
+    # runs holds its table, then the larger of its seed's arrays and the
+    # window with its two step buffers.
+    r, width, horner = degree, size // rows, max(1, HORNER_BLOCK // rows)
+    if length:
+        per_row = min(width // length, max(1, HORNER_BLOCK // (r * rows)))
+        cols = rows * per_row
+        if _seed_products(rows, size // length, r)[1]:
+            seed = (5 * r + 2) * cols
+        else:
+            seed = 2 * r * cols + 7 * rows * min(per_row * r, horner)
+        kernel = r * cols + max(seed, (length + 3 * r - 3) * cols)
+    else:
+        kernel = 7 * rows * min(width, horner)
+    return size + max(-(-size // 8), kernel, size)
+
+
+def work_size(rows: int, degree: int, points) -> int:
+    """uint64 words of `work` that eval_bucket_batch needs to evaluate these
+    points with a generator of `rows` rows and `degree` coefficients.
+
+    The points are scanned once for their runs of consecutive points, as the
+    call scans them, because the run length it picks sets the layout.
+    """
+    idx = np.ascontiguousarray(points, dtype=np.uint64)
+    return _work_words(rows, idx.size, degree, _run_length(idx, rows, degree))
+
+
+def eval_bucket_batch(gen: KWiseGenerator, points, *,
+                      work: np.ndarray | None = None) -> np.ndarray:
     """Vectorized eval_bucket; bit-identical to the scalar path.
 
     `points` is an integer array of field elements. Given a generator of n
@@ -552,7 +636,16 @@ def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
     j evaluates segment j; a one-row generator takes points of any shape.
     Runs of consecutive points are found in the points and stepped by forward
     differences where that pays. The caller's points are only read; the
-    kernel's fresh output is folded onto the range in place.
+    kernel's output is folded onto the range in place.
+
+    Without `work` the kernel allocates its arrays and returns a fresh one.
+    With `work`, a writable contiguous 1-D uint64 array of at least
+    `work_size(len(gen), gen.degree, points)` words that shares no memory
+    with the points, every array of the Mersenne-field kernel is a view of
+    it, at offsets set by the call's shape, and so are the returned values:
+    they are valid until the next call with the same `work`. The caller owns
+    `work` and shares it with no other thread. The arithmetic is the same
+    either way, and so are the values.
     """
     rows = len(gen)
     idx = np.asarray(points)
@@ -563,32 +656,44 @@ def eval_bucket_batch(gen: KWiseGenerator, points) -> np.ndarray:
         raise ValueError("index outside the field")
     if rows > 1 and (idx.ndim != 1 or idx.size % rows):
         raise ValueError(f"points do not split into {rows} equal segments")
+    if work is not None and (work.dtype != np.uint64 or work.ndim != 1
+                             or not work.flags.c_contiguous or not work.flags.writeable
+                             or np.may_share_memory(work, idx)):
+        raise ValueError("work must be a writable contiguous 1-D uint64 array "
+                         "that shares no memory with the points")
     if gen.field.modulus != MERSENNE61:
         return np.array([eval_bucket(row, int(i))
                          for row, segment in zip(map(gen.row, range(rows)), idx.reshape(rows, -1))
                          for i in segment], dtype=np.int64).reshape(idx.shape)
-    length = _run_length(idx, rows, gen.degree)
-    values = (_runs61(gen, idx, length).reshape(idx.shape) if length
-              else _horner61(gen.coefficients, idx))
-    # the kernel's fresh output folds in place: a power-of-two range by a
-    # mask, any other by v - (v // range) * range, as numpy divides by a
-    # scalar without a hardware division per element, unlike v % range; the
-    # result is below range < 2^61
+    # every layout holds at least twice the points, all that the scan takes
+    if work is not None and work.size < 2 * idx.size:
+        raise ValueError(f"work holds {work.size} words, and the call needs at least "
+                         f"{2 * idx.size}")
+    length = _run_length(idx, rows, gen.degree, work)
+    if work is not None and work.size < (need := _work_words(rows, idx.size, gen.degree, length)):
+        raise ValueError(f"work holds {work.size} words, and the call needs {need}")
+    values = (_runs61(gen, idx, length, work).reshape(idx.shape) if length
+              else _horner61(gen.coefficients, idx, work))
+    # the kernel's output folds in place: a power-of-two range by a mask,
+    # any other by v - (v // range) * range, as numpy divides by a scalar
+    # without a hardware division per element, unlike v % range; the result
+    # is below range < 2^61. The quotient takes the words after the output.
     range_size = np.uint64(gen.range_size)
     if gen.range_size & (gen.range_size - 1) == 0:
         np.bitwise_and(values, range_size - np.uint64(1), out=values)
     else:
-        quotient = values // range_size
+        quotient = np.floor_divide(values, range_size, out=_take(work, values.shape, values.size))
         np.multiply(quotient, range_size, out=quotient)
         np.subtract(values, quotient, out=values)
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator, points) -> np.ndarray:
-    """Vectorized eval_sign; `gen` and `points` as for eval_bucket_batch."""
+def eval_sign_batch(gen: KWiseGenerator, points, *,
+                    work: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized eval_sign; `gen`, `points` and `work` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
-    # bits b of a fresh array become 1 - 2b in place
-    signs = eval_bucket_batch(gen, points)
+    # bits b of the kernel's output become 1 - 2b in place
+    signs = eval_bucket_batch(gen, points, work=work)
     np.left_shift(signs, 1, out=signs)
     return np.subtract(1, signs, out=signs)

@@ -1,6 +1,7 @@
 """Generator contract tests: exhaustive uniformity, determinism, batch/scalar parity."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -903,3 +904,118 @@ def test_block_seed_expansion_matches_scalar_splitmix64(field):
                        for seed in range(200))
         assert refilled > 20
         assert block.coefficients.tolist() == [_scalar_coefficients(s, 8, p) for s in range(200)]
+
+
+# ranges for the work-array calls: powers of two fold by a mask, the others
+# through the quotient; 192 is a trial block's lcm(k, 2) at k = 192
+_WORK_RANGES = [2, 4, 2**20, 7, 192, 2800, 1000003]
+
+
+@st.composite
+def work_call_sequences(draw):
+    # (generator, points) calls of every kind, in a drawn order, so the
+    # shapes shrink and grow: trial blocks of T trials over one 256- or
+    # 1024-point range per row (narrow or, near the top of the field, wide
+    # Horner for few rows, point-seeded runs for more), a one-trial block of
+    # c = 18 replicas at 10 coefficients (point-seeded at d = 256,
+    # difference-seeded at 1024), a one-row chunk of replicas of 115 at 14,
+    # difference-seeded, in two table chunks from 1,171 coordinates, and
+    # scattered points anywhere in the field
+    def block(rows, degree):
+        seeds = draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                              min_size=rows, max_size=rows))
+        return generator_block(seeds, degree, draw(st.sampled_from(_WORK_RANGES)))
+
+    n = draw(st.sampled_from([256, 1024]))
+    start = draw(st.sampled_from([0, MERSENNE61 - n]))
+    trials = draw(st.integers(min_value=1, max_value=32 if n == 1024 else 128))
+    segment = np.arange(start, start + n, dtype=np.uint64)
+    calls = [(block(2 * trials, 6), np.tile(segment, 2 * trials))]
+    replicas = np.arange(draw(st.sampled_from([256, 1024])) * 18, dtype=np.uint64)
+    calls.append((block(2, 10), np.tile(replicas, 2)))
+    count = draw(st.integers(min_value=1, max_value=1400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    coordinates = np.sort(rng.choice(2**40, size=count, replace=False))
+    calls.append((block(1, 14), _replicas(coordinates, 115)))
+    rows = draw(st.sampled_from([1, 3]))
+    scattered = rng.integers(0, MERSENNE61, size=rows * draw(st.integers(0, 700)), dtype=np.uint64)
+    calls.append((block(rows, draw(st.integers(min_value=1, max_value=16))), scattered))
+    return draw(st.permutations(calls))
+
+
+@settings(max_examples=25, deadline=None)
+@given(calls=work_call_sequences(), fill=st.integers(min_value=0, max_value=2**32))
+def test_work_calls_match_fresh_calls(calls, fill):
+    # one work array, filled with garbage bytes and never cleared, serves
+    # every call; each returns the fresh call's values bit for bit, as a
+    # view of the work array, and so does eval_sign_batch at range 2
+    words = max(kwise.work_size(len(gen), gen.degree, points) for gen, points in calls)
+    work = np.frombuffer(np.random.default_rng(fill).bytes(8 * words), dtype=np.uint64).copy()
+    for gen, points in calls:
+        expected = eval_bucket_batch(gen, points)
+        got = eval_bucket_batch(gen, points, work=work)
+        assert np.shares_memory(got, work) or not points.size
+        assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+        if gen.range_size == 2:
+            signs = eval_sign_batch(gen, points, work=work)
+            assert signs.tobytes() == eval_sign_batch(gen, points).tobytes()
+
+
+def _kernel_paths(gen, points):
+    # the seeds that one call takes, by name
+    with patch.object(kwise, "_difference_table", wraps=kwise._difference_table) as seeded, \
+            patch.object(kwise, "_point_table", wraps=kwise._point_table) as pointed:
+        eval_bucket_batch(gen, points)
+    return seeded.call_count, pointed.call_count
+
+
+def test_work_calls_take_no_point_sized_array():
+    # With a work array the kernel's arrays are all views of it: a call's
+    # traced peak stays below 96 KB (numpy's iterator buffer for a broadcast
+    # operand is up to 64 KB, the scan's run ends a few KB), where its
+    # arrays take 0.4-2.8 MB. The cases take each seed: a trial block's
+    # point seed and Horner, and a replica chunk's difference seed over two
+    # table chunks.
+    rng = np.random.default_rng(29)
+    block = np.tile(np.arange(1024, dtype=np.uint64), 64)
+    chunk = _replicas(np.sort(rng.choice(2**40, size=1300, replace=False)), 115)
+    cases = [(generator_block(range(64), 6, 192), block, (0, 1)),
+             (generator_block(range(6), 6, 192), block[:6 * 1024], (0, 0)),
+             (new_generator(5, 14, 2800), chunk, (2, 0))]
+    for gen, points, paths in cases:
+        assert _kernel_paths(gen, points) == paths
+        work = np.empty(kwise.work_size(len(gen), gen.degree, points), dtype=np.uint64)
+        expected = eval_bucket_batch(gen, points)
+        tracemalloc.start()
+        try:
+            got = eval_bucket_batch(gen, points, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expected)
+        assert peak < 96 * 1024 < work.nbytes // 2
+
+
+def test_work_array_contract_is_checked():
+    # a work array of another type, layout or size, or one that holds the
+    # points, is refused before the kernel writes to it
+    gen = generator_block(range(4), 6, 192)
+    points = np.tile(np.arange(1024, dtype=np.uint64), 4)
+    words = kwise.work_size(4, 6, points)
+    frozen = np.empty(words, dtype=np.uint64)
+    frozen.flags.writeable = False
+    shared = np.empty(words + points.size, dtype=np.uint64)
+    shared[words:] = points
+    for work, message in [
+            (np.empty(words, dtype=np.int64), "writable contiguous 1-D uint64"),
+            (np.empty((2, words), dtype=np.uint64), "writable contiguous 1-D uint64"),
+            (np.empty(2 * words, dtype=np.uint64)[::2], "writable contiguous 1-D uint64"),
+            (frozen, "writable contiguous 1-D uint64"),
+            (shared, "shares no memory with the points"),
+            (np.empty(2 * points.size - 1, dtype=np.uint64), f"needs at least {2 * points.size}"),
+            (np.empty(words - 1, dtype=np.uint64), f"the call needs {words}"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            eval_bucket_batch(gen, shared[words:] if work is shared else points, work=work)
+    assert np.array_equal(eval_bucket_batch(gen, points, work=np.empty(words, dtype=np.uint64)),
+                          eval_bucket_batch(gen, points))
