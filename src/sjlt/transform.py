@@ -25,6 +25,7 @@ from .kwise import (
     generator_block,
     new_generator,
     reduction_bias_bound,
+    work_size,
 )
 from .stats import partitioned_count, wilson_interval
 
@@ -395,10 +396,18 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     T = max(1, 2 * HORNER_BLOCK // max(n, k)) trials. A block expands its T
     bucket seeds and then its T sign seeds into one 2T-row KWiseGenerator of
     range lcm(k, 2), whose values fix both v mod k and v mod 2, and hashes
-    both stacks of trial points in one kernel call. The kernel's fresh output
-    is reduced and summed in place by one 2-D `signed_bucket_sums`, and
-    `hit` maps the block's (T, k) sums to one bool per trial, in trial order.
-    A block's arrays are released before the next block's kernel call.
+    both stacks of trial points in one kernel call. The kernel's output is
+    reduced and summed in place by one 2-D `signed_bucket_sums`, and `hit`
+    maps the block's (T, k) sums to one bool per trial, in trial order.
+
+    Each call of the count function allocates one uint64 work array before
+    its first block, sized by `work_size` for its full blocks and for its
+    last, shorter one, whose run length may differ. Every block's kernel call
+    takes all of its arrays, and returns its values, as views of it, so a
+    block allocates nothing larger than its (T, k) sums, and the blocks
+    reuse the work array's pages where separate arrays would each be mapped
+    afresh. The work array belongs to that call alone, so calls from several
+    threads each use their own.
     """
     k, degree, n = spec.k, spec.independence_degree, points.size
     # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
@@ -408,17 +417,23 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     # any prefix of 2T periods is the points of a 2T-row stack
     tiled = np.tile(points, 2 * rows)
 
-    def block_hits(first: int, stop: int) -> int:
+    def block_hits(first: int, stop: int, work: np.ndarray) -> int:
         trials = np.arange(first, stop, dtype=np.uint64)
         block = generator_block(seeds + trials, degree, range_size)
-        buckets, sign_bits = eval_bucket_batch(block, tiled[:2 * trials.size * n]).reshape(
-            2, trials.size, n)
+        buckets, sign_bits = eval_bucket_batch(
+            block, tiled[:2 * trials.size * n], work=work).reshape(2, trials.size, n)
         if k % 2:
             np.remainder(buckets, k, out=buckets)
         return int(np.count_nonzero(hit(signed_bucket_sums(buckets, sign_bits, weights, k))))
 
     def count(start: int, stop: int) -> int:
-        return sum(block_hits(first, min(first + rows, stop)) for first in range(start, stop, rows))
+        # the trial counts of the full blocks and of the last block
+        total = max(0, stop - start)
+        sizes = {min(rows, total), total % rows} - {0}
+        work = np.empty(max((work_size(2 * t, degree, tiled[:2 * t * n]) for t in sizes),
+                            default=0), dtype=np.uint64)
+        return sum(block_hits(first, min(first + rows, stop), work)
+                   for first in range(start, stop, rows))
 
     return count
 

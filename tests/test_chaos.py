@@ -909,11 +909,11 @@ def test_trial_block_is_one_kernel_call(monkeypatch):
     calls = []
     original = sjlt.transform.eval_bucket_batch
 
-    def counted(gen, points):
+    def counted(gen, points, **kwargs):
         calls.append(len(points))
-        return original(gen, points)
+        return original(gen, points, **kwargs)
 
-    def refused(gen, points):
+    def refused(gen, points, **kwargs):
         raise AssertionError("eval_sign_batch called on the trial path")
 
     monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", counted)
