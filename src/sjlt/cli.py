@@ -5,7 +5,9 @@ configuration. All randomness enters through explicit seeds, so identical
 invocations produce identical payloads (graph-count's elapsed_ms column is the
 one timing field and is excluded from that guarantee; every row of a report
 carries the time of the one pass that counted them all). Errors print a single
-machine-readable line `error: <code>: <message>` to stderr and exit nonzero.
+machine-readable line `error: <code>: <message>` to stderr and exit nonzero, and
+nothing else. A call that succeeds then writes each warning that the filters let
+through as one line `warning: <kind>: <message>`, e.g. `warning: assumption: ...`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .chaos import (ChaosInstance, MomentReport, TailReport, check_moment_report, moment_report,
@@ -278,7 +281,9 @@ def main(argv=None) -> int:
         _fail("usage", "a subcommand is required")
         return 2
     try:
-        return args.func(args)
+        # recorded, not filtered: the caller's filters decide what is recorded
+        with warnings.catch_warnings(record=True) as caught:
+            code = args.func(args)
     except _VerifyError as exc:
         return _fail("verify-failed", str(exc))
     except FileNotFoundError as exc:
@@ -291,6 +296,10 @@ def main(argv=None) -> int:
         return _fail("invalid-parameter", str(exc))
     except OSError as exc:
         return _fail("io-error", str(exc))
+    for warning in caught:
+        kind = warning.category.__name__.removesuffix("Warning").lower()
+        print(f"warning: {kind}: {warning.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

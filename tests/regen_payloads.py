@@ -2,14 +2,19 @@
 
 Each line of tests/fixtures/payloads.txt holds one call, tab-separated: the
 argv, the exit code, the sha256 of the payload (the `--out` file when the call
-names one, else stdout) and, when the call wrote any, its stderr line.
+names one, else stdout) and, when the call wrote any, its one stderr line.
 graph-count's elapsed_ms column is blanked before hashing: it is the one
 timing field of any report. `{dir}` in an argv stands for a fresh directory
 that holds the input files below; calls run in order there, so a `verify`
 call reads the report an earlier call wrote.
 
-tests/test_payloads.py compares the corpus with the calls it never rewrites.
-Rewrite it only when a payload is meant to change, and list the moved lines:
+Every call runs under the warning filters that a fresh interpreter starts
+with, so the stderr field is what a user sees. tests/test_payloads.py replays
+the calls in its own process and compares them with the corpus, which it never
+rewrites. Run as a script, this file replays every call as `python -m sjlt.cli`
+in a process of its own (about 20 s) and rewrites the corpus; the two replays
+must agree. Rewrite it only when a payload is meant to change, and list the
+moved lines:
 
     PYTHONPATH=src python tests/regen_payloads.py
 """
@@ -19,15 +24,21 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+import sjlt
 from sjlt.cli import main
 
 CORPUS = Path(__file__).resolve().parent / "fixtures" / "payloads.txt"
+# the directory this process imports sjlt from; the fresh processes import it from there too
+_IMPORT_ROOT = Path(sjlt.__file__).resolve().parents[1]
 
 
 def _input_files() -> dict[str, str]:
@@ -73,6 +84,8 @@ def _input_files() -> dict[str, str]:
 
 
 _SPEC = ["--epsilon", "0.25", "--delta", "0.05"]
+# 2^40 apart, far more than any call's trials
+_FAR_SEEDS = ["--bucket-seed", "1", "--sign-seed", "1099511627777"]
 # k = 16 and degree 2: about half of the trials fail, so each trial's seeds show
 _LOOSE_SPEC = ["--epsilon", "0.5", "--delta", "0.5"]
 _TRANSFORM = ["transform", "--d", "4096", "--epsilon", "0.5", "--delta", "1e-3",
@@ -88,6 +101,8 @@ def calls() -> list[list[str]]:
         for i_max in range(1, 9):
             out.append(["graph-count", "--m", str(m), "--i-max", str(i_max)])
     out.append(["graph-count", "--m", "2", "--i-max", "4", "--out", "{dir}/g.csv"])
+    # the class tables past the benchmark's i <= 6, written to a file
+    out.append(["graph-count", "--m", "3", "--i-max", "8", "--out", "{dir}/g8.csv"])
     for n, (d, k, m) in enumerate(_ORACLE_CELLS):
         out.append(["moment-report", "--d", str(d), "--k", str(k), "--m", str(m),
                     "--seed", str(1000 + n)])
@@ -97,6 +112,12 @@ def calls() -> list[list[str]]:
                 "--seed", "5"])
     out.append(["moment-report", "--d", "3", "--k", "2", "--m", "1", "--trials", "2000",
                 "--seed", "5", "--out", "{dir}/r.csv"])
+    # m = 6: the bound's class table fits its budget, though the census
+    # budget would refuse its 6^12 sequences
+    out.append(["moment-report", "--d", "3", "--k", "2", "--m", "6", "--trials", "2000",
+                "--out", "{dir}/r36.csv"])
+    # 2 Monte Carlo rows of 2*10^6 bucket sums each, summed without a loop over k
+    out.append(["moment-report", "--d", "1", "--k", "2000000", "--m", "1", "--trials", "2"])
     # the cap C against max x_i^2 = 1/2: below it, at it (the default) and above it
     for cap in ("1.5", "2", "10", "1e9"):
         out.append(["moment-report", "--d", "2", "--k", "100", "--m", "2", "--C", cap])
@@ -110,6 +131,10 @@ def calls() -> list[list[str]]:
         out.append(["tail-estimate", "--d", "16", *_SPEC, "--trials", "1000", *seed_flags])
     out.append(["tail-estimate", "--d", "16", *_SPEC, "--trials", "1000",
                 "--bucket-seed", "3", "--sign-seed", "4", "--out", "{dir}/t.csv"])
+    # trial reports at the benchmark's sizes: 240 trials in blocks at d = 1024,
+    # 1300 at d = 256
+    out.append(["distortion-bench", "--d", "1024", *_SPEC, "--trials", "240", *_FAR_SEEDS])
+    out.append(["tail-estimate", "--d", "256", *_SPEC, "--trials", "1300", *_FAR_SEEDS])
     for name in ("short", "long"):
         out.append(_TRANSFORM + ["--in", f"{{dir}}/{name}.txt", "--out", f"{{dir}}/{name}.out"])
     # long.txt at degree 10 (c = 18, one chunk of 1638 coordinates) and at
@@ -127,15 +152,20 @@ def calls() -> list[list[str]]:
                 "--sign-seed", "1000000007", "--in", "{dir}/edges.txt", "--out", "{dir}/edges.out"])
     # --out - writes to stdout: the payload of short.out again
     out.append(_TRANSFORM + ["--in", "{dir}/short.txt", "--out", "-"])
-    for name in ("g.csv", "r.csv", "t.csv", "long.out", "corrupt.csv", "absent.csv"):
+    for name in ("g.csv", "g8.csv", "r.csv", "r36.csv", "t.csv", "long.out", "corrupt.csv",
+                 "absent.csv"):
         out.append(["verify", f"{{dir}}/{name}"])
     out.append(["--verify", "{dir}/short.out"])
-    # refusals: budgets, then invalid parameters
+    # budgets: every call here is refused but m = 4 at d = 3, which the class
+    # counts' own table budget admits; then invalid parameters, all refused
     out += [
         ["moment-report", "--d", "14", "--k", "2", "--m", "1"],
         ["moment-report", "--d", "8", "--k", "1", "--m", "3"],
         ["moment-report", "--d", "3", "--k", "2", "--m", "4"],
         ["graph-count", "--m", "8000", "--i-max", "3"],
+        # every other budget admits k = 5*10^7 at d = 1; the Monte Carlo's
+        # 4096*k bucket sums do not
+        ["moment-report", "--d", "1", "--k", "50000000", "--m", "22"],
         ["moment-report", "--d", "0", "--k", "2", "--m", "1"],
         ["moment-report", "--d", "3", "--k", "2", "--m", "0"],
         ["moment-report", "--d", "3", "--k", "2", "--m", "1", "--C", "nan"],
@@ -178,30 +208,47 @@ def _payload(argv: list[str], stdout: str) -> bytes:
     return payload.encode("ascii")
 
 
-def run_call(argv: list[str], workdir: Path) -> str:
-    """The corpus line of one call, run in this process in `workdir`."""
-    concrete = [arg.replace("{dir}", str(workdir)) for arg in argv]
+def _in_process(args: list[str]) -> tuple[int, str, str]:
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
-        # AssumptionWarning is advisory and reaches stderr only outside pytest
-        warnings.simplefilter("ignore")
-        code = main(concrete)
+        # Python's default filters, as a fresh interpreter without -W sets them
+        warnings.resetwarnings()
+        for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                         ResourceWarning):
+            warnings.simplefilter("ignore", category)
+        code = main(args)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _fresh_process(args: list[str]) -> tuple[int, str, str]:
+    path = os.pathsep.join(filter(None, [str(_IMPORT_ROOT), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "sjlt.cli", *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    return done.returncode, done.stdout.decode("ascii"), done.stderr.decode("utf-8")
+
+
+def run_call(argv: list[str], workdir: Path, fresh: bool = False) -> str:
+    """The corpus line of one call, run in `workdir`: in this process, or in a
+    fresh `python -m sjlt.cli` process when `fresh`."""
+    concrete = [arg.replace("{dir}", str(workdir)) for arg in argv]
+    code, stdout, stderr = (_fresh_process if fresh else _in_process)(concrete)
     fields = [" ".join(argv), str(code),
-              hashlib.sha256(_payload(concrete, stdout.getvalue())).hexdigest()]
-    error = stderr.getvalue().replace(str(workdir), "{dir}").rstrip("\n")
-    if error:
-        fields.append(error)
-    return "\t".join(fields)
+              hashlib.sha256(_payload(concrete, stdout)).hexdigest()]
+    # one tab-separated line per call holds at most one stderr line
+    lines = stderr.replace(str(workdir), "{dir}").splitlines()
+    if len(lines) > 1:
+        raise ValueError(f"{fields[0]!r} wrote {len(lines)} stderr lines: {lines!r}")
+    return "\t".join(fields + lines)
 
 
-def corpus_lines() -> list[str]:
+def corpus_lines(fresh: bool = False) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for name, text in _input_files().items():
             (workdir / name).write_text(text, encoding="ascii")
-        return [run_call(argv, workdir) for argv in calls()]
+        return [run_call(argv, workdir, fresh) for argv in calls()]
 
 
 if __name__ == "__main__":
-    CORPUS.write_text("\n".join(corpus_lines()) + "\n", encoding="ascii")
+    CORPUS.write_text("\n".join(corpus_lines(fresh=True)) + "\n", encoding="ascii")

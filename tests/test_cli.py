@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import sjlt.transform
 from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
 from sjlt.kwise import _run_length, eval_bucket, eval_sign
-from sjlt.transform import (DistortionReport, _replicas, apply, bucket_generator, derive_spec,
+from sjlt.transform import (AssumptionWarning, DistortionReport, _replicas, apply, bucket_generator, derive_spec,
                             format_dense_vector, parse_sparse_vector, sign_generator)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -33,7 +34,6 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_transform_example(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0\n")
@@ -42,7 +42,7 @@ def test_transform_example(tmp_path, capsys):
             "--bucket-seed", "1", "--sign-seed", "2",
             "--in", str(infile), "--out", str(out)]
     code, _, err = run(argv, capsys)
-    assert code == 0, err
+    assert (code, err) == (0, "")
     lines = out.read_text().splitlines()
     assert len(lines) == 1
     values = [float(v) for v in lines[0].split(",")]
@@ -52,7 +52,6 @@ def test_transform_example(tmp_path, capsys):
     assert sum(abs(2.0 * v) for v in values) <= 4
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_transform_bitwise_reproducible(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0,2:-0.5\n4;1:2.25\n")
@@ -106,7 +105,6 @@ def test_transform_output_matches_apply_byte_for_byte(tmp_path, capsys):
         assert _run_length(points, 1, spec.independence_degree) == length
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
     # 50 entries of 1e308 put 5750 replicas in 2800 buckets: some sums overflow
     d = 2 ** 20
@@ -117,10 +115,10 @@ def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
     assert err == "error: invalid-parameter: dense vector entries must be finite\n"
     assert not out.exists()
     # a fresh process prints every warning pytest would capture: stderr holds
-    # the error line alone, no RuntimeWarning from the overflowing sums (the
-    # parameters' AssumptionWarning, a UserWarning, is silenced)
+    # the error line alone, neither the parameters' AssumptionWarning nor a
+    # RuntimeWarning from the overflowing sums
     done = subprocess.run(
-        [sys.executable, "-W", "ignore::UserWarning", "-m", "sjlt.cli", "transform",
+        [sys.executable, "-m", "sjlt.cli", "transform",
          "--d", str(d), "--epsilon", "0.1", "--delta", "1e-3", "--bucket-seed", "1234567",
          "--sign-seed", "7654321", "--in", str(infile), "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -129,7 +127,6 @@ def test_transform_refuses_an_overflowing_projection(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_transform_refuses_a_mismatched_dimension(tmp_path, capsys):
     # the second vector's dimension differs from --d: nothing is written
     infile, out = tmp_path / "v.txt", tmp_path / "y.txt"
@@ -190,7 +187,6 @@ def test_moment_report_row(tmp_path, capsys):
     assert float(cells[7]) == pytest.approx(1.0, rel=1e-12)   # 2/k at C=d=2
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_distortion_bench_deterministic(tmp_path, capsys):
     argv = ["distortion-bench", "--d", "32", "--epsilon", "0.5", "--delta", "0.2",
             "--trials", "64", "--bucket-seed", "3", "--sign-seed", "4"]
@@ -203,7 +199,6 @@ def test_distortion_bench_deterministic(tmp_path, capsys):
     assert texts[0].splitlines()[1].startswith("d,k,c,m,epsilon,delta,trials,failures")
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_tail_estimate_report(tmp_path, capsys):
     out = tmp_path / "tail.csv"
     code, _, err = run(["tail-estimate", "--d", "16", "--epsilon", "0.5",
@@ -276,7 +271,6 @@ def test_missing_input_error_line(tmp_path, capsys):
     assert err.startswith("error: missing-input:")
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_output_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
     infile = tmp_path / "v.txt"
     infile.write_text("4;0:1.0\n")
@@ -287,10 +281,10 @@ def test_output_in_a_missing_directory_is_an_io_error(tmp_path, capsys):
     code, _, err = run(["graph-count", "--m", "1", "--i-max", "2", "--out", str(out)], capsys)
     assert (code, err) == (1, f"error: io-error: {message}\n")
     # a missing input is still named as one, whatever the output
-    code, _, err = _transform(tmp_path / "absent.txt", out, capsys, d=4, epsilon="0.5",
-                              delta="0.5")
-    assert code == 1
-    assert err.startswith("error: missing-input:")
+    absent = tmp_path / "absent.txt"
+    code, _, err = _transform(absent, out, capsys, d=4, epsilon="0.5", delta="0.5")
+    assert (code, err) == (1, f"error: missing-input: [Errno 2] No such file or directory: "
+                              f"'{absent}'\n")
 
 
 def test_transform_out_dash_writes_stdout(tmp_path, capsys, monkeypatch):
@@ -335,15 +329,21 @@ def test_transform_refuses_a_bad_parameter_before_opening_the_input(tmp_path, ca
     assert err == "error: invalid-parameter: epsilon must lie in (0, 1)\n"
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-@pytest.mark.parametrize("kappa", [("--kappa-k", "inf"), ("--kappa-m", "inf"),
-                                   ("--kappa-m", "nan"), ("--kappa-c", "1e308")])
+_NOT_FINITE = "kappa constants must be finite and positive"
+
+
+@pytest.mark.parametrize("kappa", [
+    ("--kappa-k", "inf", _NOT_FINITE), ("--kappa-m", "inf", _NOT_FINITE),
+    ("--kappa-m", "nan", _NOT_FINITE),
+    ("--kappa-c", "1e308",
+     "kappa constants too large for epsilon=0.5, delta=0.2: m, k or c is not finite"),
+])
 def test_non_finite_kappa_error_line(capsys, kappa):
+    flag, value, message = kappa
     code, _, err = run(["distortion-bench", "--d", "16", "--epsilon", "0.5", "--delta", "0.2",
                         "--trials", "10", "--bucket-seed", "1", "--sign-seed", "2",
-                        *kappa, "--out", "-"], capsys)
-    assert code == 1
-    assert err.startswith("error: invalid-parameter:")
+                        flag, value, "--out", "-"], capsys)
+    assert (code, err) == (1, f"error: invalid-parameter: {message}\n")
 
 
 @pytest.mark.parametrize("epsilon, delta, message", [
@@ -397,7 +397,6 @@ def test_cap_above_the_vector_rejected_before_any_phase(monkeypatch, capsys, cap
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
     # d = 2^55 gives c = 531, so d * c exceeds 2^61 - 1 (and wraps uint64)
     d = 2 ** 55
@@ -407,8 +406,8 @@ def test_replica_points_beyond_the_field_rejected(tmp_path, capsys):
     code, _, err = run(["transform", "--d", str(d), "--epsilon", "0.1", "--delta", "1e-6",
                         "--bucket-seed", "1", "--sign-seed", "2",
                         "--in", str(infile), "--out", str(out)], capsys)
-    assert code == 1
-    assert err.startswith("error: invalid-parameter:")
+    assert (code, err) == (1, "error: invalid-parameter: d * c = 19131291217069867008 exceeds "
+                              "the field size 2^61 - 1\n")
     assert not out.exists()
 
 
@@ -604,7 +603,6 @@ def test_per_command_parser_matches_the_full_parser(monkeypatch, capsys, argv):
     assert lazy[0] != 0 or argv[-1] == "-h" or argv in PARSED_CASES
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 @pytest.mark.parametrize("command", ["transform", "distortion-bench", "tail-estimate"])
 def test_equal_seeds_rejected(tmp_path, capsys, command):
     # seeds congruent mod 2^64 expand into the same polynomial, so pairs that
@@ -618,10 +616,33 @@ def test_equal_seeds_rejected(tmp_path, capsys, command):
             argv += ["--in", str(infile), "--out", str(tmp_path / "y.txt")]
         else:
             argv += ["--trials", "1000", "--out", "-"]
-        code, out, err = run(argv, capsys)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: invalid-parameter:")
-        assert ("[0, 2^64)" in err) == (bucket_seed != sign_seed)
+        message = ("must lie in [0, 2^64)" if bucket_seed != sign_seed else "must differ")
+        assert run(argv, capsys) == (
+            1, "", f"error: invalid-parameter: bucket_seed and sign_seed {message}\n")
+
+
+# epsilon = 0.5 lies outside epsilon <= ln(1/delta)^-2 = 0.386 at delta = 0.2
+_WARNED = ["tail-estimate", "--d", "16", "--epsilon", "0.5", "--delta", "0.2", "--trials",
+           "1000", "--out", "-"]
+
+
+@pytest.mark.parametrize("seeds, ignored, code, err", [
+    (("1", "2"), False, 0, "warning: assumption: epsilon=0.5 exceeds ln(1/delta)^-2=0.386057; "
+                           "the distortion guarantee weakens in this regime\n"),
+    (("1", "1"), False, 1, "error: invalid-parameter: bucket_seed and sign_seed must differ\n"),
+    (("1", "2"), True, 0, ""),
+], ids=["answered", "refused", "ignored"])
+def test_a_warning_is_one_line_after_success_under_the_active_filters(capsys, seeds, ignored,
+                                                                      code, err):
+    # the CLI records warnings under the caller's filters and writes them only
+    # once the call has succeeded; a refusal writes its error line alone
+    argv = _WARNED + ["--bucket-seed", seeds[0], "--sign-seed", seeds[1]]
+    with warnings.catch_warnings():
+        if ignored:
+            warnings.simplefilter("ignore", AssumptionWarning)
+        result, out, stderr = run(argv, capsys)
+    assert (result, stderr) == (code, err)
+    assert out.splitlines()[1:2] == ([",".join(TailReport.CSV_COLUMNS)] if code == 0 else [])
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -691,7 +712,6 @@ def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     assert callable(sjlt.graphs._census.cache_clear)
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_benchmark_binds_names_outside_the_tracer(monkeypatch, tmp_path, capsys):
     # bench/run.py, workloads.py and reference.py reach sjlt names directly,
     # outside the tracer's patch table: the CLI entry point, the warning class
