@@ -135,6 +135,13 @@ def calls() -> list[list[str]]:
     # 1300 at d = 256
     out.append(["distortion-bench", "--d", "1024", *_SPEC, "--trials", "240", *_FAR_SEEDS])
     out.append(["tail-estimate", "--d", "256", *_SPEC, "--trials", "1300", *_FAR_SEEDS])
+    # k = 9 and degree 10 at c = 2 and c = 18, where 1/sqrt(c) is not exact:
+    # these lines pin how each trial report rounds its scale
+    for kappa_c in ("0.2", "2.0"):
+        for command in ("distortion-bench", "tail-estimate"):
+            out.append([command, "--d", "24", "--epsilon", "0.25", "--delta", "0.01",
+                        "--kappa-k", "0.11", "--kappa-c", kappa_c, "--trials", "2000",
+                        *_FAR_SEEDS])
     for name in ("short", "long"):
         out.append(_TRANSFORM + ["--in", f"{{dir}}/{name}.txt", "--out", f"{{dir}}/{name}.out"])
     # long.txt at degree 10 (c = 18, one chunk of 1638 coordinates) and at
