@@ -7,7 +7,8 @@ one timing field and is excluded from that guarantee; every row of a report
 carries the time of the one pass that counted them all). Errors print a single
 machine-readable line `error: <code>: <message>` to stderr and exit nonzero, and
 nothing else. A call that succeeds then writes each warning that the filters let
-through as one line `warning: <kind>: <message>`, e.g. `warning: assumption: ...`.
+through as one line `warning: <kind>: <message>`, e.g. `warning: assumption: ...`;
+a warning that the filters raise is a refusal, `error: <kind>: <message>`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ class _VerifyError(ValueError):
 def _fail(code: str, message: str) -> int:
     print(f"error: {code}: {message}", file=sys.stderr)
     return 1
+
+
+def _warning_kind(category: type[Warning]) -> str:
+    return category.__name__.removesuffix("Warning").lower()  # AssumptionWarning: assumption
 
 
 def _format_value(value) -> str:
@@ -173,19 +178,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_kappa_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa-m", type=float, default=DEFAULT_KAPPA[0])
-    parser.add_argument("--kappa-k", type=float, default=DEFAULT_KAPPA[1])
-    parser.add_argument("--kappa-c", type=float, default=DEFAULT_KAPPA[2])
-
-
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--d", type=int, required=True)
     parser.add_argument("--epsilon", type=float, required=True)
     parser.add_argument("--delta", type=float, required=True)
     parser.add_argument("--bucket-seed", type=int, required=True)
     parser.add_argument("--sign-seed", type=int, required=True)
-    _add_kappa_flags(parser)
+    for flag, default in zip(("--kappa-m", "--kappa-k", "--kappa-c"), DEFAULT_KAPPA):
+        parser.add_argument(flag, type=float, default=default)
 
 
 def _transform_flags(parser: argparse.ArgumentParser) -> None:
@@ -296,9 +296,10 @@ def main(argv=None) -> int:
         return _fail("invalid-parameter", str(exc))
     except OSError as exc:
         return _fail("io-error", str(exc))
+    except Warning as exc:  # raised by the caller's filters, e.g. -W error::UserWarning
+        return _fail(_warning_kind(type(exc)), str(exc))
     for warning in caught:
-        kind = warning.category.__name__.removesuffix("Warning").lower()
-        print(f"warning: {kind}: {warning.message}", file=sys.stderr)
+        print(f"warning: {_warning_kind(warning.category)}: {warning.message}", file=sys.stderr)
     return code
 
 

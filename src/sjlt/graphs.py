@@ -94,16 +94,6 @@ def weight(graph: Multigraph, x: Sequence[float], k: int) -> float:
     return total
 
 
-def squares(vertices, x: Sequence[float]) -> float:
-    """Product of squared coefficients over a vertex set; empty product is 1."""
-    out = 1.0
-    for v in vertices:
-        if not 1 <= v <= len(x):
-            raise ValueError(f"vertex {v} outside the coefficient vector")
-        out *= x[v - 1] ** 2
-    return out
-
-
 def check_power_budget(base: int, exponent: int, budget: int, refusal: str) -> int:
     """The size base^exponent of an enumeration, refused above `budget` by a
     message that names it as base^exponent. A size whose bit length alone

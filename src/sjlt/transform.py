@@ -134,11 +134,6 @@ class SparseVector:
     def norm(self) -> float:
         return math.sqrt(math.fsum(v * v for v in self._arrays[1].tolist()))
 
-    def to_dense(self) -> DenseVector:
-        out = np.zeros(self.dim)
-        out[self._arrays[0]] = self._arrays[1]
-        return DenseVector(out.tolist())
-
     @classmethod
     def from_dense(cls, values) -> "SparseVector":
         dense = np.fromiter(map(float, values), dtype=np.float64)
@@ -224,18 +219,13 @@ def parse_sparse_vector(line: str) -> SparseVector:
     return SparseVector._from_arrays(int(head), *arrays)
 
 
-def format_sparse_vector(x: SparseVector) -> str:
-    body = ",".join(f"{i}:{v:.17g}" for i, v in x.entries)
-    return f"{x.dim};{body}"
-
-
 def read_sparse_vectors(path) -> list[SparseVector]:
     with open(path, "r", encoding="ascii") as fh:
         return [parse_sparse_vector(line) for line in fh if line.strip()]
 
 
-def format_dense_vector(y: DenseVector) -> str:
-    return ",".join(f"{v:.17g}" for v in y.values)
+def format_dense_vector(values: Iterable[float]) -> str:
+    return ",".join(f"{v:.17g}" for v in values)
 
 
 def write_dense_vectors(path, rows) -> None:
@@ -511,9 +501,9 @@ def apply_rows(spec: TransformSpec, vectors) -> np.ndarray:
     return rows
 
 
-def apply(spec: TransformSpec, x: SparseVector) -> DenseVector:
-    """Apply the sampled transform to one vector: the one-row apply_rows."""
-    return DenseVector(apply_rows(spec, [x])[0].tolist())
+def apply(spec: TransformSpec, x: SparseVector) -> np.ndarray:
+    """Apply the sampled transform to one vector: apply_rows' one (k,) float64 row."""
+    return apply_rows(spec, [x])[0]
 
 
 def materialize(spec: TransformSpec) -> np.ndarray:
@@ -525,15 +515,6 @@ def materialize(spec: TransformSpec) -> np.ndarray:
     # unbuffered, in point order: replicas of a column add in replica order
     np.add.at(out, (buckets, np.repeat(np.arange(spec.d), spec.c)), signs / math.sqrt(spec.c))
     return out
-
-
-def column_structure(spec: TransformSpec, column: int) -> list[tuple[int, int]]:
-    """(bucket, sign) contribution of each replica of one input coordinate."""
-    if not 0 <= column < spec.d:
-        raise ValueError(f"column {column} out of range")
-    points = np.arange(column * spec.c, (column + 1) * spec.c, dtype=np.uint64)
-    return list(zip(eval_bucket_batch(bucket_generator(spec), points).tolist(),
-                    eval_sign_batch(sign_generator(spec), points).tolist()))
 
 
 def _distortion_norm(spec: TransformSpec, x: SparseVector) -> float:

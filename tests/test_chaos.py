@@ -774,9 +774,9 @@ def test_tail_matches_distortion_ratio():
     d = 64
     spec = TransformSpec(d=d, epsilon=0.25, delta=0.1, m=3, k=48, c=2,
                          bucket_seed=5, sign_seed=6, independence_degree=6)
-    x = SparseVector.from_dense(DenseVector.uniform(d).values)
-    ratio = distortion_trial(spec, x)
-    replicated = duplicate_rescale(x.to_dense().to_numpy(), spec.c)
+    dense = DenseVector.uniform(d).to_numpy()
+    ratio = distortion_trial(spec, SparseVector.from_dense(dense))
+    replicated = duplicate_rescale(dense, spec.c)
     points = np.arange(replicated.size, dtype=np.uint64)
     bucket_gen = new_generator(spec.bucket_seed, spec.independence_degree, spec.k)
     sign_gen = new_generator(spec.sign_seed, spec.independence_degree, 2)

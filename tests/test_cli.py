@@ -645,6 +645,18 @@ def test_a_warning_is_one_line_after_success_under_the_active_filters(capsys, se
     assert out.splitlines()[1:2] == ([",".join(TailReport.CSV_COLUMNS)] if code == 0 else [])
 
 
+def test_a_warning_the_filters_raise_is_one_refusal_line():
+    # -W error::UserWarning turns the AssumptionWarning into an exception; the
+    # corpus replays under default filters, so a fresh process checks this
+    done = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-m", "sjlt.cli", *_WARNED,
+         "--bucket-seed", "1", "--sign-seed", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == ("error: assumption: epsilon=0.5 exceeds ln(1/delta)^-2=0.386057; "
+                           "the distortion guarantee weakens in this regime\n")
+
+
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_benchmark_tracer_patches_bound_names(capsys, monkeypatch, tmp_path):
     # The benchmark's tracer patches sjlt functions by module attribute name;

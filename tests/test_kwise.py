@@ -524,8 +524,8 @@ def _replicas(coordinates, c):
 
 def test_path_rule_follows_the_measured_break_even():
     # c = 115 replicas at 14 coefficients, at scattered coordinates: Horner
-    # below 73 runs (one run is what a 1-nnz apply and column_structure
-    # hash; measured break-even 64-96), differences over runs of 115 from
+    # below 73 runs (one run is what a 1-nnz apply hashes; measured
+    # break-even 64-96), differences over runs of 115 from
     # there; empty calls and degree 1 always take Horner
     def scattered(runs, c):
         return _replicas(np.arange(runs) * 3, c)
