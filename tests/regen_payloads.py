@@ -14,7 +14,8 @@ the calls in its own process and compares them with the corpus, which it never
 rewrites. Run as a script, this file replays every call as `python -m sjlt.cli`
 in a process of its own (about 20 s) and rewrites the corpus; the two replays
 must agree. Rewrite it only when a payload is meant to change, and list the
-moved lines:
+moved lines; the script prints the argv of every call whose line it moves,
+adds or removes, one per line after `moved: `, `added: ` or `removed: `:
 
     PYTHONPATH=src python tests/regen_payloads.py
 """
@@ -142,6 +143,12 @@ def calls() -> list[list[str]]:
             out.append([command, "--d", "24", "--epsilon", "0.25", "--delta", "0.01",
                         "--kappa-k", "0.11", "--kappa-c", kappa_c, "--trials", "2000",
                         *_FAR_SEEDS])
+    # every trial fails, then none does: the Wilson interval must end exactly at 1 and at 0
+    wilson_seeds = ["--bucket-seed", "1", "--sign-seed", "99999"]
+    out.append(["distortion-bench", "--d", "64", "--epsilon", "0.01", "--delta", "0.2",
+                "--kappa-k", "0.0001", *wilson_seeds, "--trials", "10"])
+    out.append(["distortion-bench", "--d", "64", "--epsilon", "0.5", "--delta", "0.2",
+                *wilson_seeds, "--trials", "100"])
     for name in ("short", "long"):
         out.append(_TRANSFORM + ["--in", f"{{dir}}/{name}.txt", "--out", f"{{dir}}/{name}.out"])
     # long.txt at degree 10 (c = 18, one chunk of 1638 coordinates) and at
@@ -257,5 +264,20 @@ def corpus_lines(fresh: bool = False) -> list[str]:
         return [run_call(argv, workdir, fresh) for argv in calls()]
 
 
+def changed_calls(old: list[str], new: list[str]) -> list[str]:
+    """`moved: <argv>`, `added: <argv>` or `removed: <argv>` for every call
+    whose line differs between corpora `old` and `new`: the new corpus's calls
+    in its order, then the removed ones in the old order."""
+    before = dict(line.split("\t", 1) for line in old)
+    after = dict(line.split("\t", 1) for line in new)
+    changed = [f"{'moved' if argv in before else 'added'}: {argv}"
+               for argv, fields in after.items() if before.get(argv) != fields]
+    return changed + [f"removed: {argv}" for argv in before if argv not in after]
+
+
 if __name__ == "__main__":
-    CORPUS.write_text("\n".join(corpus_lines(fresh=True)) + "\n", encoding="ascii")
+    replaced = CORPUS.read_text(encoding="ascii").splitlines() if CORPUS.exists() else []
+    lines = corpus_lines(fresh=True)
+    CORPUS.write_text("\n".join(lines) + "\n", encoding="ascii")
+    for change in changed_calls(replaced, lines):
+        print(change)

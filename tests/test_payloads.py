@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import regen_payloads
-from regen_payloads import CORPUS, corpus_lines, run_call
+from regen_payloads import CORPUS, changed_calls, corpus_lines, run_call
 
 
 def test_payloads_match_the_golden_corpus():
@@ -23,3 +23,10 @@ def test_a_call_writing_two_stderr_lines_is_refused(monkeypatch, tmp_path):
     monkeypatch.setattr(regen_payloads, "main", two_lines)
     with pytest.raises(ValueError, match="'verify' wrote 2 stderr lines"):
         run_call(["verify"], tmp_path)
+
+
+def test_changed_calls_name_every_moved_added_and_removed_call():
+    old = ["a --x 1\t0\tdigest", "b\t0\tdigest", "c\t1\tdigest\terror: e", "d\t0\tdigest"]
+    new = ["a --x 1\t0\tdigest", "e\t0\tdigest", "b\t0\tother", "c\t1\tdigest"]
+    assert changed_calls(old, new) == ["added: e", "moved: b", "moved: c", "removed: d"]
+    assert changed_calls(new, new) == []
