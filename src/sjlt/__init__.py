@@ -3,7 +3,6 @@
 from .graphs import BudgetExceededError
 from .kwise import KWiseGenerator, PrimeField, new_generator
 from .transform import (
-    DenseVector,
     SparseVector,
     TransformSpec,
     apply,
@@ -14,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "DenseVector",
     "KWiseGenerator",
     "PrimeField",
     "SparseVector",

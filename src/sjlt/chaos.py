@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import ClassVar
@@ -34,14 +34,14 @@ from .graphs import (
 from .kwise import eval_bucket_batch, eval_sign_batch, new_generator  # noqa: F401
 from .stats import partitioned_count
 from .transform import (
-    DenseVector,
+    SparseVector,
     TransformSpec,
     _trial_report,
-    duplicate_rescale,
     row_squares,
     signed_bucket_sums,
     trial_counter,
-    uniform_values,
+    trial_inputs,
+    uniform_vector,
 )
 
 SEQUENCE_ENUM_BUDGET = 10 ** 8
@@ -51,24 +51,33 @@ _GRAPH_CACHE_LIMIT = 200_000
 
 @dataclass(frozen=True)
 class ChaosInstance:
-    """A unit vector and the bucket count; the bound's cap C is checked against x."""
+    """A unit vector and the bucket count; the bound's cap C is checked against x.
+
+    `dense`, x's d entries as Python floats, zeros included, is built once
+    here; every oracle reads x through it.
+    """
 
     k: int
-    x: DenseVector
+    x: SparseVector
+    dense: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.d < 1 or self.k < 1:
-            raise ValueError("d and k must be positive")
+        if self.k < 1:
+            raise ValueError("k must be positive")
         if abs(self.x.norm() - 1.0) > 1e-12:
             raise ValueError("x must be a unit vector")
+        indices, values = self.x._arrays
+        dense = np.zeros(self.d)
+        dense[indices] = values
+        object.__setattr__(self, "dense", tuple(dense.tolist()))
 
     @property
     def d(self) -> int:
-        return len(self.x)
+        return self.x.dim
 
     @classmethod
     def uniform(cls, d: int, k: int) -> "ChaosInstance":
-        return cls(k=k, x=DenseVector.uniform(d))
+        return cls(k=k, x=uniform_vector(d))
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ def chaos_value(inst: ChaosInstance, assignment: RandomnessAssignment) -> float:
         raise ValueError("assignment length must match d")
     if any(b >= inst.k for b in assignment.buckets):
         raise ValueError("bucket values must lie below k")
-    return _pair_sum(inst.x.values, assignment.buckets, assignment.signs)
+    return _pair_sum(inst.dense, assignment.buckets, assignment.signs)
 
 
 def exact_moment(inst: ChaosInstance, m: int) -> float:
@@ -162,7 +171,7 @@ def _rounded_sum(weighted) -> float:
 
 def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
     total = check_assignment_budget(inst.d, inst.k)
-    d, k, x = inst.d, inst.k, inst.x.values
+    d, k, x = inst.d, inst.k, inst.dense
     # the pair terms of _pair_sum: s_i s_j = -1 negates 2.0 * (x_i x_j) exactly
     twice = [[2.0 * (x[i] * x[j]) for j in range(d)] for i in range(d)]
 
@@ -221,11 +230,11 @@ def graph_expansion_moment(inst: ChaosInstance, m: int) -> float:
     if m < 1:
         raise ValueError("m must be positive")
     return float(4 ** m) * _rounded_sum(
-        (orderings, weight(graph, inst.x, inst.k))
+        (orderings, weight(graph, inst.dense, inst.k))
         for orderings, graph in _iter_graphs(inst.d, 2 * m))
 
 
-def _check_cap(C: float, x: DenseVector) -> None:
+def _check_cap(C: float, x: tuple[float, ...]) -> None:
     """Refuse a C the bound does not hold for: it needs every x_i^2 <= 1/C. The slack
     admits C = d for uniform x, whose x_i^2 * d is <= 1 + 4.4e-16 for d <= 10^5."""
     if not (math.isfinite(C) and C > 0):
@@ -241,7 +250,7 @@ def moment_upper_bound(inst: ChaosInstance, m: int, C: float) -> float:
     Dominates exact_moment when every |x_i|^2 <= 1/C; a larger C is refused.
     Past the float range the sum is exact, rounded once (inf beyond it).
     """
-    _check_cap(C, inst.x)
+    _check_cap(C, inst.dense)
     if m < 1:
         raise ValueError("m must be positive")
     histograms = class_histograms(2 * m, m)
@@ -308,7 +317,7 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
     _check_sum_budget(inst.k, trials)
     d, k, power = inst.d, inst.k, 2 * m
     rng = np.random.default_rng(seed)
-    x = inst.x.to_numpy()
+    x = np.array(inst.dense)
     norm_sq = float(x @ x)
     patterns = (2 * k) ** d
     table = None
@@ -351,26 +360,25 @@ class TailReport:
         "failure_rate", "wilson_low", "wilson_high")
 
 
-def tail_estimate(spec: TransformSpec, trials: int, x: DenseVector | None = None) -> TailReport:
-    """Empirical P(|chaos value| >= spec.epsilon) for the duplicated-rescaled vector.
+def tail_estimate(spec: TransformSpec, trials: int, x: SparseVector | None = None) -> TailReport:
+    """Empirical P(|chaos value| >= spec.epsilon) over seeded trials.
 
-    Trial t draws fresh k-wise generators from seeds (bucket_seed + t,
-    sign_seed + t). The threshold is closed: |value| equal to epsilon counts.
-    x defaults to the uniform unit vector.
+    Trial t projects x through fresh k-wise generators seeded (bucket_seed +
+    t, sign_seed + t) to the row y that distortion_bench judges, and its
+    chaos value is |y|^2 - |x|^2, |x|^2 being math.fsum of x's squared
+    values. The threshold is closed: |value| equal to epsilon counts. x
+    defaults to the uniform unit vector.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    if x is not None and len(x) != spec.d:
-        raise ValueError(f"vector dimension {len(x)} does not match spec dimension {spec.d}")
-    values = uniform_values(spec.d) if x is None else x.to_numpy()
-    replicated = duplicate_rescale(values, spec.c)
-    points = np.arange(replicated.size, dtype=np.uint64)
-    norm_sq = float(replicated @ replicated)
+    points, weights, norm_sq = trial_inputs(spec, x)
+    scale = math.sqrt(spec.c)
 
     def hit(sums: np.ndarray) -> np.ndarray:
-        return np.abs(row_squares(sums) - norm_sq) >= spec.epsilon
+        squares = row_squares(np.divide(sums, scale, out=sums))
+        return np.abs(squares - norm_sq) >= spec.epsilon
 
-    hits = partitioned_count(trial_counter(spec, points, replicated, hit), trials)
+    hits = partitioned_count(trial_counter(spec, points, weights, hit), trials)
     return _trial_report(TailReport, spec, trials, hits)
 
 
@@ -416,7 +424,7 @@ def moment_report(inst: ChaosInstance, m: int, C: float,
     bound's cap C included, comes before any phase runs.
     """
     check_moment_report(inst.d, inst.k, m, trials, seed)
-    _check_cap(C, inst.x)
+    _check_cap(C, inst.dense)
     mc_mean, mc_se = monte_carlo_moment(inst, m, trials, seed)
     return MomentReport(d=inst.d, k=inst.k, m=m,
                         exact=exact_moment(inst, m),

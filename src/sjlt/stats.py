@@ -19,7 +19,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     denom = 1.0 + zz / trials
     center = (phat + zz / (2.0 * trials)) / denom
     half = (Z95 / denom) * math.sqrt(phat * (1.0 - phat) / trials + zz / (4.0 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # center and half are equal at 0 successes and sum to 1 at all of them;
+    # their rounded difference and sum need not be exactly 0 and 1
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 # A seam, not a partition: bench/tracing.py patches it to time each caller's trial loop.

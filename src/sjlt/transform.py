@@ -39,43 +39,6 @@ class AssumptionWarning(UserWarning):
     """Parameters left the regime in which the distortion analysis is sharp."""
 
 
-@dataclass(frozen=True)
-class DenseVector:
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("dense vector entries must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self.values))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.float64)
-
-    @classmethod
-    def uniform(cls, d: int) -> "DenseVector":
-        """Unit vector with all entries equal to d^-0.5."""
-        if d < 1:
-            raise ValueError(f"d must be positive, got {d}")
-        return cls((1.0 / math.sqrt(d),) * d)
-
-
-def uniform_values(d: int) -> np.ndarray:
-    """DenseVector.uniform(d)'s entries bit for bit, as an array built without the d-tuple."""
-    return np.full(d, 1.0 / math.sqrt(d))
-
-
 class SparseVector:
     """Index/value pairs with strictly increasing indices and no stored zeros.
 
@@ -140,6 +103,13 @@ class SparseVector:
         # -0.0 == 0 is dropped; NaN is nonzero, so it is kept and refused
         indices = np.flatnonzero(dense)
         return cls._from_arrays(dense.size, indices, dense[indices])
+
+
+def uniform_vector(d: int) -> SparseVector:
+    """The unit vector with all d entries equal to d^-0.5, built from arrays."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    return SparseVector._from_arrays(d, np.arange(d), np.full(d, 1.0 / math.sqrt(d)))
 
 
 def _index_array(indices: list[int]) -> np.ndarray:
@@ -338,13 +308,6 @@ def sign_generator(spec: TransformSpec) -> KWiseGenerator:
     return new_generator(spec.sign_seed, spec.independence_degree, 2)
 
 
-def duplicate_rescale(values: np.ndarray, c: int) -> np.ndarray:
-    """Preconditioner: replica r of coordinate i sits at flat index i*c + r."""
-    if c < 1:
-        raise ValueError("c must be positive")
-    return np.repeat(np.asarray(values, dtype=np.float64), c) / math.sqrt(c)
-
-
 def signed_bucket_sums(buckets: np.ndarray, sign_bits: np.ndarray, weights: np.ndarray,
                        k: int) -> np.ndarray:
     """Per-bucket sums of the float64 weights over points, added in point
@@ -365,7 +328,8 @@ def signed_bucket_sums(buckets: np.ndarray, sign_bits: np.ndarray, weights: np.n
         np.add(buckets, np.arange(0, rows * k, k)[:, None], out=buckets)
     sums = np.bincount(buckets.reshape(-1), weights=bits.view(np.float64).reshape(-1),
                        minlength=rows * k)
-    return sums.reshape(buckets.shape[:-1] + (k,))
+    # float64 also without points, where bincount returns int64 zeros
+    return sums.astype(np.float64, copy=False).reshape(buckets.shape[:-1] + (k,))
 
 
 def row_squares(rows: np.ndarray) -> np.ndarray:
@@ -434,10 +398,19 @@ def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
     return points.reshape(-1)
 
 
-def _replicas(indices: np.ndarray, values: np.ndarray,
-              c: int) -> tuple[np.ndarray, np.ndarray]:
-    # the replicas' flat points, each carrying its x_i unscaled
-    return _replica_points(indices, c), np.repeat(values, c)
+def trial_inputs(spec: TransformSpec,
+                 x: SparseVector | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """What both trial reports take from x, the uniform unit vector when None:
+    the flat points of its nonzeros' replicas, each carrying its x_i unscaled,
+    and |x|^2 as math.fsum of the squared values (x.norm() squared before
+    its root). A trial's bucket sums divided by sqrt(c) are then its row y."""
+    if x is None:
+        x = uniform_vector(spec.d)
+    elif x.dim != spec.d:
+        raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
+    indices, values = x._arrays
+    return (_replica_points(indices, spec.c), np.repeat(values, spec.c),
+            math.fsum(v * v for v in values.tolist()))
 
 
 def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
@@ -517,18 +490,13 @@ def materialize(spec: TransformSpec) -> np.ndarray:
     return out
 
 
-def _distortion_norm(spec: TransformSpec, x: SparseVector) -> float:
+def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
+    """Norm ratio |Mx| / |x| for the sampled transform."""
     norm = x.norm()
     if norm == 0.0:
         raise ValueError("zero vector has no distortion ratio")
     if x.dim != spec.d:
         raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
-    return norm
-
-
-def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
-    """Norm ratio |Mx| / |x| for the sampled transform."""
-    norm = _distortion_norm(spec, x)
     y = apply_with_generators(x, spec.c, spec.k, bucket_generator(spec), sign_generator(spec))
     return float(np.sqrt(y @ y)) / norm
 
@@ -569,10 +537,10 @@ def distortion_bench(spec: TransformSpec, trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if x is None:
-        x = SparseVector._from_arrays(spec.d, np.arange(spec.d), uniform_values(spec.d))
-    norm = _distortion_norm(spec, x)
-    points, weights = _replicas(*x._arrays, spec.c)
+    points, weights, norm_sq = trial_inputs(spec, x)
+    if norm_sq == 0.0:
+        raise ValueError("zero vector has no distortion ratio")
+    norm = math.sqrt(norm_sq)
     scale = math.sqrt(spec.c)
     low_bound, high_bound = 1.0 - spec.epsilon, 1.0 + spec.epsilon
 

@@ -20,7 +20,6 @@ from sjlt.chaos import (
 from sjlt.graphs import check_structure, class_count, class_histogram
 from sjlt.kwise import KWiseGenerator, PrimeField, eval_bucket
 from sjlt.transform import (
-    DenseVector,
     SparseVector,
     TransformSpec,
     apply,
@@ -45,7 +44,7 @@ def _cell_vectors(d: int, cell_seed: int):
     for _ in range(VECTORS_PER_CELL):
         v = rng.standard_normal(d)
         v /= np.linalg.norm(v)
-        out.append(DenseVector(tuple(v.tolist())))
+        out.append(SparseVector.from_dense(v))
     return out
 
 
@@ -66,7 +65,7 @@ def test_criterion_1_moment_identity():
 def test_criterion_2_moment_bound():
     for cell_index, (d, k, m) in enumerate(GRID):
         for x in _cell_vectors(d, 2000 + cell_index):
-            cap = max(abs(v) for v in x)
+            cap = max(abs(v) for _, v in x.entries)
             inst = ChaosInstance(k=k, x=x)
             big_c = 1.0 / cap ** 2          # tightest C the vector satisfies
             bound = moment_upper_bound(inst, m, big_c)

@@ -36,23 +36,22 @@ from sjlt.graphs import (
 )
 from sjlt.kwise import HORNER_BLOCK, eval_bucket_batch, eval_sign_batch, new_generator
 from sjlt.transform import (
-    DenseVector,
     SparseVector,
     TransformSpec,
+    apply_with_generators,
     derive_spec,
     distortion_bench,
     distortion_trial,
-    duplicate_rescale,
     signed_bucket_sums,
     trial_counter,
-    uniform_values,
+    uniform_vector,
 )
 
 
-def unit_vector(rng: np.random.Generator, d: int) -> DenseVector:
+def unit_vector(rng: np.random.Generator, d: int) -> SparseVector:
     v = rng.standard_normal(d)
     v /= np.linalg.norm(v)
-    return DenseVector(tuple(v.tolist()))
+    return SparseVector.from_dense(v)
 
 
 def tail_spec(d, k, c, epsilon, bucket_seed, sign_seed, degree) -> TransformSpec:
@@ -63,7 +62,7 @@ def tail_spec(d, k, c, epsilon, bucket_seed, sign_seed, degree) -> TransformSpec
 
 
 def basis_instance(d: int, k: int) -> ChaosInstance:
-    x = DenseVector((1.0,) + (0.0,) * (d - 1))
+    x = SparseVector.from_dense((1.0,) + (0.0,) * (d - 1))
     return ChaosInstance(k=k, x=x)
 
 
@@ -98,10 +97,10 @@ def test_assignment_validation():
 
 def test_instance_validation():
     with pytest.raises(ValueError):
-        ChaosInstance(k=2, x=DenseVector((1.0, 1.0)))
+        ChaosInstance(k=2, x=SparseVector.from_dense((1.0, 1.0)))
     # d is read off x, never set beside it
-    x = DenseVector.uniform(5)
-    assert ChaosInstance(k=3, x=x).d == len(x) == 5
+    x = uniform_vector(5)
+    assert ChaosInstance(k=3, x=x).d == x.dim == 5
     with pytest.raises(TypeError):
         ChaosInstance(d=5, k=3, x=x)
     # the cap lives on the bound: C = 4 asks x_i^2 <= 1/4 of a vector with x_i^2 = 1/2
@@ -118,7 +117,7 @@ def test_bucket_sum_identity(seed, d, k):
     buckets = rng.integers(0, k, size=d)
     sign_bits = rng.integers(0, 2, size=d)
     direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(1 - 2 * sign_bits)))
-    x = inst.x.to_numpy()
+    x = np.array(inst.dense)
     per_bucket = signed_bucket_sums(buckets, sign_bits, x, k)
     fast = float(per_bucket @ per_bucket) - float(x @ x)
     assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
@@ -179,21 +178,20 @@ def test_higher_odd_moments():
     rng = np.random.default_rng(5)
     inst2 = ChaosInstance(k=2, x=unit_vector(rng, 2))
     assert abs(_exact_power_moment(inst2, 3)) <= 1e-12
-    x = unit_vector(rng, 3)
-    inst3 = ChaosInstance(k=2, x=x)
+    inst3 = ChaosInstance(k=2, x=unit_vector(rng, 3))
     third = _exact_power_moment(inst3, 3)
     triangle_orderings = 6
-    expected = 8.0 * triangle_orderings * (1.0 / 4.0) * math.prod(v * v for v in x)
+    expected = 8.0 * triangle_orderings * (1.0 / 4.0) * math.prod(v * v for v in inst3.dense)
     assert third == pytest.approx(expected, rel=1e-12)
     assert third > 0.0
 
 
 def test_moment_invariant_under_coordinate_permutation():
     rng = np.random.default_rng(17)
-    base = unit_vector(rng, 4).values
+    base = ChaosInstance(k=2, x=unit_vector(rng, 4)).dense
     reference = None
     for perm in list(permutations(range(4)))[:8]:
-        x = DenseVector(tuple(base[i] for i in perm))
+        x = SparseVector.from_dense([base[i] for i in perm])
         inst = ChaosInstance(k=2, x=x)
         value = exact_moment(inst, 1)
         if reference is None:
@@ -207,7 +205,7 @@ def test_exact_moment_budget_guard():
     with pytest.raises(BudgetExceededError) as moment:
         exact_moment(inst, 1)
     with pytest.raises(BudgetExceededError) as expectation:
-        sequence_expectation(PairSequence(((1, 2), (1, 2))), inst.x, k=2, d=30)
+        sequence_expectation(PairSequence(((1, 2), (1, 2))), inst.dense, k=2, d=30)
     assert str(moment.value) == str(expectation.value) == (
         "4^30 assignments exceed the exact enumeration budget 100000000")
 
@@ -240,7 +238,7 @@ def test_partition_weights_count_every_assignment():
 def brute_force_power_moments(inst: ChaosInstance, powers) -> list[float]:
     """Every power's mean over all k^d bucket maps and 2^d sign patterns, each
     assignment's value an fsum over its ordered pairs."""
-    x, d = inst.x.values, inst.d
+    x, d = inst.dense, inst.d
     values = []
     for buckets in product(range(inst.k), repeat=d):
         for signs in product((1, -1), repeat=d):
@@ -260,7 +258,7 @@ def awkward_unit_vectors(draw):
     values = draw(st.lists(entry, min_size=d, max_size=d))
     values[draw(st.integers(0, d - 1))] = draw(st.floats(0.25, 1.0))
     norm = math.sqrt(math.fsum(v * v for v in values))
-    return DenseVector(tuple(v / norm for v in values))
+    return SparseVector.from_dense([v / norm for v in values])
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,7 +290,7 @@ def reference_monte_carlo_moment(inst: ChaosInstance, m: int, trials: int,
     draws its buckets, then its sign bits, and each trial's row is summed,
     squared and raised to the power on its own."""
     rng = np.random.default_rng(seed)
-    x = inst.x.to_numpy()
+    x = np.array(inst.dense)
     norm_sq = float(x @ x)
     powers = np.empty(trials, dtype=np.float64)
     position = 0
@@ -357,7 +355,7 @@ def test_monte_carlo_moment_golden_values(d, k, m, trials, expected):
 def ordered_expansion(inst: ChaosInstance, m: int) -> float:
     """The graph expansion summed with fsum over every ordered pair sequence."""
     pairs = [(a, b) for a in range(1, inst.d + 1) for b in range(a + 1, inst.d + 1)]
-    return float(4 ** m) * math.fsum(weight(build_multigraph(PairSequence(seq)), inst.x, inst.k)
+    return float(4 ** m) * math.fsum(weight(build_multigraph(PairSequence(seq)), inst.dense, inst.k)
                                      for seq in product(pairs, repeat=2 * m))
 
 
@@ -499,7 +497,7 @@ def test_exact_oracles_keep_their_pinned_bits():
             (exact, expansion), (d, k, m)
     instances = {}
     for name, (k, entries) in PINNED_VECTORS.items():
-        x = DenseVector(tuple(float.fromhex(e) for e in entries))
+        x = SparseVector.from_dense([float.fromhex(e) for e in entries])
         instances[name] = ChaosInstance(k=k, x=x)
     for name, m, exact, expansion in PINNED_VECTOR_MOMENTS:
         inst = instances[name]
@@ -593,7 +591,7 @@ def test_moment_bound_dominates_exact_moment():
                 v /= np.linalg.norm(v)
                 if np.max(np.abs(v)) <= cap * 1.75:
                     scaled_cap = float(np.max(np.abs(v)))
-                    x = DenseVector(tuple(v.tolist()))
+                    x = SparseVector.from_dense(v)
             inst = ChaosInstance(k=k, x=x)
             big_c = 1.0 / scaled_cap ** 2
             bound = moment_upper_bound(inst, m, big_c)
@@ -735,17 +733,20 @@ def test_moment_report_bundle():
 
 def test_tail_zero_for_basis_vector():
     # a single nonzero replica has no cross terms, so the chaos is identically 0
-    x = DenseVector((1.0, 0.0, 0.0, 0.0))
+    x = SparseVector.from_dense((1.0, 0.0, 0.0, 0.0))
     report = tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=x)
     assert report.hits == 0
     assert report.failure_rate == 0.0
+    # the zero vector has no replicas to hash, and its chaos is 0 as well
+    zero = SparseVector(4, ())
+    assert tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=zero).hits == 0
 
 
 def test_tail_forced_collision_boundary():
     # d=2, k=1 forces a collision so |value| always equals epsilon exactly;
     # integer coordinates keep the arithmetic float-exact, which makes this a
     # true test of the closed >= threshold
-    x = DenseVector((1.0, 1.0))
+    x = SparseVector.from_dense((1.0, 1.0))
     report = tail_estimate(tail_spec(2, 1, 1, 2.0, 3, 4, 2), trials=1000, x=x)
     assert report.failure_rate == 1.0
 
@@ -769,22 +770,56 @@ def test_tail_rejects_bucket_bias():
         tail_estimate(tail_spec(4, 2**42, 1, 0.5, 7, 8, 2), trials=1000)
 
 
+def _reference_rows(spec, x, trials):
+    # trial t's row y, the one distortion_trial takes its ratio from:
+    # apply_with_generators under the trial's own seeds
+    degree = spec.independence_degree
+    return [apply_with_generators(x, spec.c, spec.k,
+                                  new_generator(spec.bucket_seed + t, degree, spec.k),
+                                  new_generator(spec.sign_seed + t, degree, 2))
+            for t in range(trials)]
+
+
+def _reference_outcomes(spec, x, trials):
+    # per trial (distortion failed, tail hit), both judged from the trial's one row y
+    norm_sq = math.fsum(v * v for _, v in x.entries)
+    outcomes = []
+    for y in _reference_rows(spec, x, trials):
+        ratio = float(np.sqrt(y @ y)) / x.norm()
+        outcomes.append((ratio < 1.0 - spec.epsilon or ratio > 1.0 + spec.epsilon,
+                         abs(float(y @ y) - norm_sq) >= spec.epsilon))
+    return outcomes
+
+
+def _tail_count_fn(spec, x):
+    # tail_estimate's own count function, taken where it goes to partitioned_count,
+    # so that any trial range can be counted, one trial or below the 1000-trial floor
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sjlt.chaos, "partitioned_count", lambda count, total: taken.append(count) or 0)
+        tail_estimate(spec, 1000, x=x)
+    return taken[0]
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_tail_matches_distortion_ratio():
-    # same seeds: the chaos value for the replicated vector equals ratio^2 - 1
-    d = 64
-    spec = TransformSpec(d=d, epsilon=0.25, delta=0.1, m=3, k=48, c=2,
-                         bucket_seed=5, sign_seed=6, independence_degree=6)
-    dense = DenseVector.uniform(d).to_numpy()
-    ratio = distortion_trial(spec, SparseVector.from_dense(dense))
-    replicated = duplicate_rescale(dense, spec.c)
-    points = np.arange(replicated.size, dtype=np.uint64)
-    bucket_gen = new_generator(spec.bucket_seed, spec.independence_degree, spec.k)
-    sign_gen = new_generator(spec.sign_seed, spec.independence_degree, 2)
-    per_bucket = np.bincount(eval_bucket_batch(bucket_gen, points),
-                             weights=eval_sign_batch(sign_gen, points) * replicated,
-                             minlength=spec.k)
-    value = float(per_bucket @ per_bucket) - float(replicated @ replicated)
-    assert value == pytest.approx(ratio ** 2 - 1.0, rel=0, abs=1e-12)
+    # one reference for both reports: trial t's row y fails distortion_bench
+    # by |y| / |x| and hits tail_estimate by |y @ y - fsum(x^2)| >= epsilon,
+    # trial by trial. c = 2, so 1/sqrt(c) is not exact, and x is non-dyadic
+    # with gaps.
+    rng = np.random.default_rng(2032)
+    dense = rng.standard_normal(24)
+    dense[[0, 5, 6, 13, 23]] = 0.0
+    dense /= np.linalg.norm(dense)
+    x = SparseVector.from_dense(dense)
+    spec = derive_spec(24, 0.25, 0.01, 5, 6, (1.0, 0.11, 0.2))
+    assert (spec.c, spec.k, spec.independence_degree) == (2, 9, 10)
+    fails, hits = zip(*_reference_outcomes(spec, x, 1000))
+    assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
+    count = _tail_count_fn(spec, x)
+    assert [bool(count(t, t + 1)) for t in range(len(hits))] == list(hits)
+    assert tail_estimate(spec, 1000, x=x).hits == sum(hits)
+    assert distortion_bench(spec, 1000, x=x).failures == sum(fails)
 
 
 def _block_trials(n, k):
@@ -813,8 +848,7 @@ def test_trial_loops_match_per_trial_reference():
     dense = rng.standard_normal(d)
     dense[[1, 2, 7, 15, 16, 17, 23]] = 0.0
     dense /= np.linalg.norm(dense)
-    x = DenseVector(tuple(dense.tolist()))
-    sparse = SparseVector.from_dense(x.values)
+    sparse = SparseVector.from_dense(dense)
     indices = np.array([i for i, _ in sparse.entries], dtype=np.uint64)
     bucket_seed, sign_seed = 1234, 98765
 
@@ -838,25 +872,14 @@ def test_trial_loops_match_per_trial_reference():
             assert report.failures == sum(fails[:trials])
 
     for k, c, degree in ((7, 3, 4), (7, 18, 4)):
-        threshold = 0.3
-        spec = tail_spec(d, k, c, threshold, bucket_seed, sign_seed, degree)
-        replicated = duplicate_rescale(x.to_numpy(), c)
-        points = np.arange(replicated.size, dtype=np.uint64)
-        norm_sq = float(replicated @ replicated)
-
-        def hit(per_bucket):
-            return abs(float(per_bucket @ per_bucket) - norm_sq) >= threshold
-
-        rows = _block_trials(points.size, k)
-        hits = [hit(_reference_bucket_sums(bucket_seed + t, sign_seed + t, degree, k,
-                                           points, replicated))
-                for t in range(max(1000, 2 * rows + 3) + 1)]
+        spec = tail_spec(d, k, c, 0.3, bucket_seed, sign_seed, degree)
+        rows = _block_trials(sparse.nnz * c, k)
+        hits = [hit for _, hit in _reference_outcomes(spec, sparse, max(1000, 2 * rows + 3) + 1)]
         assert 0 < sum(hits) < len(hits)
         for trials in (1000, len(hits)):
-            report = tail_estimate(spec, trials, x=x)
-            assert report.hits == sum(hits[:trials])
-        # below the estimator's 1000-trial floor, through its trial loop directly
-        count = trial_counter(spec, points, replicated, lambda sums: [hit(s) for s in sums])
+            assert tail_estimate(spec, trials, x=sparse).hits == sum(hits[:trials])
+        # below the estimator's 1000-trial floor, through its own count function
+        count = _tail_count_fn(spec, sparse)
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             assert count(0, trials) == sum(hits[:trials])
             assert count(1, trials + 1) == sum(hits[1:trials + 1])
@@ -864,12 +887,13 @@ def test_trial_loops_match_per_trial_reference():
 
 @pytest.mark.parametrize("d", [1, 3, 64, 1000])
 def test_default_vector_is_the_uniform_unit_vector(d):
-    # the default is built from arrays, with DenseVector.uniform's floats bit for bit
-    uniform = DenseVector.uniform(d)
-    assert uniform_values(d).tolist() == list(uniform.values)
+    # the default is built from arrays, with the floats 1/sqrt(d) bit for bit;
+    # the oracles' uniform instance reads the same vector
+    uniform = SparseVector.from_dense([1.0 / math.sqrt(d)] * d)
+    assert uniform_vector(d) == uniform
+    assert ChaosInstance.uniform(d, 2).dense == (1.0 / math.sqrt(d),) * d
     spec = tail_spec(d, 16, 4, 0.5, 3, 4 + 2 ** 40, 2)
-    assert distortion_bench(spec, 300) == distortion_bench(
-        spec, 300, x=SparseVector.from_dense(uniform))
+    assert distortion_bench(spec, 300) == distortion_bench(spec, 300, x=uniform)
     assert tail_estimate(spec, 1000) == tail_estimate(spec, 1000, x=uniform)
 
 
@@ -918,11 +942,11 @@ def test_trial_block_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", counted)
     monkeypatch.setattr(sjlt.transform, "eval_sign_batch", refused)
-    x, sparse, spec = _dense_trial_case(24, 0.1)
+    x, spec = _dense_trial_case(24, 0.1)
     n = spec.d * spec.c
     rows = _block_trials(n, spec.k)
-    for trials, run in ((2 * rows + 3, lambda t: distortion_bench(spec, t, x=sparse)),
-                        (rows + 1, lambda t: _tail_counter(spec, x)(5, 5 + t))):
+    for trials, run in ((2 * rows + 3, lambda t: distortion_bench(spec, t, x=x)),
+                        (rows + 1, lambda t: _tail_count_fn(spec, x)(5, 5 + t))):
         calls.clear()
         run(trials)
         assert len(calls) == -(-trials // rows)
@@ -935,37 +959,8 @@ def _dense_trial_case(d, kappa_c):
     rng = np.random.default_rng(d)
     dense = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
     dense /= np.linalg.norm(dense)
-    x = DenseVector(tuple(dense.tolist()))
     spec = derive_spec(d, 0.25, 0.01, 4321, 56789, (1.0, 0.11, kappa_c))
-    return x, SparseVector.from_dense(x.values), spec
-
-
-def _dense_reference_outcomes(spec, x, sparse, trials):
-    # per trial (distortion failed, tail hit), from one-trial reference sums
-    c, k, degree = spec.c, spec.k, spec.independence_degree
-    points = np.arange(spec.d * c, dtype=np.uint64)
-    weights = np.repeat([v for _, v in sparse.entries], c)
-    replicated = duplicate_rescale(x.to_numpy(), c)
-    norm_sq = float(replicated @ replicated)
-    outcomes = []
-    for t in range(trials):
-        sums = _reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
-                                      points, weights)
-        y = sums / math.sqrt(c)
-        ratio = float(np.sqrt(y @ y)) / sparse.norm()
-        tail = _reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
-                                      points, replicated)
-        outcomes.append((ratio < 1.0 - spec.epsilon or ratio > 1.0 + spec.epsilon,
-                         abs(float(tail @ tail) - norm_sq) >= spec.epsilon))
-    return outcomes
-
-
-def _tail_counter(spec, x):
-    replicated = duplicate_rescale(x.to_numpy(), spec.c)
-    norm_sq = float(replicated @ replicated)
-    points = np.arange(replicated.size, dtype=np.uint64)
-    return trial_counter(spec, points, replicated,
-                         lambda sums: [abs(float(s @ s) - norm_sq) >= spec.epsilon for s in sums])
+    return SparseVector.from_dense(dense), spec
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -975,19 +970,18 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
     # consecutive range per trial, which the kernel steps in runs longer
     # than c, while the reference hashes one trial at a time by Horner
     d = 24
-    x, sparse, spec = _dense_trial_case(d, kappa_c)
+    x, spec = _dense_trial_case(d, kappa_c)
     c, k, degree = spec.c, spec.k, spec.independence_degree
-    assert (c, degree, sparse.nnz) == (expected_c, 10, d)
+    assert (c, degree, x.nnz) == (expected_c, 10, d)
     rows = _block_trials(d * c, k)
     # a full block stacks 2 * rows segments: its bucket rows, then its sign rows
     block = np.tile(np.arange(d * c, dtype=np.uint64), 2 * rows)
     assert kwise._run_length(block, 2 * rows, degree) > max(c, degree)
-    outcomes = _dense_reference_outcomes(spec, x, sparse, max(1000, 2 * rows + 3))
-    fails, hits = ([outcome[j] for outcome in outcomes] for j in (0, 1))
+    fails, hits = zip(*_reference_outcomes(spec, x, max(1000, 2 * rows + 3)))
     assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
-    count = _tail_counter(spec, x)
+    count = _tail_count_fn(spec, x)
     for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-        assert distortion_bench(spec, trials, x=sparse).failures == sum(fails[:trials])
+        assert distortion_bench(spec, trials, x=x).failures == sum(fails[:trials])
         assert count(0, trials) == sum(hits[:trials])
     assert tail_estimate(spec, 1000, x=x).hits == sum(hits[:1000])
 
@@ -1007,7 +1001,7 @@ def test_trial_counts_do_not_depend_on_horner_block(monkeypatch, horner_block):
     spikes = SparseVector(64, ((5, 0.5), (6, -0.5), (20, 0.5), (63, 0.5)))
 
     def counts():
-        return ([_tail_counter(spec, x)(3, 33) for x, _, spec in cases]
+        return ([_tail_count_fn(spec, x)(3, 33) for x, spec in cases]
                 + [distortion_bench(spike_spec, 120, x=spikes).failures])
 
     expected = counts()

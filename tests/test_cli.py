@@ -20,8 +20,8 @@ import sjlt.transform
 from sjlt.chaos import MomentReport, TailReport
 from sjlt.cli import main
 from sjlt.kwise import _run_length, eval_bucket, eval_sign
-from sjlt.transform import (AssumptionWarning, DistortionReport, _replicas, apply, bucket_generator, derive_spec,
-                            format_dense_vector, parse_sparse_vector, sign_generator)
+from sjlt.transform import (AssumptionWarning, DistortionReport, apply, bucket_generator, derive_spec,
+                            format_dense_vector, parse_sparse_vector, sign_generator, trial_inputs)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -101,7 +101,7 @@ def test_transform_output_matches_apply_byte_for_byte(tmp_path, capsys):
     assert got[1] == ",".join(f"{s / math.sqrt(spec.c):.17g}" for s in sums)
     # nnz 1 and 30 hash by Horner, nnz 300 by forward differences along the replicas
     for x, length in zip(vectors[1:], (0, 0, spec.c)):
-        points, _ = _replicas(*x._arrays, spec.c)
+        points, _, _ = trial_inputs(spec, x)
         assert _run_length(points, 1, spec.independence_degree) == length
 
 

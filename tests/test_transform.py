@@ -17,19 +17,18 @@ import sjlt.transform
 from sjlt import kwise
 from sjlt.kwise import (HORNER_BLOCK, KWiseGenerator, PrimeField, eval_bucket, eval_bucket_batch,
                         eval_sign, eval_sign_batch)
+from sjlt.stats import wilson_interval
 from sjlt.transform import (
     AssumptionWarning,
     SparseVector,
     TransformSpec,
     _parse_entry,
-    _replicas,
     apply,
     apply_rows,
     apply_with_generators,
     bucket_generator,
     derive_spec,
     distortion_trial,
-    duplicate_rescale,
     format_dense_vector,
     materialize,
     parse_sparse_vector,
@@ -37,6 +36,7 @@ from sjlt.transform import (
     sign_generator,
     signed_bucket_sums,
     sparsity_gain,
+    trial_inputs,
     write_dense_vectors,
 )
 
@@ -550,7 +550,7 @@ def _random_vectors(spec, sizes, seed):
 
 def _bincount_row(spec, x):
     # the per-vector reference: all of one vector's replicas, one np.bincount
-    points, weights = _replicas(*x._arrays, spec.c)
+    points, weights, _ = trial_inputs(spec, x)
     buckets = eval_bucket_batch(bucket_generator(spec), points)
     signs = eval_sign_batch(sign_generator(spec), points)
     sums = np.bincount(buckets, weights=signs * weights, minlength=spec.k)
@@ -701,6 +701,20 @@ def test_distortion_rejects_zero_vector():
     spec = small_spec(d=3, k=2, c=1, bucket_seed=1, sign_seed=2)
     with pytest.raises(ValueError):
         distortion_trial(spec, SparseVector(dim=3, entries=()))
+    with pytest.raises(ValueError, match="zero vector has no distortion ratio"):
+        sjlt.transform.distortion_bench(spec, 10, x=SparseVector(dim=3, entries=()))
+
+
+def test_wilson_interval_ends_exactly_at_0_and_1():
+    # at 0 and at n successes of n the exact ends are 0 and 1; rounding the
+    # center's distance to them must not leave a residue either side
+    for n in range(1, 2001):
+        assert wilson_interval(0, n)[0] == 0.0
+        assert wilson_interval(n, n)[1] == 1.0
+    for n in (1, 2, 3, 10, 99, 100, 1000, 4097):
+        for s in range(n + 1):
+            low, high = wilson_interval(s, n)
+            assert 0.0 <= low <= s / n <= high <= 1.0, (s, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -807,12 +821,6 @@ def test_trial_block_memory_holds_no_temporaries(monkeypatch):
     # the same level up to the interpreter's own few hundred bytes
     assert starts.max() - starts.min() < 4096
     assert rises.max() <= sums_bytes + 64 * 1024
-
-
-def test_duplicate_rescale_layout():
-    out = duplicate_rescale(np.array([3.0, 5.0]), 2)
-    expected = np.array([3.0, 3.0, 5.0, 5.0]) / math.sqrt(2)
-    assert np.allclose(out, expected, rtol=0, atol=0)
 
 
 def test_bucket_generator_asserts_reduction_bias():
