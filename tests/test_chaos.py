@@ -41,7 +41,6 @@ from sjlt.transform import (
     apply_with_generators,
     derive_spec,
     distortion_bench,
-    distortion_trial,
     signed_bucket_sums,
     trial_counter,
     uniform_vector,
@@ -770,21 +769,16 @@ def test_tail_rejects_bucket_bias():
         tail_estimate(tail_spec(4, 2**42, 1, 0.5, 7, 8, 2), trials=1000)
 
 
-def _reference_rows(spec, x, trials):
-    # trial t's row y, the one distortion_trial takes its ratio from:
+def _reference_outcomes(spec, x, trials):
+    # per trial (distortion failed, tail hit), both judged from the trial's
+    # one row y, the one distortion_trial takes its ratio from:
     # apply_with_generators under the trial's own seeds
-    degree = spec.independence_degree
-    return [apply_with_generators(x, spec.c, spec.k,
+    degree, norm_sq = spec.independence_degree, math.fsum(v * v for _, v in x.entries)
+    outcomes = []
+    for t in range(trials):
+        y = apply_with_generators(x, spec.c, spec.k,
                                   new_generator(spec.bucket_seed + t, degree, spec.k),
                                   new_generator(spec.sign_seed + t, degree, 2))
-            for t in range(trials)]
-
-
-def _reference_outcomes(spec, x, trials):
-    # per trial (distortion failed, tail hit), both judged from the trial's one row y
-    norm_sq = math.fsum(v * v for _, v in x.entries)
-    outcomes = []
-    for y in _reference_rows(spec, x, trials):
         ratio = float(np.sqrt(y @ y)) / x.norm()
         outcomes.append((ratio < 1.0 - spec.epsilon or ratio > 1.0 + spec.epsilon,
                          abs(float(y @ y) - norm_sq) >= spec.epsilon))
