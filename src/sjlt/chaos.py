@@ -37,10 +37,8 @@ from .transform import (
     SparseVector,
     TransformSpec,
     _trial_report,
-    row_squares,
     signed_bucket_sums,
     trial_counter,
-    trial_inputs,
     uniform_vector,
 )
 
@@ -363,22 +361,17 @@ class TailReport:
 def tail_estimate(spec: TransformSpec, trials: int, x: SparseVector | None = None) -> TailReport:
     """Empirical P(|chaos value| >= spec.epsilon) over seeded trials.
 
-    Trial t projects x through fresh k-wise generators seeded (bucket_seed +
-    t, sign_seed + t) to the row y that distortion_bench judges, and its
-    chaos value is |y|^2 - |x|^2, |x|^2 being math.fsum of x's squared
-    values. The threshold is closed: |value| equal to epsilon counts. x
-    defaults to the uniform unit vector.
+    Trial t's chaos value is |y|^2 - |x|^2, from the values trial_counter
+    computes and distortion_bench also judges. The threshold is closed:
+    |value| equal to epsilon counts. x defaults to the uniform unit vector.
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    points, weights, norm_sq = trial_inputs(spec, x)
-    scale = math.sqrt(spec.c)
 
-    def hit(sums: np.ndarray) -> np.ndarray:
-        squares = row_squares(np.divide(sums, scale, out=sums))
+    def hit(squares: np.ndarray, norm_sq: float) -> np.ndarray:
         return np.abs(squares - norm_sq) >= spec.epsilon
 
-    hits = partitioned_count(trial_counter(spec, points, weights, hit), trials)
+    hits = partitioned_count(trial_counter(spec, x, hit), trials)
     return _trial_report(TailReport, spec, trials, hits)
 
 

@@ -310,26 +310,25 @@ def sign_generator(spec: TransformSpec) -> KWiseGenerator:
 
 def signed_bucket_sums(buckets: np.ndarray, sign_bits: np.ndarray, weights: np.ndarray,
                        k: int) -> np.ndarray:
-    """Per-bucket sums of the float64 weights over points, added in point
-    order; a weight enters negated where the low bit of `sign_bits` is 1.
+    """Per-bucket (rows, k) sums of the float64 weights over each row's
+    points, added in point order; a weight enters negated where the low bit
+    of `sign_bits` is 1.
 
-    Works in place and overwrites both int64 arrays. The low bit becomes the
-    weight's IEEE sign bit, bit for bit (1 - 2b) * w, and a 2-D call offsets
-    row r's buckets by r * k, so one bincount sums every row and row r of the
-    result equals the 1-D call on row r bit for bit. The fixed order pins
-    every projection's floating-point result.
+    Works in place and overwrites both (rows, n) int64 arrays. The low bit
+    becomes the weight's IEEE sign bit, bit for bit (1 - 2b) * w, and row
+    r's buckets are offset by r * k, so one bincount sums every row and row r
+    of the result equals a one-row call on row r bit for bit. The fixed
+    order pins every projection's floating-point result.
     """
     bits = sign_bits.view(np.uint64)
     np.left_shift(bits, np.uint64(63), out=bits)
     np.bitwise_xor(bits, np.asarray(weights, dtype=np.float64).view(np.uint64), out=bits)
-    rows = 1
-    if buckets.ndim == 2:
-        rows = len(buckets)
-        np.add(buckets, np.arange(0, rows * k, k)[:, None], out=buckets)
+    rows = len(buckets)
+    np.add(buckets, np.arange(0, rows * k, k)[:, None], out=buckets)
     sums = np.bincount(buckets.reshape(-1), weights=bits.view(np.float64).reshape(-1),
                        minlength=rows * k)
     # float64 also without points, where bincount returns int64 zeros
-    return sums.astype(np.float64, copy=False).reshape(buckets.shape[:-1] + (k,))
+    return sums.astype(np.float64, copy=False).reshape(rows, k)
 
 
 def row_squares(rows: np.ndarray) -> np.ndarray:
@@ -338,21 +337,25 @@ def row_squares(rows: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
 
 
-def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
-                  hit: Callable[[np.ndarray], np.ndarray]) -> Callable[[int, int], int]:
-    """Count function over trial ranges, for `partitioned_count`.
+def trial_counter(spec: TransformSpec, x: SparseVector | None,
+                  event: Callable[[np.ndarray, float], np.ndarray]) -> Callable[[int, int], int]:
+    """Count function over trial ranges, for `partitioned_count`: the number
+    of trials t in a range whose event(|y|^2, |x|^2) holds.
 
-    Trial t projects `weights` at the n flat uint64 field `points`, such as
-    the replicas of a vector's nonzeros or one dense range (the kernel finds
-    their consecutive runs), through fresh spec generators seeded
-    (bucket_seed + t, sign_seed + t) mod 2^64, so its outcome is fixed by its
-    seeds alone. Trials go through the kernel in blocks of
-    T = max(1, 2 * HORNER_BLOCK // max(n, k)) trials. A block expands its T
-    bucket seeds and then its T sign seeds into one 2T-row KWiseGenerator of
-    range lcm(k, 2), whose values fix both v mod k and v mod 2, and hashes
-    both stacks of trial points in one kernel call. The kernel's output is
-    reduced and summed in place by one 2-D `signed_bucket_sums`, and `hit`
-    maps the block's (T, k) sums to one bool per trial, in trial order.
+    x is the uniform unit vector when None; a dimension other than the
+    spec's is refused before any work. |x|^2 is math.fsum of x's squared
+    values, x.norm() squared before its root. Trial t projects the replicas
+    of x's nonzeros, each carrying x_i unscaled, through fresh spec
+    generators seeded (bucket_seed + t, sign_seed + t) mod 2^64, so its
+    outcome is fixed by its seeds alone; its row y is its bucket sums
+    divided by sqrt(c). Trials go through the kernel in blocks of
+    T = max(1, 2 * HORNER_BLOCK // max(n, k)) trials of n replica points. A
+    block expands its T bucket seeds and then its T sign seeds into one
+    2T-row KWiseGenerator of range lcm(k, 2), whose values fix both v mod k
+    and v mod 2, and hashes both stacks of trial points in one kernel call.
+    One `signed_bucket_sums` reduces and sums its output in place, the sums
+    are divided by sqrt(c) in place, and `row_squares` gives the block's T
+    values |y|^2, in trial order.
 
     Each call of the count function allocates one uint64 work array before
     its first block, sized by `work_size` for its full blocks and for its
@@ -363,6 +366,14 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
     afresh. The work array belongs to that call alone, so calls from several
     threads each use their own.
     """
+    if x is None:
+        x = uniform_vector(spec.d)
+    elif x.dim != spec.d:
+        raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
+    indices, values = x._arrays
+    points, weights = _replica_points(indices, spec.c), np.repeat(values, spec.c)
+    norm_sq = math.fsum(v * v for v in values.tolist())
+    scale = math.sqrt(spec.c)
     k, degree, n = spec.k, spec.independence_degree, points.size
     # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
     rows = max(1, 2 * HORNER_BLOCK // max(n, k))
@@ -378,7 +389,9 @@ def trial_counter(spec: TransformSpec, points: np.ndarray, weights: np.ndarray,
             block, tiled[:2 * trials.size * n], work=work).reshape(2, trials.size, n)
         if k % 2:
             np.remainder(buckets, k, out=buckets)
-        return int(np.count_nonzero(hit(signed_bucket_sums(buckets, sign_bits, weights, k))))
+        sums = signed_bucket_sums(buckets, sign_bits, weights, k)
+        squares = row_squares(np.divide(sums, scale, out=sums))
+        return int(np.count_nonzero(event(squares, norm_sq)))
 
     def count(start: int, stop: int) -> int:
         # the trial counts of the full blocks and of the last block
@@ -396,21 +409,6 @@ def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
     # replica r of coordinate i sits at flat point i*c + r
     points = indices.astype(np.uint64)[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)
     return points.reshape(-1)
-
-
-def trial_inputs(spec: TransformSpec,
-                 x: SparseVector | None) -> tuple[np.ndarray, np.ndarray, float]:
-    """What both trial reports take from x, the uniform unit vector when None:
-    the flat points of its nonzeros' replicas, each carrying its x_i unscaled,
-    and |x|^2 as math.fsum of the squared values (x.norm() squared before
-    its root). A trial's bucket sums divided by sqrt(c) are then its row y."""
-    if x is None:
-        x = uniform_vector(spec.d)
-    elif x.dim != spec.d:
-        raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
-    indices, values = x._arrays
-    return (_replica_points(indices, spec.c), np.repeat(values, spec.c),
-            math.fsum(v * v for v in values.tolist()))
 
 
 def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
@@ -531,23 +529,20 @@ def distortion_bench(spec: TransformSpec, trials: int,
                      x: SparseVector | None = None) -> DistortionReport:
     """Failure fraction of the distortion guarantee over independently seeded trials.
 
-    Trial t reseeds both generators with (bucket_seed + t, sign_seed + t), so
-    each trial's outcome is fixed by its seeds. x defaults to the uniform
-    unit vector.
+    Trial t fails when |y| / |x|, from the values trial_counter computes,
+    leaves [1 - epsilon, 1 + epsilon]. x defaults to the uniform unit vector.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    points, weights, norm_sq = trial_inputs(spec, x)
-    if norm_sq == 0.0:
-        raise ValueError("zero vector has no distortion ratio")
-    norm = math.sqrt(norm_sq)
-    scale = math.sqrt(spec.c)
     low_bound, high_bound = 1.0 - spec.epsilon, 1.0 + spec.epsilon
 
-    def fails(sums: np.ndarray) -> np.ndarray:
+    def fails(squares: np.ndarray, norm_sq: float) -> np.ndarray:
         # distortion_trial's arithmetic row by row, so counts match it trial by trial
-        ratios = np.sqrt(row_squares(np.divide(sums, scale, out=sums))) / norm
+        ratios = np.sqrt(squares) / math.sqrt(norm_sq)
         return (ratios < low_bound) | (ratios > high_bound)
 
-    failures = partitioned_count(trial_counter(spec, points, weights, fails), trials)
+    count = trial_counter(spec, x, fails)
+    if x is not None and x.norm() == 0.0:
+        raise ValueError("zero vector has no distortion ratio")
+    failures = partitioned_count(count, trials)
     return _trial_report(DistortionReport, spec, trials, failures)

@@ -117,7 +117,7 @@ def test_bucket_sum_identity(seed, d, k):
     sign_bits = rng.integers(0, 2, size=d)
     direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(1 - 2 * sign_bits)))
     x = np.array(inst.dense)
-    per_bucket = signed_bucket_sums(buckets, sign_bits, x, k)
+    per_bucket, = signed_bucket_sums(buckets[None], sign_bits[None], x, k)
     fast = float(per_bucket @ per_bucket) - float(x @ x)
     assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -755,6 +755,34 @@ def test_tail_requires_enough_trials():
         tail_estimate(tail_spec(2, 2, 1, 0.5, 0, 1, 2), trials=10)
 
 
+def test_trial_reports_refuse_before_hashing(monkeypatch):
+    # each refusal of both reports comes before any seed expansion or kernel
+    # call, in the order trials, dimension, zero vector: a zero vector of the
+    # wrong dimension gets the dimension message
+    def hashed(*args, **kwargs):
+        raise AssertionError("hashing began")
+
+    monkeypatch.setattr(sjlt.transform, "generator_block", hashed)
+    monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", hashed)
+    spec = tail_spec(8, 4, 2, 0.5, 1, 2, 4)
+    wrong, wrong_zero = uniform_vector(9), SparseVector(9, ())
+    dimension = "vector dimension 9 does not match spec dimension 8"
+    for call, message in (
+            (lambda: distortion_bench(spec, 0, x=wrong_zero), "trials must be positive"),
+            (lambda: tail_estimate(spec, 999, x=wrong), "need at least 1000 trials"),
+            (lambda: distortion_bench(spec, 10, x=wrong), dimension),
+            (lambda: tail_estimate(spec, 1000, x=wrong), dimension),
+            (lambda: distortion_bench(spec, 10, x=wrong_zero), dimension),
+            (lambda: distortion_bench(spec, 10, x=SparseVector(8, ())),
+             "zero vector has no distortion ratio")):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # the patched names are the ones a report's first block calls
+    for call in (lambda: distortion_bench(spec, 10), lambda: tail_estimate(spec, 1000)):
+        with pytest.raises(AssertionError, match="hashing began"):
+            call()
+
+
 def test_tail_rejects_equal_seeds():
     # equal seeds expand to one polynomial for both the bucket and the sign hash;
     # the spec the estimator takes refuses them
@@ -892,28 +920,33 @@ def test_default_vector_is_the_uniform_unit_vector(d):
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 12])
-def test_stacked_block_reduction_matches_per_trial_reference(k):
+def test_stacked_block_reduction_matches_per_trial_reference(k, monkeypatch):
     # A block hashes buckets and signs in one call at range lcm(k, 2) and
     # reduces the halves to v mod k and v mod 2: k = 1 (range 2, every
     # bucket 0), k = 2 (one range for both), odd k (buckets need a modulo)
-    # and even k (buckets are a view). Each trial's sums equal two one-trial
-    # calls bit for bit, across partial blocks and from a nonzero first
+    # and even k (buckets are a view). Each trial's scaled sums, read where
+    # row_squares receives them, equal two one-trial calls divided by
+    # sqrt(c) bit for bit, across partial blocks and from a nonzero first
     # trial; the bucket seed wraps past 2^64 in both. Full blocks step runs
     # of c = 5 by differences, and short last blocks take Horner.
     c, degree = 5, 4
     spec = tail_spec(40, k, c, 0.5, 2**64 - 3, 777, degree)
     indices = np.array([0, 3, 4, 11, 29, 39], dtype=np.uint64)
+    values = np.random.default_rng(k).standard_normal(indices.size)
+    x = SparseVector(40, zip(indices.tolist(), values.tolist()))
     points = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
-    weights = np.random.default_rng(k).standard_normal(points.size)
     rows = _block_trials(points.size, k)
     reference = [_reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
-                                        points, weights)
+                                        points, np.repeat(values, c)) / math.sqrt(c)
                  for t in range(2 * rows + 4)]
+    seen = []
+    original = sjlt.transform.row_squares
+    monkeypatch.setattr(sjlt.transform, "row_squares",
+                        lambda sums: seen.extend(sums.copy()) or original(sums))
     for trials in (rows - 1, rows + 1, 2 * rows + 3):
         for start in (0, 1):
-            seen = []
-            count = trial_counter(spec, points, weights,
-                                  lambda sums: seen.extend(sums) or [True] * len(sums))
+            seen.clear()
+            count = trial_counter(spec, x, lambda squares, norm_sq: np.ones(len(squares), bool))
             assert count(start, start + trials) == trials
             assert np.array(seen).tobytes() == np.array(reference[start:start + trials]).tobytes()
 

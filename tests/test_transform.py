@@ -23,6 +23,7 @@ from sjlt.transform import (
     SparseVector,
     TransformSpec,
     _parse_entry,
+    _replica_points,
     apply,
     apply_rows,
     apply_with_generators,
@@ -36,7 +37,6 @@ from sjlt.transform import (
     sign_generator,
     signed_bucket_sums,
     sparsity_gain,
-    trial_inputs,
     write_dense_vectors,
 )
 
@@ -550,7 +550,8 @@ def _random_vectors(spec, sizes, seed):
 
 def _bincount_row(spec, x):
     # the per-vector reference: all of one vector's replicas, one np.bincount
-    points, weights, _ = trial_inputs(spec, x)
+    indices, values = x._arrays
+    points, weights = _replica_points(indices, spec.c), np.repeat(values, spec.c)
     buckets = eval_bucket_batch(bucket_generator(spec), points)
     signs = eval_sign_batch(sign_generator(spec), points)
     sums = np.bincount(buckets, weights=signs * weights, minlength=spec.k)
@@ -737,8 +738,9 @@ def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
             single = np.bincount(buckets[r], weights=signs * row_weights, minlength=k)
             assert batched[r].tobytes() == single.tobytes()
             assert squares[r].tobytes() == (single @ single).tobytes()
-            assert signed_bucket_sums(buckets[r].copy(), sign_bits[r].copy(), row_weights,
-                                      k).tobytes() == single.tobytes()
+            one_row = signed_bucket_sums(buckets[r:r + 1].copy(), sign_bits[r:r + 1].copy(),
+                                         row_weights, k)
+            assert one_row.shape == (1, k) and one_row.tobytes() == single.tobytes()
 
 
 def test_sign_bits_negate_weights_bit_for_bit():
@@ -753,8 +755,9 @@ def test_sign_bits_negate_weights_bit_for_bit():
                      rng.integers(0, 2, size=weights.size)):
         sign_bits = low_bits + 2 * rng.integers(0, 2**60, size=weights.size)
         expected = (1 - 2 * low_bits) * weights
-        signed_bucket_sums(np.zeros(weights.size, dtype=np.int64), sign_bits, weights, 1)
-        assert sign_bits.view(np.float64).tobytes() == expected.tobytes()
+        one_row = sign_bits[None]
+        signed_bucket_sums(np.zeros(one_row.shape, dtype=np.int64), one_row, weights, 1)
+        assert one_row.view(np.float64).tobytes() == expected.tobytes()
         stacked = np.tile(low_bits, (3, 1))
         signed_bucket_sums(np.zeros(stacked.shape, dtype=np.int64), stacked, weights, 1)
         assert stacked.view(np.float64).tobytes() == np.tile(expected, 3).tobytes()
@@ -780,15 +783,15 @@ def test_trial_block_memory_holds_no_temporaries(monkeypatch):
     # each block's kernel call takes all of its arrays from it and returns
     # its values in it, where they are reduced and summed in place. So every
     # block's kernel call starts at the same traced level, and from there
-    # to the block's hits the memory rises by no more than the (T, k)
+    # to the block's event the memory rises by no more than the (T, k)
     # bucket sums and 64 KB, numpy's iterator buffer for a broadcast
-    # operand. Criterion 5's setting: 2 * 32 trials of 1024 points per full
-    # kernel call, then a short block, which steps other runs in the same
-    # work array. The kernel's own arrays for a full block are about 1.2 MB.
+    # operand; the T squares, 256 bytes, fit in that margin. Criterion 5's
+    # setting, x the default uniform vector: 2 * 32 trials of 1024 points
+    # per full kernel call, then a short block, which steps other runs in
+    # the same work array. The kernel's own arrays for a full block are
+    # about 1.2 MB.
     spec = derive_spec(1024, 0.25, 0.05, 1, 2**40)
-    points = np.arange(spec.d * spec.c, dtype=np.uint64)
-    weights = np.full(points.size, 1.0 / 32.0)
-    trials = max(1, 2 * HORNER_BLOCK // max(points.size, spec.k))
+    trials = max(1, 2 * HORNER_BLOCK // max(spec.d * spec.c, spec.k))
     sums_bytes = trials * spec.k * 8
     original = sjlt.transform.eval_bucket_batch
     # per block: the traced level at its kernel call, and the rise to its
@@ -801,13 +804,13 @@ def test_trial_block_memory_holds_no_temporaries(monkeypatch):
         levels[block[0], 0] = tracemalloc.get_traced_memory()[0]
         return original(gen, flat, **kwargs)
 
-    def hit(sums):
+    def hit(squares, norm_sq):
         levels[block[0], 1] = tracemalloc.get_traced_memory()[1] - levels[block[0], 0]
         block[0] += 1
-        return [False] * len(sums)
+        return [False] * len(squares)
 
     monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", traced)
-    count = sjlt.transform.trial_counter(spec, points, weights, hit)
+    count = sjlt.transform.trial_counter(spec, None, hit)
     # an untraced pass first fills numpy's one-time caches
     assert count(0, 3 * trials + 5) == 0
     block[0] = 0
