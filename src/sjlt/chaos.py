@@ -36,7 +36,7 @@ from .stats import partitioned_count
 from .transform import (
     SparseVector,
     TransformSpec,
-    _trial_report,
+    TrialReport,
     signed_bucket_sums,
     trial_counter,
     uniform_vector,
@@ -339,26 +339,7 @@ def monte_carlo_moment(inst: ChaosInstance, m: int, trials: int, seed: int) -> t
     return mean, se
 
 
-@dataclass(frozen=True)
-class TailReport:
-    d: int
-    epsilon: float
-    delta: float
-    m: int
-    k: int
-    c: int
-    trials: int
-    hits: int
-    failure_rate: float
-    wilson_low: float
-    wilson_high: float
-
-    CSV_COLUMNS: ClassVar[tuple[str, ...]] = (
-        "d", "k", "c", "m", "epsilon", "delta", "trials", "hits",
-        "failure_rate", "wilson_low", "wilson_high")
-
-
-def tail_estimate(spec: TransformSpec, trials: int, x: SparseVector | None = None) -> TailReport:
+def tail_estimate(spec: TransformSpec, trials: int, x: SparseVector | None = None) -> TrialReport:
     """Empirical P(|chaos value| >= spec.epsilon) over seeded trials.
 
     Trial t's chaos value is |y|^2 - |x|^2, from the values trial_counter
@@ -371,8 +352,7 @@ def tail_estimate(spec: TransformSpec, trials: int, x: SparseVector | None = Non
     def hit(squares: np.ndarray, norm_sq: float) -> np.ndarray:
         return np.abs(squares - norm_sq) >= spec.epsilon
 
-    hits = partitioned_count(trial_counter(spec, x, hit), trials)
-    return _trial_report(TailReport, spec, trials, hits)
+    return TrialReport.of(spec, trials, partitioned_count(trial_counter(spec, x, hit), trials))
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,12 @@ import time
 import warnings
 from pathlib import Path
 
-from .chaos import (ChaosInstance, MomentReport, TailReport, check_moment_report, moment_report,
-                    tail_estimate)
+from .chaos import ChaosInstance, MomentReport, check_moment_report, moment_report, tail_estimate
 from .graphs import BudgetExceededError, class_histograms
 from .graphs import class_histogram  # not called here; the benchmark's tracer patches it by name
 from .transform import (
     DEFAULT_KAPPA,
-    DistortionReport,
+    TrialReport,
     apply,  # not called here; the benchmark's tracer patches cli.apply by name
     apply_rows,
     derive_spec,
@@ -37,8 +36,8 @@ from .transform import (
 _SCHEMAS = {
     "moment-report": MomentReport.CSV_COLUMNS,
     "graph-count": ("m", "i", "t", "count", "elapsed_ms"),
-    "distortion-bench": DistortionReport.CSV_COLUMNS,
-    "tail-estimate": TailReport.CSV_COLUMNS,
+    "distortion-bench": TrialReport.DISTORTION_COLUMNS,
+    "tail-estimate": TrialReport.TAIL_COLUMNS,
 }
 
 
@@ -76,9 +75,9 @@ def _write_report(out_path: str, command: str, config: dict, columns, rows) -> N
 
 
 def _write_report_row(out_path: str, command: str, config: dict, report) -> None:
-    columns = type(report).CSV_COLUMNS
-    _write_report(out_path, command, config, columns,
-                  [tuple(getattr(report, column) for column in columns)])
+    # a report's fields are its command's columns, and a dataclass's instance
+    # dict holds its fields in field order
+    _write_report(out_path, command, config, _SCHEMAS[command], [vars(report).values()])
 
 
 def _kappas(args) -> tuple[float, float, float]:

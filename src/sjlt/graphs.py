@@ -45,14 +45,15 @@ class PairSequence:
 
 @dataclass(frozen=True, eq=False)
 class Multigraph:
-    vertices: frozenset[int]
-    edges: tuple[tuple[int, int], ...]
+    """A pair sequence's multigraph as weight reads it: degrees and components."""
+
     degree: dict[int, int]
     components: tuple[frozenset[int], ...]
 
 
 def build_multigraph(seq: PairSequence) -> Multigraph:
-    """Multigraph whose edge multiset is the sequence; only used vertices appear.
+    """Multigraph whose edge multiset is the sequence; only used vertices appear,
+    and components come sorted by their smallest vertex.
 
     Components are found as vertex bitmasks: each pair's two-bit mask absorbs
     every component mask it meets.
@@ -74,13 +75,12 @@ def build_multigraph(seq: PairSequence) -> Multigraph:
     # disjoint masks sort by their lowest bit, the component's smallest vertex
     components = tuple(frozenset(v for v in vertices if mask >> v & 1)
                        for mask in sorted(masks, key=lambda mask: mask & -mask))
-    return Multigraph(vertices=frozenset(vertices), edges=tuple(seq.pairs),
-                      degree=degree, components=components)
+    return Multigraph(degree=degree, components=components)
 
 
 def weight(graph: Multigraph, x: Sequence[float], k: int) -> float:
     """Product over components of k^-(size-1) * prod x_v^deg(v); 0 on any odd degree."""
-    for v in graph.vertices:
+    for v in graph.degree:
         if not 1 <= v <= len(x):
             raise ValueError(f"vertex {v} outside the coefficient vector")
     total = 1.0

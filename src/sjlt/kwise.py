@@ -688,12 +688,11 @@ def eval_bucket_batch(gen: KWiseGenerator, points, *,
     return values.view(np.int64)
 
 
-def eval_sign_batch(gen: KWiseGenerator, points, *,
-                    work: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized eval_sign; `gen`, `points` and `work` as for eval_bucket_batch."""
+def eval_sign_batch(gen: KWiseGenerator, points) -> np.ndarray:
+    """Vectorized eval_sign; `gen` and `points` as for eval_bucket_batch."""
     if gen.range_size != 2:
         raise ValueError("sign evaluation needs range 2")
     # bits b of the kernel's output become 1 - 2b in place
-    signs = eval_bucket_batch(gen, points, work=work)
+    signs = eval_bucket_batch(gen, points)
     np.left_shift(signs, 1, out=signs)
     return np.subtract(1, signs, out=signs)

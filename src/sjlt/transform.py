@@ -500,33 +500,38 @@ def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
 
 
 @dataclass(frozen=True)
-class DistortionReport:
+class TrialReport:
+    """The spec's parameters, the count of trials that met the event, its rate
+    and its Wilson interval, in the fields' order, which is the CSV order.
+    The count's column is `failures` for distortion-bench and `hits` for
+    tail-estimate."""
+
     d: int
-    epsilon: float
-    delta: float
-    m: int
     k: int
     c: int
+    m: int
+    epsilon: float
+    delta: float
     trials: int
-    failures: int
+    count: int
     failure_rate: float
     wilson_low: float
     wilson_high: float
 
-    CSV_COLUMNS: ClassVar[tuple[str, ...]] = (
+    DISTORTION_COLUMNS: ClassVar[tuple[str, ...]] = (
         "d", "k", "c", "m", "epsilon", "delta", "trials", "failures",
         "failure_rate", "wilson_low", "wilson_high")
+    TAIL_COLUMNS: ClassVar[tuple[str, ...]] = (
+        DISTORTION_COLUMNS[:7] + ("hits",) + DISTORTION_COLUMNS[8:])
 
-
-def _trial_report(report_type, spec: TransformSpec, trials: int, count: int):
-    """A DistortionReport or TailReport: the spec's parameters, the count of
-    failed trials, its rate and its Wilson interval, in the fields' order."""
-    return report_type(spec.d, spec.epsilon, spec.delta, spec.m, spec.k, spec.c, trials,
-                       count, count / trials, *wilson_interval(count, trials))
+    @classmethod
+    def of(cls, spec: TransformSpec, trials: int, count: int) -> TrialReport:
+        return cls(spec.d, spec.k, spec.c, spec.m, spec.epsilon, spec.delta, trials,
+                   count, count / trials, *wilson_interval(count, trials))
 
 
 def distortion_bench(spec: TransformSpec, trials: int,
-                     x: SparseVector | None = None) -> DistortionReport:
+                     x: SparseVector | None = None) -> TrialReport:
     """Failure fraction of the distortion guarantee over independently seeded trials.
 
     Trial t fails when |y| / |x|, from the values trial_counter computes,
@@ -544,5 +549,4 @@ def distortion_bench(spec: TransformSpec, trials: int,
     count = trial_counter(spec, x, fails)
     if x is not None and x.norm() == 0.0:
         raise ValueError("zero vector has no distortion ratio")
-    failures = partitioned_count(count, trials)
-    return _trial_report(DistortionReport, spec, trials, failures)
+    return TrialReport.of(spec, trials, partitioned_count(count, trials))

@@ -109,7 +109,7 @@ def test_criterion_4_specific_counts():
 def test_criterion_5_distortion_failure_rate():
     report = distortion_bench(derive_spec(1024, 0.25, 0.05, 20240501, 20240502),
                               trials=10**5)
-    print(f"  failures={report.failures}/{report.trials} "
+    print(f"  failures={report.count}/{report.trials} "
           f"wilson_high={report.wilson_high:.3e} (allowed {report.delta})")
     assert report.wilson_high <= report.delta
     _passed(5, "distortion failure rate within delta at 1e5 seeds")
@@ -119,7 +119,7 @@ def test_criterion_6_tail_surrogate():
     delta = 0.05
     spec = derive_spec(256, 0.25, delta, 31337, 42424)
     report = tail_estimate(spec, trials=20000)
-    print(f"  tail hits={report.hits}/{report.trials} "
+    print(f"  tail hits={report.count}/{report.trials} "
           f"wilson_high={report.wilson_high:.3e} (allowed {5 * delta})")
     assert report.wilson_high <= 5.0 * delta
 

@@ -734,11 +734,11 @@ def test_tail_zero_for_basis_vector():
     # a single nonzero replica has no cross terms, so the chaos is identically 0
     x = SparseVector.from_dense((1.0, 0.0, 0.0, 0.0))
     report = tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=x)
-    assert report.hits == 0
+    assert report.count == 0
     assert report.failure_rate == 0.0
     # the zero vector has no replicas to hash, and its chaos is 0 as well
     zero = SparseVector(4, ())
-    assert tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=zero).hits == 0
+    assert tail_estimate(tail_spec(4, 3, 1, 0.5, 1, 2, 2), trials=1000, x=zero).count == 0
 
 
 def test_tail_forced_collision_boundary():
@@ -840,8 +840,8 @@ def test_tail_matches_distortion_ratio():
     assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
     count = _tail_count_fn(spec, x)
     assert [bool(count(t, t + 1)) for t in range(len(hits))] == list(hits)
-    assert tail_estimate(spec, 1000, x=x).hits == sum(hits)
-    assert distortion_bench(spec, 1000, x=x).failures == sum(fails)
+    assert tail_estimate(spec, 1000, x=x).count == sum(hits)
+    assert distortion_bench(spec, 1000, x=x).count == sum(fails)
 
 
 def _block_trials(n, k):
@@ -891,7 +891,7 @@ def test_trial_loops_match_per_trial_reference():
         assert 0 < sum(fails) < len(fails)
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
             report = distortion_bench(spec, trials, x=sparse)
-            assert report.failures == sum(fails[:trials])
+            assert report.count == sum(fails[:trials])
 
     for k, c, degree in ((7, 3, 4), (7, 18, 4)):
         spec = tail_spec(d, k, c, 0.3, bucket_seed, sign_seed, degree)
@@ -899,7 +899,7 @@ def test_trial_loops_match_per_trial_reference():
         hits = [hit for _, hit in _reference_outcomes(spec, sparse, max(1000, 2 * rows + 3) + 1)]
         assert 0 < sum(hits) < len(hits)
         for trials in (1000, len(hits)):
-            assert tail_estimate(spec, trials, x=sparse).hits == sum(hits[:trials])
+            assert tail_estimate(spec, trials, x=sparse).count == sum(hits[:trials])
         # below the estimator's 1000-trial floor, through its own count function
         count = _tail_count_fn(spec, sparse)
         for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
@@ -1008,9 +1008,9 @@ def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
     assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
     count = _tail_count_fn(spec, x)
     for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-        assert distortion_bench(spec, trials, x=x).failures == sum(fails[:trials])
+        assert distortion_bench(spec, trials, x=x).count == sum(fails[:trials])
         assert count(0, trials) == sum(hits[:trials])
-    assert tail_estimate(spec, 1000, x=x).hits == sum(hits[:1000])
+    assert tail_estimate(spec, 1000, x=x).count == sum(hits[:1000])
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -1029,7 +1029,7 @@ def test_trial_counts_do_not_depend_on_horner_block(monkeypatch, horner_block):
 
     def counts():
         return ([_tail_count_fn(spec, x)(3, 33) for x, spec in cases]
-                + [distortion_bench(spike_spec, 120, x=spikes).failures])
+                + [distortion_bench(spike_spec, 120, x=spikes).count])
 
     expected = counts()
     monkeypatch.setattr(kwise, "HORNER_BLOCK", horner_block)

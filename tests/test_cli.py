@@ -1,5 +1,6 @@
 """CLI behavior: determinism, report schemas, verify mode, machine-readable errors."""
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -17,10 +18,10 @@ import sjlt.chaos
 import sjlt.cli
 import sjlt.graphs
 import sjlt.transform
-from sjlt.chaos import MomentReport, TailReport
+from sjlt.chaos import MomentReport
 from sjlt.cli import main
 from sjlt.kwise import _run_length, eval_bucket, eval_sign
-from sjlt.transform import (AssumptionWarning, DistortionReport, apply, bucket_generator, derive_spec,
+from sjlt.transform import (AssumptionWarning, TrialReport, apply, bucket_generator, derive_spec,
                             _replica_points, format_dense_vector, parse_sparse_vector,
                             sign_generator)
 
@@ -211,17 +212,37 @@ def test_tail_estimate_report(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_every_report_type_names_its_columns_in_field_order():
+    # _write_report_row writes a report's field values, in field order, under
+    # its command's column row, so the fields must be those columns in order
+    def names(report_type):
+        return tuple(field.name for field in dataclasses.fields(report_type))
+
+    assert names(MomentReport) == MomentReport.CSV_COLUMNS
+    for columns, count in ((TrialReport.DISTORTION_COLUMNS, "failures"),
+                           (TrialReport.TAIL_COLUMNS, "hits")):
+        assert tuple("count" if name == count else name for name in columns) == names(TrialReport)
+    # the writer reads the values from the instance dict, in its order
+    assert tuple(vars(TrialReport(*range(11)))) == names(TrialReport)
+    # every command but transform and verify writes a report under its row
+    assert set(sjlt.cli._SCHEMAS) == set(sjlt.cli._COMMANDS) - {"transform", "verify"}
+    assert [sjlt.cli._SCHEMAS[command] for command in
+            ("moment-report", "distortion-bench", "tail-estimate")] == [
+        MomentReport.CSV_COLUMNS, TrialReport.DISTORTION_COLUMNS, TrialReport.TAIL_COLUMNS]
+
+
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_verify_roundtrips_every_report(tmp_path, capsys):
-    # each report's column row is its report type's CSV_COLUMNS; graph-count has no type
+    # each report's column row is its report type's; graph-count has no type
     trial_flags = ["--epsilon", "0.5", "--delta", "0.2", "--bucket-seed", "1", "--sign-seed", "2"]
     reports = [
         (["graph-count", "--m", "1", "--i-max", "3"], ("m", "i", "t", "count", "elapsed_ms")),
         (["moment-report", "--d", "2", "--k", "2", "--m", "1", "--trials", "1000"],
          MomentReport.CSV_COLUMNS),
         (["distortion-bench", "--d", "16", "--trials", "32", *trial_flags],
-         DistortionReport.CSV_COLUMNS),
-        (["tail-estimate", "--d", "8", "--trials", "1000", *trial_flags], TailReport.CSV_COLUMNS),
+         TrialReport.DISTORTION_COLUMNS),
+        (["tail-estimate", "--d", "8", "--trials", "1000", *trial_flags],
+         TrialReport.TAIL_COLUMNS),
     ]
     produced = []
     for argv, columns in reports:
@@ -643,7 +664,7 @@ def test_a_warning_is_one_line_after_success_under_the_active_filters(capsys, se
             warnings.simplefilter("ignore", AssumptionWarning)
         result, out, stderr = run(argv, capsys)
     assert (result, stderr) == (code, err)
-    assert out.splitlines()[1:2] == ([",".join(TailReport.CSV_COLUMNS)] if code == 0 else [])
+    assert out.splitlines()[1:2] == ([",".join(TrialReport.TAIL_COLUMNS)] if code == 0 else [])
 
 
 def test_a_warning_the_filters_raise_is_one_refusal_line():

@@ -948,7 +948,7 @@ def work_call_sequences(draw):
 def test_work_calls_match_fresh_calls(calls, fill):
     # one work array, filled with garbage bytes and never cleared, serves
     # every call; each returns the fresh call's values bit for bit, as a
-    # view of the work array, and so does eval_sign_batch at range 2
+    # view of the work array
     words = max(kwise.work_size(len(gen), gen.degree, points) for gen, points in calls)
     work = np.frombuffer(np.random.default_rng(fill).bytes(8 * words), dtype=np.uint64).copy()
     for gen, points in calls:
@@ -956,9 +956,6 @@ def test_work_calls_match_fresh_calls(calls, fill):
         got = eval_bucket_batch(gen, points, work=work)
         assert np.shares_memory(got, work) or not points.size
         assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
-        if gen.range_size == 2:
-            signs = eval_sign_batch(gen, points, work=work)
-            assert signs.tobytes() == eval_sign_batch(gen, points).tobytes()
 
 
 def _kernel_paths(gen, points):
