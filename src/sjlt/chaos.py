@@ -277,8 +277,10 @@ def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, nor
     """Each row's chaos value to `power`: its k signed bucket sums (signs
     2 * bit - 1) squared and added to -|x|^2 in bucket order. Overwrites
     both int64 arrays."""
+    sums = np.zeros((len(buckets), k))
     # the shared bucket sums negate odd bits, these draws even ones
-    sums = signed_bucket_sums(buckets, np.bitwise_xor(sign_bits, 1, out=sign_bits), x, k)
+    signed_bucket_sums(buckets, np.arange(0, sums.size, k)[:, None],
+                       np.bitwise_xor(sign_bits, 1, out=sign_bits), x, sums)
     # one sequential running sum per row: (-|x|^2 + s_0^2) + s_1^2 + ...
     np.square(sums, out=sums)
     sums[:, 0] -= norm_sq

@@ -21,7 +21,7 @@ from .kwise import (
     HORNER_BLOCK,
     KWiseGenerator,
     eval_bucket_batch,
-    eval_sign_batch,
+    eval_sign_batch,  # materialize's; bench/tracing.py also patches it by name
     generator_block,
     new_generator,
     reduction_bias_bound,
@@ -308,27 +308,25 @@ def sign_generator(spec: TransformSpec) -> KWiseGenerator:
     return new_generator(spec.sign_seed, spec.independence_degree, 2)
 
 
-def signed_bucket_sums(buckets: np.ndarray, sign_bits: np.ndarray, weights: np.ndarray,
-                       k: int) -> np.ndarray:
-    """Per-bucket (rows, k) sums of the float64 weights over each row's
-    points, added in point order; a weight enters negated where the low bit
-    of `sign_bits` is 1.
+@np.errstate(over="ignore")
+def signed_bucket_sums(buckets: np.ndarray, offsets, sign_bits: np.ndarray, weights,
+                       sums: np.ndarray) -> np.ndarray:
+    """Add each float64 weight, negated where the low bit of its sign value
+    is 1, at offset + bucket of the caller's C-contiguous float64 `sums`,
+    read flat; returns `sums`, where an overflowing sum stays inf.
 
-    Works in place and overwrites both (rows, n) int64 arrays. The low bit
-    becomes the weight's IEEE sign bit, bit for bit (1 - 2b) * w, and row
-    r's buckets are offset by r * k, so one bincount sums every row and row r
-    of the result equals a one-row call on row r bit for bit. The fixed
-    order pins every projection's floating-point result.
+    Overwrites the int64 `buckets` and `sign_bits`, to whose one shape
+    `offsets` and `weights` broadcast. The low bit becomes the weight's IEEE
+    sign bit, bit for bit (1 - 2b) * w, and the unbuffered np.add.at adds
+    the points in order onto what `sums` holds, so a sum carries across
+    calls. The fixed order pins every projection's floating-point result.
     """
     bits = sign_bits.view(np.uint64)
     np.left_shift(bits, np.uint64(63), out=bits)
     np.bitwise_xor(bits, np.asarray(weights, dtype=np.float64).view(np.uint64), out=bits)
-    rows = len(buckets)
-    np.add(buckets, np.arange(0, rows * k, k)[:, None], out=buckets)
-    sums = np.bincount(buckets.reshape(-1), weights=bits.view(np.float64).reshape(-1),
-                       minlength=rows * k)
-    # float64 also without points, where bincount returns int64 zeros
-    return sums.astype(np.float64, copy=False).reshape(rows, k)
+    np.add(buckets, offsets, out=buckets)
+    np.add.at(sums.reshape(-1), buckets.reshape(-1), bits.view(np.float64).reshape(-1))
+    return sums
 
 
 def row_squares(rows: np.ndarray) -> np.ndarray:
@@ -353,18 +351,17 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     block expands its T bucket seeds and then its T sign seeds into one
     2T-row KWiseGenerator of range lcm(k, 2), whose values fix both v mod k
     and v mod 2, and hashes both stacks of trial points in one kernel call.
-    One `signed_bucket_sums` reduces and sums its output in place, the sums
-    are divided by sqrt(c) in place, and `row_squares` gives the block's T
-    values |y|^2, in trial order.
+    One `signed_bucket_sums` adds its output into the zeroed (T, k) sums,
+    which are divided by sqrt(c) in place, and `row_squares` gives the
+    block's T values |y|^2, in trial order.
 
-    Each call of the count function allocates one uint64 work array before
-    its first block, sized by `work_size` for its full blocks and for its
-    last, shorter one, whose run length may differ. Every block's kernel call
-    takes all of its arrays, and returns its values, as views of it, so a
-    block allocates nothing larger than its (T, k) sums, and the blocks
-    reuse the work array's pages where separate arrays would each be mapped
-    afresh. The work array belongs to that call alone, so calls from several
-    threads each use their own.
+    Each call of the count function allocates the (T, k) sums and one uint64
+    work array, sized by `work_size` for its full blocks and for its last,
+    shorter one, whose run length may differ. Each block's kernel call takes
+    all of its arrays, and returns its values, as views of the work array,
+    so a block allocates no more than its T squares, and blocks reuse pages
+    that fresh arrays would each map afresh. Both arrays belong to that call
+    alone, so calls from several threads each use their own.
     """
     if x is None:
         x = uniform_vector(spec.d)
@@ -378,18 +375,21 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
     rows = max(1, 2 * HORNER_BLOCK // max(n, k))
     seeds = np.array((spec.bucket_seed, spec.sign_seed), dtype=np.uint64)[:, None]
+    offsets = np.arange(0, rows * k, k)[:, None]
     range_size = math.lcm(k, 2)
     # any prefix of 2T periods is the points of a 2T-row stack
     tiled = np.tile(points, 2 * rows)
 
-    def block_hits(first: int, stop: int, work: np.ndarray) -> int:
+    def block_hits(first: int, stop: int, work: np.ndarray, sums: np.ndarray) -> int:
         trials = np.arange(first, stop, dtype=np.uint64)
         block = generator_block(seeds + trials, degree, range_size)
         buckets, sign_bits = eval_bucket_batch(
             block, tiled[:2 * trials.size * n], work=work).reshape(2, trials.size, n)
         if k % 2:
             np.remainder(buckets, k, out=buckets)
-        sums = signed_bucket_sums(buckets, sign_bits, weights, k)
+        sums = sums[:trials.size]
+        sums.fill(0.0)
+        signed_bucket_sums(buckets, offsets[:trials.size], sign_bits, weights, sums)
         squares = row_squares(np.divide(sums, scale, out=sums))
         return int(np.count_nonzero(event(squares, norm_sq)))
 
@@ -399,7 +399,8 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
         sizes = {min(rows, total), total % rows} - {0}
         work = np.empty(max((work_size(2 * t, degree, tiled[:2 * t * n]) for t in sizes),
                             default=0), dtype=np.uint64)
-        return sum(block_hits(first, min(first + rows, stop), work)
+        sums = np.empty((max(sizes, default=0), k))
+        return sum(block_hits(first, min(first + rows, stop), work, sums)
                    for first in range(start, stop, rows))
 
     return count
@@ -411,46 +412,42 @@ def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
     return points.reshape(-1)
 
 
-def _bucket_sums(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
-                 sign_gen: KWiseGenerator) -> np.ndarray:
-    """Unscaled (n, k) bucket sums of the vectors' replicas, one row per vector.
+def _project_rows(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
+                    sign_gen: KWiseGenerator) -> np.ndarray:
+    """The (n, k) bucket sums of the vectors' replicas, one row per vector,
+    divided by sqrt(c) in place; an overflowing row stays inf.
 
     All nonzeros stream through the kernel in chunks that cross vector
     boundaries, of max(1, HORNER_BLOCK // min(c, degree)) coordinates: one
     forward-difference table pass, or one Horner block. Peak memory is one
-    chunk's, however large a vector. A chunk makes one kernel call per role
-    (stacking the roles as trial_counter does gave no speed here and cost
-    11% peak RSS), then adds sign * value at flat offset row * k + bucket
-    with the unbuffered np.add.at, in point order, so each row has the bits
-    of a per-vector np.bincount. Points, offsets and sign * value are built
-    as (coordinates, c) broadcasts, with no per-replica repeat. An
-    overflowing sum stays inf, silently as in bincount; apply_rows refuses it.
+    chunk's, however large a vector. A chunk makes one kernel call per role,
+    the range-2 sign role's values being the sign bits (stacking the roles
+    as trial_counter does gave no speed here and cost 11% peak RSS). One
+    `signed_bucket_sums` adds its (coordinates, c) points at offset row * k,
+    value and offset broadcast over each coordinate's replicas, so each row
+    has the bits of a per-vector np.bincount.
     """
-    sums = np.zeros(len(vectors) * k)
+    sums = np.zeros((len(vectors), k))
     if not vectors:
-        return sums.reshape(0, k)
+        return sums
     indices = np.concatenate([x._arrays[0] for x in vectors])
     values = np.concatenate([x._arrays[1] for x in vectors])
     offsets = np.repeat(np.arange(0, sums.size, k), [x.nnz for x in vectors])
     per_chunk = max(1, HORNER_BLOCK // min(c, bucket_gen.degree))
-    with np.errstate(over="ignore"):
-        for start in range(0, indices.size, per_chunk):
-            chunk = slice(start, start + per_chunk)
-            points = _replica_points(indices[chunk], c)
-            buckets = eval_bucket_batch(bucket_gen, points).reshape(-1, c)
-            buckets += offsets[chunk, None]
-            # ±1 as float64 first: an int64 * float64 broadcast casts row by row
-            weights = eval_sign_batch(sign_gen, points).astype(np.float64).reshape(-1, c)
-            weights *= values[chunk, None]
-            np.add.at(sums, buckets.reshape(-1), weights.reshape(-1))
-    return sums.reshape(-1, k)
+    for start in range(0, indices.size, per_chunk):
+        chunk = slice(start, start + per_chunk)
+        points = _replica_points(indices[chunk], c)
+        buckets = eval_bucket_batch(bucket_gen, points).reshape(-1, c)
+        sign_bits = eval_bucket_batch(sign_gen, points).reshape(-1, c)
+        signed_bucket_sums(buckets, offsets[chunk, None], sign_bits, values[chunk, None], sums)
+    return np.divide(sums, math.sqrt(c), out=sums)
 
 
 def apply_with_generators(x: SparseVector, c: int, k: int,
                           bucket_gen: KWiseGenerator,
                           sign_gen: KWiseGenerator) -> np.ndarray:
-    """Project a sparse vector through explicit generators; returns k bucket sums."""
-    return _bucket_sums([x], c, k, bucket_gen, sign_gen)[0] / math.sqrt(c)
+    """Project a sparse vector through explicit generators; returns its (k,) row."""
+    return _project_rows([x], c, k, bucket_gen, sign_gen)[0]
 
 
 def apply_rows(spec: TransformSpec, vectors) -> np.ndarray:
@@ -465,8 +462,7 @@ def apply_rows(spec: TransformSpec, vectors) -> np.ndarray:
     for x in vectors:
         if x.dim != spec.d:
             raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
-    sums = _bucket_sums(vectors, spec.c, spec.k, bucket_generator(spec), sign_generator(spec))
-    rows = sums / math.sqrt(spec.c)
+    rows = _project_rows(vectors, spec.c, spec.k, bucket_generator(spec), sign_generator(spec))
     if not np.isfinite(rows).all():
         raise ValueError("dense vector entries must be finite")
     return rows

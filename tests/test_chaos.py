@@ -117,7 +117,7 @@ def test_bucket_sum_identity(seed, d, k):
     sign_bits = rng.integers(0, 2, size=d)
     direct = chaos_value(inst, RandomnessAssignment(tuple(buckets), tuple(1 - 2 * sign_bits)))
     x = np.array(inst.dense)
-    per_bucket, = signed_bucket_sums(buckets[None], sign_bits[None], x, k)
+    per_bucket = signed_bucket_sums(buckets, 0, sign_bits, x, np.zeros(k))
     fast = float(per_bucket @ per_bucket) - float(x @ x)
     assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
 

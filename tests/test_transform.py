@@ -718,28 +718,43 @@ def test_wilson_interval_ends_exactly_at_0_and_1():
             assert 0.0 <= low <= s / n <= high <= 1.0, (s, n)
 
 
+def _row_sums(buckets, sign_bits, weights, k):
+    # a fresh (rows, k) float64 sum of each row's points, row r offset by r * k
+    sums = np.zeros((len(buckets), k))
+    offsets = np.arange(0, sums.size, k)[:, None]
+    return signed_bucket_sums(buckets.copy(), offsets, sign_bits.copy(), weights, sums)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32), rows=st.integers(1, 6), points=st.integers(0, 300),
-       k=st.one_of(st.integers(1, 5), st.integers(6, 99)))
-def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k):
+       k=st.one_of(st.integers(1, 5), st.integers(6, 99)), split=st.integers(0, 300))
+def test_signed_bucket_sums_rows_match_one_row_calls(seed, rows, points, k, split):
     # row r of a 2-D call starts r * k floats in, unaligned for odd k; the
     # trial loops take its squared norms with row_squares. Only the low bit
-    # of a sign value counts, as in the kernel's values below 2^61.
+    # of a sign value counts, as in the kernel's values below 2^61. Two calls
+    # on the same sums, each row's points split between them, add on where
+    # the first stopped, as the transform's chunks do.
     rng = np.random.default_rng(seed)
     buckets = rng.integers(0, k, size=(rows, points))
     sign_bits = rng.integers(0, 2**61, size=(rows, points))
+    split = min(split, points)
     for weights in (rng.standard_normal((rows, points)), rng.standard_normal(points)):
-        batched = signed_bucket_sums(buckets.copy(), sign_bits.copy(), weights, k)
+        batched = _row_sums(buckets, sign_bits, weights, k)
         assert batched.shape == (rows, k)
         squares = row_squares(batched)
+        halves = np.zeros((rows, k))
+        offsets = np.arange(0, halves.size, k)[:, None]
+        for part in (slice(None, split), slice(split, None)):
+            signed_bucket_sums(buckets[:, part].copy(), offsets, sign_bits[:, part].copy(),
+                               weights[..., part], halves)
+        assert halves.tobytes() == batched.tobytes()
         for r in range(rows):
             row_weights = weights[r] if weights.ndim == 2 else weights
             signs = 1 - 2 * (sign_bits[r] & 1)
             single = np.bincount(buckets[r], weights=signs * row_weights, minlength=k)
             assert batched[r].tobytes() == single.tobytes()
             assert squares[r].tobytes() == (single @ single).tobytes()
-            one_row = signed_bucket_sums(buckets[r:r + 1].copy(), sign_bits[r:r + 1].copy(),
-                                         row_weights, k)
+            one_row = _row_sums(buckets[r:r + 1], sign_bits[r:r + 1], row_weights, k)
             assert one_row.shape == (1, k) and one_row.tobytes() == single.tobytes()
 
 
@@ -756,10 +771,12 @@ def test_sign_bits_negate_weights_bit_for_bit():
         sign_bits = low_bits + 2 * rng.integers(0, 2**60, size=weights.size)
         expected = (1 - 2 * low_bits) * weights
         one_row = sign_bits[None]
-        signed_bucket_sums(np.zeros(one_row.shape, dtype=np.int64), one_row, weights, 1)
+        signed_bucket_sums(np.zeros(one_row.shape, dtype=np.int64), 0, one_row, weights,
+                           np.zeros(1))
         assert one_row.view(np.float64).tobytes() == expected.tobytes()
         stacked = np.tile(low_bits, (3, 1))
-        signed_bucket_sums(np.zeros(stacked.shape, dtype=np.int64), stacked, weights, 1)
+        signed_bucket_sums(np.zeros(stacked.shape, dtype=np.int64), 0, stacked, weights,
+                           np.zeros(1))
         assert stacked.view(np.float64).tobytes() == np.tile(expected, 3).tobytes()
 
 
