@@ -340,9 +340,10 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     """Count function over trial ranges, for `partitioned_count`: the number
     of trials t in a range whose event(|y|^2, |x|^2) holds.
 
-    x is the uniform unit vector when None; a dimension other than the
-    spec's is refused before any work. |x|^2 is math.fsum of x's squared
-    values, x.norm() squared before its root. Trial t projects the replicas
+    x is the uniform unit vector when None. A dimension other than the
+    spec's, and then a nonzero x whose |x|^2 leaves the float64 range, are
+    refused before any work. |x|^2 is math.fsum of x's squared values,
+    x.norm() squared before its root. Trial t projects the replicas
     of x's nonzeros, each carrying x_i unscaled, through fresh spec
     generators seeded (bucket_seed + t, sign_seed + t) mod 2^64, so its
     outcome is fixed by its seeds alone; its row y is its bucket sums
@@ -367,9 +368,9 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
         x = uniform_vector(spec.d)
     elif x.dim != spec.d:
         raise ValueError(f"vector dimension {x.dim} does not match spec dimension {spec.d}")
+    norm_sq = _norm_sq(x)
     indices, values = x._arrays
     points, weights = _replica_points(indices, spec.c), np.repeat(values, spec.c)
-    norm_sq = math.fsum(v * v for v in values.tolist())
     scale = math.sqrt(spec.c)
     k, degree, n = spec.k, spec.independence_degree, points.size
     # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
@@ -406,6 +407,18 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     return count
 
 
+def _norm_sq(x: SparseVector) -> float:
+    """math.fsum of x's squared values, refused for a nonzero x where it is
+    0.0 or passes the largest float."""
+    try:
+        norm_sq = math.fsum(v * v for v in x._arrays[1].tolist())
+    except OverflowError:  # finite squares whose exact sum is past the largest float
+        norm_sq = math.inf
+    if x.nnz and not 0.0 < norm_sq < math.inf:
+        raise ValueError(f"|x|^2 = {norm_sq!r} of a nonzero vector lies outside the float64 range")
+    return norm_sq
+
+
 def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
     # replica r of coordinate i sits at flat point i*c + r
     points = indices.astype(np.uint64)[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)
@@ -413,9 +426,9 @@ def _replica_points(indices: np.ndarray, c: int) -> np.ndarray:
 
 
 def _project_rows(vectors, c: int, k: int, bucket_gen: KWiseGenerator,
-                    sign_gen: KWiseGenerator) -> np.ndarray:
+                  sign_gen: KWiseGenerator) -> np.ndarray:
     """The (n, k) bucket sums of the vectors' replicas, one row per vector,
-    divided by sqrt(c) in place; an overflowing row stays inf.
+    divided by sqrt(c) in place; an overflowing sum stays inf.
 
     All nonzeros stream through the kernel in chunks that cross vector
     boundaries, of max(1, HORNER_BLOCK // min(c, degree)) coordinates: one
@@ -485,8 +498,9 @@ def materialize(spec: TransformSpec) -> np.ndarray:
 
 
 def distortion_trial(spec: TransformSpec, x: SparseVector) -> float:
-    """Norm ratio |Mx| / |x| for the sampled transform."""
-    norm = x.norm()
+    """Norm ratio |Mx| / |x| for the sampled transform; a nonzero x whose
+    |x|^2 leaves the float64 range is refused."""
+    norm = math.sqrt(_norm_sq(x))
     if norm == 0.0:
         raise ValueError("zero vector has no distortion ratio")
     if x.dim != spec.d:
@@ -543,6 +557,6 @@ def distortion_bench(spec: TransformSpec, trials: int,
         return (ratios < low_bound) | (ratios > high_bound)
 
     count = trial_counter(spec, x, fails)
-    if x is not None and x.norm() == 0.0:
+    if x is not None and x.nnz == 0:
         raise ValueError("zero vector has no distortion ratio")
     return TrialReport.of(spec, trials, partitioned_count(count, trials))

@@ -38,6 +38,7 @@ from sjlt.kwise import HORNER_BLOCK, eval_bucket_batch, eval_sign_batch, new_gen
 from sjlt.transform import (
     SparseVector,
     TransformSpec,
+    apply_rows,
     apply_with_generators,
     derive_spec,
     distortion_bench,
@@ -755,10 +756,13 @@ def test_tail_requires_enough_trials():
         tail_estimate(tail_spec(2, 2, 1, 0.5, 0, 1, 2), trials=10)
 
 
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
 def test_trial_reports_refuse_before_hashing(monkeypatch):
     # each refusal of both reports comes before any seed expansion or kernel
-    # call, in the order trials, dimension, zero vector: a zero vector of the
-    # wrong dimension gets the dimension message
+    # call, in the order trials, dimension, |x|^2 range, zero vector: a zero
+    # vector of the wrong dimension gets the dimension message. A nonzero x
+    # whose fsum |x|^2 is 0.0 or past the largest float has no ratio and no
+    # tail to judge: every ratio would be nan and every |y|^2 - |x|^2 nan
     def hashed(*args, **kwargs):
         raise AssertionError("hashing began")
 
@@ -767,16 +771,27 @@ def test_trial_reports_refuse_before_hashing(monkeypatch):
     spec = tail_spec(8, 4, 2, 0.5, 1, 2, 4)
     wrong, wrong_zero = uniform_vector(9), SparseVector(9, ())
     dimension = "vector dimension 9 does not match spec dimension 8"
+    out_of_range = r"\|x\|\^2 = (0\.0|inf) of a nonzero vector lies outside the float64 range"
     for call, message in (
             (lambda: distortion_bench(spec, 0, x=wrong_zero), "trials must be positive"),
             (lambda: tail_estimate(spec, 999, x=wrong), "need at least 1000 trials"),
             (lambda: distortion_bench(spec, 10, x=wrong), dimension),
             (lambda: tail_estimate(spec, 1000, x=wrong), dimension),
             (lambda: distortion_bench(spec, 10, x=wrong_zero), dimension),
+            (lambda: tail_estimate(spec, 1000, x=SparseVector.from_dense([1e200] * 9)),
+             dimension),
             (lambda: distortion_bench(spec, 10, x=SparseVector(8, ())),
              "zero vector has no distortion ratio")):
         with pytest.raises(ValueError, match=message):
             call()
+    big_spec = derive_spec(16, 0.5, 0.2, 1, 2**40)
+    # squares that overflow, underflow, and finite squares whose sum overflows
+    for scale in (1e200, 1e-200, 1e154):
+        x = SparseVector.from_dense([scale] * 16)
+        for call in (lambda: distortion_bench(big_spec, 10, x=x),
+                     lambda: tail_estimate(big_spec, 1000, x=x)):
+            with pytest.raises(ValueError, match=out_of_range):
+                call()
     # the patched names are the ones a report's first block calls
     for call in (lambda: distortion_bench(spec, 10), lambda: tail_estimate(spec, 1000)):
         with pytest.raises(AssertionError, match="hashing began"):
@@ -978,6 +993,36 @@ def test_trial_block_is_one_kernel_call(monkeypatch):
         run(trials)
         assert len(calls) == -(-trials // rows)
         assert sum(calls) == 2 * trials * n
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+def test_apply_rows_hashes_both_roles_as_bucket_calls(monkeypatch):
+    # The transform path hashes its sign role with eval_bucket_batch too:
+    # each chunk hands it the chunk's replica points once per role, bucket
+    # role first, so kwise.hash_evals stays 2 evaluations per replica point,
+    # and no eval_sign_batch call is made. A chunk is 16384 // 14 = 1170
+    # coordinates; 3 vectors of 1500 nonzeros in all make 2 chunks.
+    calls = []
+    original = sjlt.transform.eval_bucket_batch
+
+    def counted(gen, points, **kwargs):
+        calls.append((gen.range_size, len(points)))
+        return original(gen, points, **kwargs)
+
+    def refused(gen, points, **kwargs):
+        raise AssertionError("eval_sign_batch called on the transform path")
+
+    monkeypatch.setattr(sjlt.transform, "eval_bucket_batch", counted)
+    monkeypatch.setattr(sjlt.transform, "eval_sign_batch", refused)
+    spec = derive_spec(2**20, 0.1, 1e-3, 1234567, 7654321)
+    c, k = spec.c, spec.k
+    rng = np.random.default_rng(8)
+    vectors = [SparseVector(spec.d, zip(np.sort(rng.choice(spec.d, nnz, replace=False)).tolist(),
+                                        rng.uniform(0.5, 1.5, nnz).tolist()))
+               for nnz in (900, 0, 600)]
+    rows = apply_rows(spec, vectors)
+    assert rows.shape == (3, k) and not rows[1].any()
+    assert calls == [(k, 1170 * c), (2, 1170 * c), (k, 330 * c), (2, 330 * c)]
 
 
 def _dense_trial_case(d, kappa_c):

@@ -704,6 +704,10 @@ def test_distortion_rejects_zero_vector():
         distortion_trial(spec, SparseVector(dim=3, entries=()))
     with pytest.raises(ValueError, match="zero vector has no distortion ratio"):
         sjlt.transform.distortion_bench(spec, 10, x=SparseVector(dim=3, entries=()))
+    # nonzero, but |x|^2 underflows to 0.0 or overflows: no ratio either
+    for scale in (1e-200, 1e200, 1e154):
+        with pytest.raises(ValueError, match="lies outside the float64 range"):
+            distortion_trial(spec, SparseVector.from_dense([scale] * 3))
 
 
 def test_wilson_interval_ends_exactly_at_0_and_1():
