@@ -400,7 +400,7 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
         sizes = {min(rows, total), total % rows} - {0}
         work = np.empty(max((work_size(2 * t, degree, tiled[:2 * t * n]) for t in sizes),
                             default=0), dtype=np.uint64)
-        sums = np.empty((max(sizes, default=0), k))
+        sums = np.empty((min(rows, total), k))
         return sum(block_hits(first, min(first + rows, stop), work, sums)
                    for first in range(start, stop, rows))
 
