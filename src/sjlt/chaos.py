@@ -180,7 +180,8 @@ def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
         # block fixed to +1 stands for perm(k, q) maps times 2^q sign
         # patterns. Its power is yielded doubled with half that count, as the
         # plain enumeration's mirror pairs were, so a term >= 2^1023 still
-        # makes the moment inf.
+        # makes the moment inf; a power past the float range saturates to
+        # inf, negative for a negative value to an odd power.
         for labels in bucket_partitions(d, k):
             q = max(labels) + 1
             pairs = [(i, j, twice[i][j])
@@ -189,7 +190,11 @@ def _exact_power_moment(inst: ChaosInstance, power: int) -> float:
             count = math.perm(k, q) << (q - 1)
             for signs in product(*choices):
                 value = math.fsum(t if signs[i] == signs[j] else -t for i, j, t in pairs)
-                yield count, 2.0 * value ** power
+                try:
+                    term = value ** power
+                except OverflowError:
+                    term = math.copysign(math.inf, value) if power % 2 else math.inf
+                yield count, 2.0 * term
 
     return _rounded_sum(terms()) / total
 
@@ -274,13 +279,11 @@ MC_SUM_BUDGET = 1 << 22
 
 def _chaos_powers(buckets: np.ndarray, sign_bits: np.ndarray, x: np.ndarray, norm_sq: float,
                   k: int, power: int) -> np.ndarray:
-    """Each row's chaos value to `power`: its k signed bucket sums (signs
-    2 * bit - 1) squared and added to -|x|^2 in bucket order. Overwrites
-    both int64 arrays."""
+    """Each row's chaos value to `power`: its k signed bucket sums (sign
+    1 - 2 * bit, the package's convention) squared and added to -|x|^2 in
+    bucket order. Overwrites both int64 arrays."""
     sums = np.zeros((len(buckets), k))
-    # the shared bucket sums negate odd bits, these draws even ones
-    signed_bucket_sums(buckets, np.arange(0, sums.size, k)[:, None],
-                       np.bitwise_xor(sign_bits, 1, out=sign_bits), x, sums)
+    signed_bucket_sums(buckets, np.arange(0, sums.size, k)[:, None], sign_bits, x, sums)
     # one sequential running sum per row: (-|x|^2 + s_0^2) + s_1^2 + ...
     np.square(sums, out=sums)
     sums[:, 0] -= norm_sq

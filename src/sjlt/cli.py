@@ -14,6 +14,7 @@ a warning that the filters raise is a refusal, `error: <kind>: <message>`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 import warnings
@@ -135,18 +136,25 @@ def cmd_graph_count(args) -> int:
     return 0
 
 
-def _verify_numeric(cell: str, line_number: int) -> None:
+def _verify_numeric(cell: str, line_number: int, finite: bool) -> None:
+    # sjlt writes no nan, and no infinite value into a vector file
     try:
-        float(cell)
+        value = float(cell)
     except ValueError:
         raise _VerifyError(f"non-numeric cell {cell!r} on line {line_number}") from None
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise _VerifyError(f"non-finite cell {cell!r} on line {line_number}")
 
 
 def cmd_verify(args) -> int:
     path = Path(args.file)
     if not path.exists():
         raise FileNotFoundError(str(path))
-    lines = [ln for ln in path.read_text(encoding="ascii").splitlines() if ln.strip()]
+    try:
+        text = path.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise _VerifyError(f"file is not ASCII: {exc}") from None
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise _VerifyError("file is empty")
     if lines[0].startswith("#"):
@@ -162,7 +170,7 @@ def cmd_verify(args) -> int:
             if len(cells) != len(_SCHEMAS[command]):
                 raise _VerifyError(f"row width mismatch on line {number}")
             for cell in cells:
-                _verify_numeric(cell, number)
+                _verify_numeric(cell, number, finite=False)
         print(f"ok: {command} rows={len(lines) - 2}")
         return 0
     widths = set()
@@ -170,7 +178,7 @@ def cmd_verify(args) -> int:
         cells = line.split(",")
         widths.add(len(cells))
         for cell in cells:
-            _verify_numeric(cell, number)
+            _verify_numeric(cell, number, finite=True)
     if len(widths) != 1:
         raise _VerifyError("inconsistent vector widths")
     print(f"ok: vectors rows={len(lines)} width={widths.pop()}")

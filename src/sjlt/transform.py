@@ -95,7 +95,7 @@ class SparseVector:
         return len(self._arrays[1])
 
     def norm(self) -> float:
-        return math.sqrt(math.fsum(v * v for v in self._arrays[1].tolist()))
+        return math.sqrt(_sum_of_squares(self._arrays[1]))
 
     @classmethod
     def from_dense(cls, values) -> "SparseVector":
@@ -329,6 +329,13 @@ def signed_bucket_sums(buckets: np.ndarray, offsets, sign_bits: np.ndarray, weig
     return sums
 
 
+def trial_seeds(spec: TransformSpec, trials) -> np.ndarray:
+    """The (2, T) uint64 bucket and sign seeds of the given trial indices:
+    trial t draws its generators from (bucket_seed + t, sign_seed + t) mod 2^64."""
+    seeds = np.array((spec.bucket_seed, spec.sign_seed), dtype=np.uint64)[:, None]
+    return seeds + np.asarray(trials, dtype=np.uint64)
+
+
 def row_squares(rows: np.ndarray) -> np.ndarray:
     """Each row's dot product with itself, bit for bit row @ row: a stacked
     (1, k) @ (k, 1) matmul takes numpy's one vector dot per row."""
@@ -344,9 +351,9 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     spec's, and then a nonzero x whose |x|^2 leaves the float64 range, are
     refused before any work. |x|^2 is math.fsum of x's squared values,
     x.norm() squared before its root. Trial t projects the replicas
-    of x's nonzeros, each carrying x_i unscaled, through fresh spec
-    generators seeded (bucket_seed + t, sign_seed + t) mod 2^64, so its
-    outcome is fixed by its seeds alone; its row y is its bucket sums
+    of x's nonzeros, each carrying x_i unscaled, through generators of
+    the spec's degree seeded by `trial_seeds`, so its outcome is fixed
+    by its seeds alone; its row y is its bucket sums
     divided by sqrt(c). Trials go through the kernel in blocks of
     T = max(1, 2 * HORNER_BLOCK // max(n, k)) trials of n replica points. A
     block expands its T bucket seeds and then its T sign seeds into one
@@ -375,7 +382,6 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     k, degree, n = spec.k, spec.independence_degree, points.size
     # blocks of 4 * HORNER_BLOCK points per role ran no faster and raised peak RSS 1.6 MB
     rows = max(1, 2 * HORNER_BLOCK // max(n, k))
-    seeds = np.array((spec.bucket_seed, spec.sign_seed), dtype=np.uint64)[:, None]
     offsets = np.arange(0, rows * k, k)[:, None]
     range_size = math.lcm(k, 2)
     # any prefix of 2T periods is the points of a 2T-row stack
@@ -383,7 +389,7 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
 
     def block_hits(first: int, stop: int, work: np.ndarray, sums: np.ndarray) -> int:
         trials = np.arange(first, stop, dtype=np.uint64)
-        block = generator_block(seeds + trials, degree, range_size)
+        block = generator_block(trial_seeds(spec, trials), degree, range_size)
         buckets, sign_bits = eval_bucket_batch(
             block, tiled[:2 * trials.size * n], work=work).reshape(2, trials.size, n)
         if k % 2:
@@ -407,13 +413,18 @@ def trial_counter(spec: TransformSpec, x: SparseVector | None,
     return count
 
 
-def _norm_sq(x: SparseVector) -> float:
-    """math.fsum of x's squared values, refused for a nonzero x where it is
-    0.0 or passes the largest float."""
+def _sum_of_squares(values: np.ndarray) -> float:
+    """math.fsum of the squared values; inf where it passes the largest float."""
     try:
-        norm_sq = math.fsum(v * v for v in x._arrays[1].tolist())
+        return math.fsum(v * v for v in values.tolist())
     except OverflowError:  # finite squares whose exact sum is past the largest float
-        norm_sq = math.inf
+        return math.inf
+
+
+def _norm_sq(x: SparseVector) -> float:
+    """x's `_sum_of_squares`, refused for a nonzero x where it is 0.0 or
+    passes the largest float."""
+    norm_sq = _sum_of_squares(x._arrays[1])
     if x.nnz and not 0.0 < norm_sq < math.inf:
         raise ValueError(f"|x|^2 = {norm_sq!r} of a nonzero vector lies outside the float64 range")
     return norm_sq

@@ -39,11 +39,10 @@ from sjlt.transform import (
     SparseVector,
     TransformSpec,
     apply_rows,
-    apply_with_generators,
     derive_spec,
     distortion_bench,
     signed_bucket_sums,
-    trial_counter,
+    trial_seeds,
     uniform_vector,
 )
 
@@ -98,6 +97,11 @@ def test_assignment_validation():
 def test_instance_validation():
     with pytest.raises(ValueError):
         ChaosInstance(k=2, x=SparseVector.from_dense((1.0, 1.0)))
+    # finite squares whose sum passes the largest float: the norm is inf
+    huge = SparseVector.from_dense([1e154] * 16)
+    assert huge.norm() == math.inf
+    with pytest.raises(ValueError, match="x must be a unit vector"):
+        ChaosInstance(k=2, x=huge)
     # d is read off x, never set beside it
     x = uniform_vector(5)
     assert ChaosInstance(k=3, x=x).d == x.dim == 5
@@ -272,10 +276,13 @@ def test_exact_power_moment_equals_brute_force_bit_for_bit(x, k):
 
 def test_huge_terms_make_the_moment_infinite():
     # one bucket and equal signs at d = 3 give Z = 2: the term 2^1023 doubles
-    # to inf, as in the plain enumeration, while 2^1022 still sums finitely
+    # to inf, as in the plain enumeration, while 2^1022 still sums finitely;
+    # 2^1024 and past leave the float range in the power itself
     inst = ChaosInstance.uniform(3, 1)
     assert math.isfinite(_exact_power_moment(inst, 1022))
-    assert _exact_power_moment(inst, 1023) == math.inf
+    for power in (1023, 1024, 1025):
+        assert _exact_power_moment(inst, power) == math.inf
+    assert exact_moment(inst, 512) == math.inf
 
 
 def test_monte_carlo_moment_consistent_with_exact():
@@ -812,22 +819,6 @@ def test_tail_rejects_bucket_bias():
         tail_estimate(tail_spec(4, 2**42, 1, 0.5, 7, 8, 2), trials=1000)
 
 
-def _reference_outcomes(spec, x, trials):
-    # per trial (distortion failed, tail hit), both judged from the trial's
-    # one row y, the one distortion_trial takes its ratio from:
-    # apply_with_generators under the trial's own seeds
-    degree, norm_sq = spec.independence_degree, math.fsum(v * v for _, v in x.entries)
-    outcomes = []
-    for t in range(trials):
-        y = apply_with_generators(x, spec.c, spec.k,
-                                  new_generator(spec.bucket_seed + t, degree, spec.k),
-                                  new_generator(spec.sign_seed + t, degree, 2))
-        ratio = float(np.sqrt(y @ y)) / x.norm()
-        outcomes.append((ratio < 1.0 - spec.epsilon or ratio > 1.0 + spec.epsilon,
-                         abs(float(y @ y) - norm_sq) >= spec.epsilon))
-    return outcomes
-
-
 def _tail_count_fn(spec, x):
     # tail_estimate's own count function, taken where it goes to partitioned_count,
     # so that any trial range can be counted, one trial or below the 1000-trial floor
@@ -838,88 +829,9 @@ def _tail_count_fn(spec, x):
     return taken[0]
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-def test_tail_matches_distortion_ratio():
-    # one reference for both reports: trial t's row y fails distortion_bench
-    # by |y| / |x| and hits tail_estimate by |y @ y - fsum(x^2)| >= epsilon,
-    # trial by trial. c = 2, so 1/sqrt(c) is not exact, and x is non-dyadic
-    # with gaps.
-    rng = np.random.default_rng(2032)
-    dense = rng.standard_normal(24)
-    dense[[0, 5, 6, 13, 23]] = 0.0
-    dense /= np.linalg.norm(dense)
-    x = SparseVector.from_dense(dense)
-    spec = derive_spec(24, 0.25, 0.01, 5, 6, (1.0, 0.11, 0.2))
-    assert (spec.c, spec.k, spec.independence_degree) == (2, 9, 10)
-    fails, hits = zip(*_reference_outcomes(spec, x, 1000))
-    assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
-    count = _tail_count_fn(spec, x)
-    assert [bool(count(t, t + 1)) for t in range(len(hits))] == list(hits)
-    assert tail_estimate(spec, 1000, x=x).count == sum(hits)
-    assert distortion_bench(spec, 1000, x=x).count == sum(fails)
-
-
 def _block_trials(n, k):
     # trials per kernel call for n points per trial
     return max(1, 2 * HORNER_BLOCK // max(n, k))
-
-
-def _reference_bucket_sums(bucket_seed, sign_seed, degree, k, flat, replicated):
-    # one trial written out with explicit generators and a plain bincount
-    buckets = eval_bucket_batch(new_generator(bucket_seed, degree, k), flat)
-    signs = eval_sign_batch(new_generator(sign_seed, degree, 2), flat)
-    return np.bincount(buckets, weights=signs * replicated, minlength=k)
-
-
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-def test_trial_loops_match_per_trial_reference():
-    # non-dyadic entries and c > 1, where bucket sums are rounded, unlike the
-    # dyadic c = 1 settings the benchmark's reference checks. The reference
-    # hashes one trial at a time, point by point by Horner; the loops hash
-    # blocks of trials, runs of c, by differences once c > degree. Trial
-    # counts straddle the block boundaries, x has gaps so its replica points
-    # are not one run, and odd k puts the rows of 2-D bucket sums at
-    # unaligned addresses.
-    rng = np.random.default_rng(2024)
-    d, epsilon = 24, 0.25
-    dense = rng.standard_normal(d)
-    dense[[1, 2, 7, 15, 16, 17, 23]] = 0.0
-    dense /= np.linalg.norm(dense)
-    sparse = SparseVector.from_dense(dense)
-    indices = np.array([i for i, _ in sparse.entries], dtype=np.uint64)
-    bucket_seed, sign_seed = 1234, 98765
-
-    # kappa_c = 0.2 gives c = 2 < degree 10; 2.0 gives c = 18 > degree 10
-    for constants, expected_c in (((1.0, 0.11, 0.2), 2), ((1.0, 0.11, 2.0), 18)):
-        spec = derive_spec(d, epsilon, 0.01, bucket_seed, sign_seed, constants)
-        c, k = spec.c, spec.k
-        assert (c, spec.independence_degree, k % 2) == (expected_c, 10, 1)
-        flat = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
-        replicated = np.repeat([v for _, v in sparse.entries], c)
-        rows = _block_trials(flat.size, k)
-        fails = []
-        for t in range(2 * rows + 3):
-            y = _reference_bucket_sums(bucket_seed + t, sign_seed + t, spec.independence_degree,
-                                       k, flat, replicated) / math.sqrt(c)
-            ratio = float(np.sqrt(y @ y)) / sparse.norm()
-            fails.append(ratio < 1.0 - epsilon or ratio > 1.0 + epsilon)
-        assert 0 < sum(fails) < len(fails)
-        for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-            report = distortion_bench(spec, trials, x=sparse)
-            assert report.count == sum(fails[:trials])
-
-    for k, c, degree in ((7, 3, 4), (7, 18, 4)):
-        spec = tail_spec(d, k, c, 0.3, bucket_seed, sign_seed, degree)
-        rows = _block_trials(sparse.nnz * c, k)
-        hits = [hit for _, hit in _reference_outcomes(spec, sparse, max(1000, 2 * rows + 3) + 1)]
-        assert 0 < sum(hits) < len(hits)
-        for trials in (1000, len(hits)):
-            assert tail_estimate(spec, trials, x=sparse).count == sum(hits[:trials])
-        # below the estimator's 1000-trial floor, through its own count function
-        count = _tail_count_fn(spec, sparse)
-        for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-            assert count(0, trials) == sum(hits[:trials])
-            assert count(1, trials + 1) == sum(hits[1:trials + 1])
 
 
 @pytest.mark.parametrize("d", [1, 3, 64, 1000])
@@ -932,38 +844,6 @@ def test_default_vector_is_the_uniform_unit_vector(d):
     spec = tail_spec(d, 16, 4, 0.5, 3, 4 + 2 ** 40, 2)
     assert distortion_bench(spec, 300) == distortion_bench(spec, 300, x=uniform)
     assert tail_estimate(spec, 1000) == tail_estimate(spec, 1000, x=uniform)
-
-
-@pytest.mark.parametrize("k", [1, 2, 7, 12])
-def test_stacked_block_reduction_matches_per_trial_reference(k, monkeypatch):
-    # A block hashes buckets and signs in one call at range lcm(k, 2) and
-    # reduces the halves to v mod k and v mod 2: k = 1 (range 2, every
-    # bucket 0), k = 2 (one range for both), odd k (buckets need a modulo)
-    # and even k (buckets are a view). Each trial's scaled sums, read where
-    # row_squares receives them, equal two one-trial calls divided by
-    # sqrt(c) bit for bit, across partial blocks and from a nonzero first
-    # trial; the bucket seed wraps past 2^64 in both. Full blocks step runs
-    # of c = 5 by differences, and short last blocks take Horner.
-    c, degree = 5, 4
-    spec = tail_spec(40, k, c, 0.5, 2**64 - 3, 777, degree)
-    indices = np.array([0, 3, 4, 11, 29, 39], dtype=np.uint64)
-    values = np.random.default_rng(k).standard_normal(indices.size)
-    x = SparseVector(40, zip(indices.tolist(), values.tolist()))
-    points = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
-    rows = _block_trials(points.size, k)
-    reference = [_reference_bucket_sums(spec.bucket_seed + t, spec.sign_seed + t, degree, k,
-                                        points, np.repeat(values, c)) / math.sqrt(c)
-                 for t in range(2 * rows + 4)]
-    seen = []
-    original = sjlt.transform.row_squares
-    monkeypatch.setattr(sjlt.transform, "row_squares",
-                        lambda sums: seen.extend(sums.copy()) or original(sums))
-    for trials in (rows - 1, rows + 1, 2 * rows + 3):
-        for start in (0, 1):
-            seen.clear()
-            count = trial_counter(spec, x, lambda squares, norm_sq: np.ones(len(squares), bool))
-            assert count(start, start + trials) == trials
-            assert np.array(seen).tobytes() == np.array(reference[start:start + trials]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
@@ -1035,27 +915,119 @@ def _dense_trial_case(d, kappa_c):
     return SparseVector.from_dense(dense), spec
 
 
-@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
-@pytest.mark.parametrize("kappa_c, expected_c", [(0.1, 1), (2.0, 18)])
-def test_dense_trial_loops_match_per_trial_reference(kappa_c, expected_c):
-    # the dense counterpart of the test above: a block's points are one
-    # consecutive range per trial, which the kernel steps in runs longer
-    # than c, while the reference hashes one trial at a time by Horner
-    d = 24
-    x, spec = _dense_trial_case(d, kappa_c)
+def _gapped_vector(seed, zeros):
+    # a non-dyadic unit vector with gaps, so its replica points are not one run
+    dense = np.random.default_rng(seed).standard_normal(24)
+    dense[zeros] = 0.0
+    dense /= np.linalg.norm(dense)
+    return SparseVector.from_dense(dense)
+
+
+def _stacked_case(k):
+    # c = 5 > degree 4: full blocks step runs of c by differences, short last
+    # blocks take Horner; the bucket seed wraps past 2^64
+    values = np.random.default_rng(k).standard_normal(6)
+    x = SparseVector(40, zip([0, 3, 4, 11, 29, 39], values.tolist()))
+    return x, tail_spec(40, k, 5, 0.5, 2**64 - 3, 777, 4)
+
+
+_GAPPED = (2024, [1, 2, 7, 15, 16, 17, 23])
+
+# name: ((x, spec), its (c, k, degree), trial counts of both full reports,
+# trials counted one at a time by tail_estimate's own count function)
+TRIAL_CASES = {
+    # c = 2 < degree 10 and c = 18 > degree 10, odd k: 2-D bucket sums at
+    # unaligned row addresses; 1/sqrt(2) is not exact
+    "gapped-c2": (lambda: (_gapped_vector(*_GAPPED),
+                           derive_spec(24, 0.25, 0.01, 1234, 98765, (1.0, 0.11, 0.2))),
+                  (2, 9, 10), (), 0),
+    "gapped-c18": (lambda: (_gapped_vector(*_GAPPED),
+                            derive_spec(24, 0.25, 0.01, 1234, 98765, (1.0, 0.11, 2.0))),
+                   (18, 9, 10), (), 0),
+    "tail-c3": (lambda: (_gapped_vector(*_GAPPED), tail_spec(24, 7, 3, 0.3, 1234, 98765, 4)),
+                (3, 7, 4), (1000, 1288), 0),
+    "tail-c18": (lambda: (_gapped_vector(*_GAPPED), tail_spec(24, 7, 18, 0.3, 1234, 98765, 4)),
+                 (18, 7, 4), (1000, 1001), 0),
+    # one stacked hash at range lcm(k, 2): k = 1 (every bucket 0), k = 2 (one
+    # range for both roles), odd k (buckets need a modulo), even k (a view)
+    **{f"stacked-k{k}": (lambda k=k: _stacked_case(k), (5, k, 4), (), 0) for k in (1, 2, 7, 12)},
+    # every coordinate nonzero: a trial's points are one run, stepped in runs longer than c
+    "dense-c1": (lambda: _dense_trial_case(24, 0.1), (1, 9, 10), (1000,), 0),
+    "dense-c18": (lambda: _dense_trial_case(24, 2.0), (18, 9, 10), (1000,), 0),
+    "ratio-c2": (lambda: (_gapped_vector(2032, [0, 5, 6, 13, 23]),
+                          derive_spec(24, 0.25, 0.01, 5, 6, (1.0, 0.11, 0.2))),
+                 (2, 9, 10), (1000,), 1000),
+}
+
+
+def _reference_rows(spec, x, trials):
+    # trial t's y written out alone: the generators of its trial_seeds, one
+    # kernel call per role, a plain bincount and the division by sqrt(c)
     c, k, degree = spec.c, spec.k, spec.independence_degree
-    assert (c, degree, x.nnz) == (expected_c, 10, d)
-    rows = _block_trials(d * c, k)
-    # a full block stacks 2 * rows segments: its bucket rows, then its sign rows
-    block = np.tile(np.arange(d * c, dtype=np.uint64), 2 * rows)
-    assert kwise._run_length(block, 2 * rows, degree) > max(c, degree)
-    fails, hits = zip(*_reference_outcomes(spec, x, max(1000, 2 * rows + 3)))
-    assert 0 < sum(fails) < len(fails) and 0 < sum(hits) < len(hits)
+    indices = np.array([i for i, _ in x.entries], dtype=np.uint64)
+    points = (indices[:, None] * np.uint64(c) + np.arange(c, dtype=np.uint64)).reshape(-1)
+    weights = np.repeat([v for _, v in x.entries], c)
+    rows = []
+    for bucket_seed, sign_seed in trial_seeds(spec, np.arange(trials)).T.tolist():
+        buckets = eval_bucket_batch(new_generator(bucket_seed, degree, k), points)
+        signs = eval_sign_batch(new_generator(sign_seed, degree, 2), points)
+        rows.append(np.bincount(buckets, weights=signs * weights, minlength=k) / math.sqrt(c))
+    return np.array(rows)
+
+
+def test_trial_seeds_add_the_trial_mod_2_64():
+    spec = _stacked_case(1)[1]
+    assert trial_seeds(spec, np.arange(4)).tolist() == [[2**64 - 3, 2**64 - 2, 2**64 - 1, 0],
+                                                        [777, 778, 779, 780]]
+
+
+@pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")
+@pytest.mark.parametrize("name", list(TRIAL_CASES))
+def test_trial_blocks_match_per_trial_reference(name, monkeypatch):
+    # The trial loops hash blocks of trials in one stacked kernel call; the
+    # reference hashes one trial at a time, point by point by Horner. Each
+    # trial's scaled sums, read where row_squares receives them, equal the
+    # reference bit for bit over trial ranges that straddle block edges,
+    # from trial 0 and from trial 1. The counts of both reports equal each
+    # trial's event judged on its reference row y, as distortion_trial does.
+    build, expected, reports, singles = TRIAL_CASES[name]
+    x, spec = build()
+    c, k, degree = spec.c, spec.k, spec.independence_degree
+    assert (c, k, degree) == expected
+    rows = _block_trials(x.nnz * c, k)
+    if x.nnz == spec.d:
+        # a full block stacks 2 * rows segments: its bucket rows, then its sign rows
+        block = np.tile(np.arange(spec.d * c, dtype=np.uint64), 2 * rows)
+        assert kwise._run_length(block, 2 * rows, degree) > max(c, degree)
+    reference = _reference_rows(spec, x, max(2 * rows + 4, *reports, singles))
+    squares = np.array([y @ y for y in reference])
+    norm_sq = math.fsum(v * v for _, v in x.entries)
+    ratios = np.sqrt(squares) / math.sqrt(norm_sq)
+    fails = (ratios < 1.0 - spec.epsilon) | (ratios > 1.0 + spec.epsilon)
+    hits = np.abs(squares - norm_sq) >= spec.epsilon
+    assert 0 < fails.sum() < fails.size and 0 < hits.sum() < hits.size
+
+    seen = []
+    original = sjlt.transform.row_squares
+    monkeypatch.setattr(sjlt.transform, "row_squares",
+                        lambda sums: seen.append(sums.copy()) or original(sums))
+
+    def scaled_sums(first, stop):
+        rows_seen = np.concatenate(seen)
+        seen.clear()
+        return rows_seen.tobytes() == reference[first:stop].tobytes()
+
     count = _tail_count_fn(spec, x)
+    seen.clear()
     for trials in (1, rows - 1, rows + 1, 2 * rows + 3):
-        assert distortion_bench(spec, trials, x=x).count == sum(fails[:trials])
-        assert count(0, trials) == sum(hits[:trials])
-    assert tail_estimate(spec, 1000, x=x).count == sum(hits[:1000])
+        assert distortion_bench(spec, trials, x=x).count == fails[:trials].sum()
+        assert scaled_sums(0, trials)
+        assert count(1, trials + 1) == hits[1:trials + 1].sum()
+        assert scaled_sums(1, trials + 1)
+    for trials in reports:
+        assert distortion_bench(spec, trials, x=x).count == fails[:trials].sum()
+        assert tail_estimate(spec, trials, x=x).count == hits[:trials].sum()
+    assert [bool(count(t, t + 1)) for t in range(singles)] == hits[:singles].tolist()
 
 
 @pytest.mark.filterwarnings("ignore::sjlt.transform.AssumptionWarning")

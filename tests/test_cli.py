@@ -282,6 +282,17 @@ def test_verify_rejects_corrupted_report(tmp_path, capsys):
     out.write_text(good + "1,2,not-a-number,1,0\n")
     code, _, err = run(["verify", str(out)], capsys)
     assert code == 1
+    # sjlt writes no nan in any cell, and no infinite value into a vector
+    # file; a report's inf, such as a moment past the float range, passes
+    for text, message in ((good + "1,2,nan,1,0\n", "non-finite cell 'nan' on line 4"),
+                          ("nan,inf\n", "non-finite cell 'nan' on line 1"),
+                          ("1.5,-inf\n", "non-finite cell '-inf' on line 1"),
+                          ("1.5,2\n\xff\n", "file is not ASCII")):
+        out.write_bytes(text.encode("latin-1"))
+        code, _, err = run(["verify", str(out)], capsys)
+        assert code == 1 and err.startswith(f"error: verify-failed: {message}"), err
+    out.write_text(good + "1,2,inf,1,0\n")
+    assert run(["verify", str(out)], capsys)[:2] == (0, "ok: graph-count rows=2\n")
 
 
 def test_missing_input_error_line(tmp_path, capsys):
